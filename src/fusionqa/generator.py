@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from fusionqa.config import GenerationConfig
-from fusionqa.model import EncoderStates, decode_step, decoder_logits, encode_multimodal
+from fusionqa.model import (
+    DecoderCache,
+    EncoderStates,
+    decode_step,
+    decoder_logits,
+    encode_multimodal,
+)
 from fusionqa.tensor import Tensor, cross_entropy_logits
 from fusionqa.tokenizer import PAD_ID, assemble_qa_input
 
@@ -24,11 +30,22 @@ def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Ten
 
 
 def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
-    """Greedy decode until eos or the length limit; ties take the lowest id."""
+    """Greedy decode until eos or the length limit; ties take the lowest id.
+
+    One decoder cache serves the whole answer, so each step runs only the
+    newest position.
+    """
+    max_len = model.config.lm.max_len
+    if cfg.max_new_tokens >= max_len:
+        raise ValueError(
+            f"generate: max_new_tokens {cfg.max_new_tokens} must stay below the "
+            f"decoder's max_len {max_len}"
+        )
+    cache = DecoderCache()
     prefix = [PAD_ID]
     out = []
     for _ in range(cfg.max_new_tokens):
-        logits = decode_step(model, enc, prefix)
+        logits = decode_step(model, enc, prefix, cache)
         nxt = int(np.argmax(logits.data))
         if nxt == cfg.eos_id:
             break

@@ -37,17 +37,30 @@ from fusionqa.tokenizer import TokenSequence
 
 @dataclass
 class FusedSequence:
-    """Embedding matrix after injection, with per-position provenance."""
+    """Embedding matrix after injection."""
 
     embeddings: Tensor  # (L, d)
     attention_mask: np.ndarray
-    provenance: list[str] = field(default_factory=list)
 
 
 @dataclass
 class EncoderStates:
     states: Tensor  # (L, d)
     attention_mask: np.ndarray
+
+
+@dataclass
+class DecoderCache:
+    """Incremental-decoding state for one question (one encoder output).
+
+    ``kv`` maps each decoder attention prefix to its (keys, values), each
+    (heads, L, dh): self-attention grows by the positions of every call,
+    cross-attention is projected from the encoder states once. ``length``
+    counts the decoder positions run so far.
+    """
+
+    length: int = 0
+    kv: dict = field(default_factory=dict)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -168,20 +181,33 @@ def _linear(x, w, b):
 
 
 def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
-                         train=False, rng=None):
-    """Scaled dot-product attention over h heads; additive pre-softmax mask."""
+                         train=False, rng=None, cache=None, static_kv=False):
+    """Scaled dot-product attention over h heads; additive pre-softmax mask.
+
+    With a ``cache`` dict the keys and values are kept under ``prefix``: the
+    K/V of ``x_kv`` are appended to the cached ones, or, with ``static_kv``,
+    projected on the first call only and reused by every later call.
+    """
     p = model.params
     lq, d = x_q.shape
-    lkv = x_kv.shape[0]
     dh = d // n_heads
     rate = model.config.lm.dropout_rate
 
-    def split_heads(t, length):
-        return transpose(reshape(t, (length, n_heads, dh)), (1, 0, 2))
+    def split_heads(t):
+        return transpose(reshape(t, (t.shape[0], n_heads, dh)), (1, 0, 2))
 
-    q = split_heads(_linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), lq)
-    k = split_heads(_linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), lkv)
-    v = split_heads(_linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), lkv)
+    q = split_heads(_linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+    cached = None if cache is None else cache.get(prefix)
+    if static_kv and cached is not None:
+        k, v = cached
+    else:
+        k = split_heads(_linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
+        v = split_heads(_linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+        if cached is not None:
+            k = concat([cached[0], k], axis=1)
+            v = concat([cached[1], v], axis=1)
+        if cache is not None:
+            cache[prefix] = (k, v)
 
     scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     if mask is not None:
@@ -221,8 +247,12 @@ def key_padding_mask(attention_mask, dtype) -> Tensor | None:
     return Tensor._wrap(row)
 
 
-def causal_mask(length, dtype) -> Tensor:
-    m = np.triu(np.full((length, length), -np.inf, dtype=dtype), k=1)
+def causal_mask(length, dtype, offset=0) -> Tensor | None:
+    """Additive mask letting query i (position offset + i) see keys 0..offset + i,
+    or None when no key is hidden (a single query)."""
+    if length == 1:
+        return None
+    m = np.triu(np.full((length, offset + length), -np.inf, dtype=dtype), k=offset + 1)
     return Tensor._wrap(m)
 
 
@@ -255,13 +285,8 @@ def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSeq
         prev_end = start + span_len
     mask = np.ones(length, dtype=np.int64) if attention_mask is None else attention_mask
 
-    provenance = ["text"] * length
-    for j, (start, span_len) in enumerate(spans):
-        for i in range(start, start + span_len):
-            provenance[i] = f"image_{j}"
-
     if not spans:
-        return FusedSequence(text_emb, mask, provenance)
+        return FusedSequence(text_emb, mask)
 
     pieces = []
     cursor = 0
@@ -273,7 +298,7 @@ def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSeq
     if cursor < length:
         pieces.append(slice_(text_emb, (slice(cursor, length),)))
     fused = concat(pieces, axis=0)
-    return FusedSequence(fused, mask, provenance)
+    return FusedSequence(fused, mask)
 
 
 def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderStates:
@@ -309,7 +334,11 @@ def encode_multimodal(model, seq: TokenSequence, images=(), train=False, rng=Non
     return encode_fused(model, fused, train=train, rng=rng)
 
 
-def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
+def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None,
+                   cache: DecoderCache | None = None) -> Tensor:
+    """Decoder states (T, d) for ``dec_input_ids``. With a cache the ids are
+    the T positions after the ``cache.length`` already run, and their
+    self-attention K/V are appended to the cache."""
     cfg = model.config.lm
     if enc.states.shape[0] == 0:
         raise ValueError("decoder: empty encoder states")
@@ -317,43 +346,63 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
     t_len = len(ids)
     if t_len == 0:
         raise ValueError("decoder: empty input")
-    if t_len > cfg.max_len:
-        raise ValueError(f"decoder: input length {t_len} exceeds max_len {cfg.max_len}")
+    start = 0 if cache is None else cache.length
+    if start + t_len > cfg.max_len:
+        raise ValueError(f"decoder: input length {start + t_len} exceeds max_len {cfg.max_len}")
+    kv = None if cache is None else cache.kv
     x = embedding_lookup(model.params["lm.embed"], ids)
-    x = add(x, slice_(model.params["lm.decoder.pos_emb"], (slice(0, t_len),)))
+    x = add(x, slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)))
     x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
-    cmask = causal_mask(t_len, model.dtype)
+    cmask = causal_mask(t_len, model.dtype, offset=start)
     kmask = key_padding_mask(enc.attention_mask, model.dtype)
     rate = cfg.dropout_rate
     for i in range(cfg.n_dec_layers):
         prefix = f"lm.decoder.layer{i}"
         normed = _layer_norm_named(model, f"{prefix}.norm1", x)
         attn = multi_head_attention(model, f"{prefix}.self_attn", normed, normed,
-                                    cfg.n_heads, mask=cmask, train=train, rng=rng)
+                                    cfg.n_heads, mask=cmask, train=train, rng=rng, cache=kv)
         x = add(x, dropout(attn, rate, rng=rng, train=train))
         normed = _layer_norm_named(model, f"{prefix}.norm2", x)
         cross = multi_head_attention(model, f"{prefix}.cross_attn", normed, enc.states,
-                                     cfg.n_heads, mask=kmask, train=train, rng=rng)
+                                     cfg.n_heads, mask=kmask, train=train, rng=rng,
+                                     cache=kv, static_kv=True)
         x = add(x, dropout(cross, rate, rng=rng, train=train))
         normed = _layer_norm_named(model, f"{prefix}.norm3", x)
         x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, train, rng), rate, rng=rng, train=train))
+    if cache is not None:
+        cache.length = start + t_len
     return _layer_norm_named(model, "lm.decoder.final_norm", x)
 
 
-def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
-    """(T, V) pre-softmax logits under teacher forcing."""
-    hidden = decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng)
+def _lm_head(model, hidden: Tensor) -> Tensor:
     w_o = model.params["lm.head.w_o"]  # (V, d)
     return add(matmul(hidden, transpose(w_o, (1, 0))), model.params["lm.head.b_o"])
 
 
-def decode_step(model, enc: EncoderStates, prefix_ids) -> Tensor:
-    """Pre-softmax logits (V,) for the position after the given prefix."""
+def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
+    """(T, V) pre-softmax logits under teacher forcing."""
+    return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
+
+
+def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | None = None) -> Tensor:
+    """Pre-softmax logits (V,) for the position after the given prefix.
+
+    The cache holds the first ``cache.length`` prefix positions of earlier
+    steps for this ``enc``; only the rest of the prefix runs, and only its
+    last position is projected to the vocabulary. Without a cache a fresh one
+    is filled from the whole prefix.
+    """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     if len(prefix_ids) >= model.config.lm.max_len:
         raise ValueError(
             f"decode_step: prefix length {len(prefix_ids)} must stay below max_len "
             f"{model.config.lm.max_len}"
         )
-    logits = decoder_logits(model, enc, prefix_ids, train=False)
-    return slice_(logits, (int(len(prefix_ids)) - 1,))
+    cache = DecoderCache() if cache is None else cache
+    if cache.length >= len(prefix_ids):
+        raise ValueError(
+            f"decode_step: cache holds {cache.length} positions, "
+            f"the prefix has only {len(prefix_ids)}"
+        )
+    hidden = decoder_hidden(model, enc, prefix_ids[cache.length:], train=False, cache=cache)
+    return reshape(_lm_head(model, slice_(hidden, (slice(-1, None),))), (-1,))

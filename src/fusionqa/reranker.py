@@ -67,10 +67,18 @@ def score(model, vocab, question: str, doc: Document, max_len: int,
 
 
 def select_contexts(logits, cfg: SelectionConfig) -> RetrievedSet:
-    """Sigmoid-normalize, keep scores >= tau * max, then truncate to top-k."""
+    """Sigmoid-normalize, keep scores >= tau * max, then truncate to top-k.
+
+    A non-finite logit raises: a NaN would otherwise make the cutoff NaN and
+    silently select nothing."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size == 0:
         raise ValueError("select_contexts: need a non-empty 1-D candidate list")
+    bad = np.flatnonzero(~np.isfinite(logits))
+    if bad.size:
+        raise ValueError(
+            f"select_contexts: candidate {int(bad[0])} has non-finite score {logits[bad[0]]}"
+        )
     scores = sigmoid_np(logits)
     cutoff = cfg.tau * scores.max()
     order = np.lexsort((np.arange(len(scores)), -scores))

@@ -5,8 +5,9 @@ import pytest
 
 from fusionqa.config import GenerationConfig
 from fusionqa.documents import Document
+from fusionqa import generator
 from fusionqa.generator import generate, generate_ids, qa_loss
-from fusionqa.model import MultimodalTransformer, encode_multimodal
+from fusionqa.model import MultimodalTransformer, decoder_logits, encode_multimodal
 from fusionqa.tensor import Rng, grad_check
 from fusionqa.tokenizer import EOS_ID, PAD_ID, TokenSequence
 
@@ -81,7 +82,7 @@ class TestGenerate:
         # forbid eos so decoding always hits the cap
         tiny_model.params["lm.head.b_o"].data[EOS_ID] = -1e9
         try:
-            for cap in (1, 3, 7):
+            for cap in (1, 3, 7, tiny_model.config.lm.max_len - 1):
                 ids = generate_ids(tiny_model, _enc(tiny_model),
                                    GenerationConfig(max_new_tokens=cap))
                 assert len(ids) == cap
@@ -101,3 +102,26 @@ class TestGenerate:
                        GenerationConfig(max_new_tokens=8), 128)
         for special in ("<pad>", "</s>", "<cls>", "<img>", "<unk>"):
             assert special not in out
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_matches_full_prefix_greedy_loop(self, tiny_vocab, seed):
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(seed))
+        enc = _enc(model, (5, 6, 7, 8, 1))
+        cap = 16
+        prefix, expected = [PAD_ID], []
+        for _ in range(cap):
+            nxt = int(np.argmax(decoder_logits(model, enc, prefix).data[-1]))
+            if nxt == EOS_ID:
+                break
+            expected.append(nxt)
+            prefix.append(nxt)
+        assert generate_ids(model, enc, GenerationConfig(max_new_tokens=cap)) == expected
+
+    def test_cap_at_max_len_rejected_before_decoding(self, tiny_model, monkeypatch):
+        steps = []
+        monkeypatch.setattr(generator, "decode_step", lambda *a: steps.append(a))
+        max_len = tiny_model.config.lm.max_len
+        for cap in (max_len, max_len + 50):
+            with pytest.raises(ValueError, match=f"max_new_tokens {cap} .*max_len {max_len}"):
+                generate_ids(tiny_model, _enc(tiny_model), GenerationConfig(max_new_tokens=cap))
+        assert steps == []

@@ -235,6 +235,35 @@ class TestCli:
                      "--input", str(infile), "--output", str(outfile),
                      "--max-new-tokens", "4"]) == 0
 
+    def test_answer_cap_at_max_len_exits_one(self, tmp_path, corpora_dir, capsys):
+        vocab = Vocab.load(corpora_dir / "vocab.txt")
+        cfg = model_profile("desk", vocab_size=vocab.size)
+        qa_ckpt = tmp_path / "qa.ckpt"
+        save_checkpoint(MultimodalTransformer.build(cfg, Rng(0)), qa_ckpt)
+        infile = tmp_path / "ans_in.jsonl"
+        infile.write_text(json.dumps({
+            "qid": "x", "question": "what is the capital of balor?",
+            "contexts": [{"id": "t", "modality": "text", "text": "the capital is venta"}],
+        }) + "\n")
+        rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(infile), "--output", str(tmp_path / "out.jsonl"),
+                   "--max-new-tokens", "300"])
+        assert rc == 1
+        assert f"max_new_tokens 300 must stay below the decoder's max_len {cfg.lm.max_len}" \
+            in capsys.readouterr().err
+
+    def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
+        vocab = Vocab.load(corpora_dir / "vocab.txt")
+        model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))
+        model.params["cls_head.b2"].data[:] = np.nan
+        rr_ckpt = tmp_path / "rr.ckpt"
+        save_checkpoint(model, rr_ckpt)
+        rc = main(["rerank", "--model", str(rr_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(corpora_dir / "qa_heldout.jsonl"),
+                   "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert "candidate 0 has non-finite score nan" in capsys.readouterr().err
+
     def test_invalid_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "nope.jsonl"
         bad.write_text("{broken\n")

@@ -55,6 +55,11 @@ class TestSelectContexts:
         with pytest.raises(ValueError, match="non-empty"):
             select_contexts([], SelectionConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        with pytest.raises(ValueError, match="candidate 2 has non-finite score"):
+            select_contexts([0.5, 1.0, bad, np.nan], SelectionConfig())
+
     def test_scores_are_sigmoids(self):
         out = select_contexts([0.0, 2.0], SelectionConfig())
         np.testing.assert_allclose(out.scores, sigmoid_np([0.0, 2.0]))
