@@ -338,9 +338,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.data.shape}/{beta.data.shape} do not match feature width ({d},)"
         )
-    mu = xd.mean(axis=-1, keepdims=True)
+    mu = xd.sum(axis=-1, keepdims=True) / d
     xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
@@ -352,8 +352,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
         gx_hat = g * gamma.data
         gx = inv * (
             gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            - gx_hat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((gx_hat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         return gx, ggamma, gbeta
 
@@ -542,8 +542,9 @@ def primitive_forward(op: str, inputs, params=None) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(t) into .grad of every reachable tensor that
-    requires grad. Repeated calls without zeroing add up.
+    """Accumulate d(loss)/d(t) into .grad of every reachable leaf tensor
+    (no vjp) that requires grad; intermediate results keep ``grad`` None.
+    Repeated calls without zeroing add up.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -566,14 +567,16 @@ def backward(loss: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
 
+    # Only leaves (parameters and inputs) keep a .grad; an intermediate
+    # node's gradient lives in ``grads`` until its vjp has consumed it.
     grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._vjp is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not (parent.requires_grad or parent._vjp is not None):

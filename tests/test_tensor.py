@@ -121,6 +121,19 @@ class TestBackward:
             y = mul(x, x)
         assert y._vjp is None and not y.requires_grad
 
+    def test_grad_stored_on_leaves_only(self):
+        x = t64([1.0, 2.0])
+        w = t64([3.0, -1.0])
+        h = mul(x, w)
+        a = gelu(h)
+        loss = tsum(mul(a, a))
+        backward(loss)
+        assert h.grad is None and a.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+        first = x.grad.copy()
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * first)
+
     def test_diamond_graph_accumulates(self):
         # loss = sum(x*x + x*x): both paths contribute
         x = t64([1.0, 2.0])
