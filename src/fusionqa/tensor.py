@@ -303,12 +303,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # The cube is two multiplies, not x**3: on float32 input with negative
+    # entries numpy takes a generic pow path ~100x slower than x * x * x.
+    x2 = x * x
+    inner = _GELU_C * (x + 0.044715 * (x * x2))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _out(out, (a,), vjp)

@@ -57,6 +57,15 @@ class TestForward:
         out = layer_norm(x, gamma, beta)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
+    def test_gelu_float32_matches_float64_reference(self):
+        x = np.concatenate([np.linspace(-8.0, 8.0, 20001),
+                            Rng(5).uniform(20000) * 16.0 - 8.0]).astype(np.float32)
+        out = gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x64 + 0.044715 * x64**3)))
+        assert np.abs(out - ref).max() <= 5e-7
+
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(6, dtype=np.float32))
         assert dropout(x, 0.5, rng=Rng(0), train=False) is x
