@@ -10,6 +10,7 @@ Round trips are bit-exact and save(load(save(m))) is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
 FORMAT_VERSION = 1
+_PREAMBLE = 16  # magic, u32 version, u64 header length
 
 
 def save_checkpoint(model: MultimodalTransformer, path):
@@ -51,22 +53,51 @@ def save_checkpoint(model: MultimodalTransformer, path):
 
 def load_checkpoint(path) -> MultimodalTransformer:
     """Rebuild the model from its config snapshot; every tensor must match
-    the shapes that config implies, and no unknown names are accepted."""
+    the shapes that config implies, and no unknown names are accepted.
+
+    Any malformed file raises ValueError naming the file and the byte offset
+    or header key at fault: the tensors must tile the payload exactly, with
+    no overlap, gap or trailing byte.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"checkpoint {path}: bad magic {raw[:4]!r}")
+    if len(raw) < _PREAMBLE:
+        raise ValueError(
+            f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {_PREAMBLE}-byte preamble"
+        )
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != FORMAT_VERSION:
         raise ValueError(
             f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
     (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header_end = 16 + header_len
-    header = json.loads(raw[16:header_end].decode("utf-8"))
-    config = config_from_dict(header["config"])
+    header_end = _PREAMBLE + header_len
+    if header_end > len(raw):
+        raise ValueError(
+            f"checkpoint {path}: header of {header_len} bytes at byte {_PREAMBLE} "
+            f"runs past the end of the file at byte {len(raw)}"
+        )
+    try:
+        header = json.loads(raw[_PREAMBLE:header_end].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(
+            f"checkpoint {path}: header at byte {_PREAMBLE} is not UTF-8 JSON: {exc}"
+        ) from None
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path}: header is not a JSON object")
+    for key in ("config", "tensors"):
+        if key not in header:
+            raise ValueError(f"checkpoint {path}: header has no {key!r} key")
+    try:
+        config = config_from_dict(header["config"])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     expected = parameter_shapes(config)
     table = header["tensors"]
+    if not isinstance(table, dict):
+        raise ValueError(f"checkpoint {path}: header key 'tensors' is not an object")
 
     unknown = sorted(set(table) - set(expected))
     if unknown:
@@ -75,20 +106,44 @@ def load_checkpoint(path) -> MultimodalTransformer:
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {missing}")
 
-    payload = raw[header_end:]
-    params = {}
+    spans = []
     for name, spec in table.items():
-        shape = tuple(spec["shape"])
-        if shape != expected[name]:
+        spec = spec if isinstance(spec, dict) else {}
+        shape, offset = spec.get("shape"), spec.get("offset")
+        if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise ValueError(
                 f"checkpoint {path}: tensor {name} has shape {shape}, "
                 f"config implies {expected[name]}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        start = spec["offset"]
-        end = start + 4 * count
-        if end > len(payload):
-            raise ValueError(f"checkpoint {path}: tensor {name} overruns the payload")
-        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
+        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
+            raise ValueError(
+                f"checkpoint {path}: tensor {name} has offset {offset!r}, "
+                "expected a non-negative integer"
+            )
+        spans.append((offset, offset + 4 * math.prod(expected[name]), name))
+
+    payload = raw[header_end:]
+    covered, prev = 0, None
+    for start, end, name in sorted(spans):
+        if start < covered:
+            raise ValueError(
+                f"checkpoint {path}: tensor {name} at byte {header_end + start} "
+                f"overlaps tensor {prev}, which ends at byte {header_end + covered}"
+            )
+        if start > covered:
+            raise ValueError(
+                f"checkpoint {path}: bytes {header_end + covered}..{header_end + start} "
+                "belong to no tensor"
+            )
+        covered, prev = end, name
+    if covered != len(payload):
+        raise ValueError(
+            f"checkpoint {path}: tensors end at byte {header_end + covered}, "
+            f"the file at byte {len(raw)}"
+        )
+
+    params = {}
+    for start, end, name in spans:
+        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(expected[name])
         params[name] = Tensor(arr.copy(), requires_grad=True, dtype=np.float32)
     return MultimodalTransformer(config, params)

@@ -9,7 +9,7 @@ everything in this repo actually trains.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -223,23 +223,46 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _check_field(name: str, default, val):
+    """Snapshot values keep their default's type; integer fields are sizes
+    and counts, so they must be >= 1."""
+    if isinstance(default, int):
+        ok = isinstance(val, int) and not isinstance(val, bool) and val >= 1
+        kind = "an integer >= 1"
+    else:
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+        kind = "a finite number"
+    if not ok:
+        raise ValueError(f"config field {name} must be {kind}, got {val!r}")
+
+
+def _section_from_dict(cls, d, section: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {type(d).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {section} config fields {unknown}")
+    for key, val in d.items():
+        _check_field(f"{section}.{key}", defaults[key], val)
+    return cls(**d)
+
+
 def config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of ``config_to_dict``. Malformed input raises ValueError
+    naming the offending section or field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {"vision", "lm", "head_dropout"})
+    if unknown:
+        raise ValueError(f"unknown config fields {unknown}")
+    for section in ("vision", "lm"):
+        if section not in d:
+            raise ValueError(f"config has no {section!r} section")
+    head_dropout = d.get("head_dropout", 0.0)
+    _check_field("head_dropout", 0.0, head_dropout)
     return ModelConfig(
-        vision=VisionConfig(**d["vision"]),
-        lm=LmConfig(**d["lm"]),
-        head_dropout=d.get("head_dropout", 0.0),
+        vision=_section_from_dict(VisionConfig, d["vision"], "vision"),
+        lm=_section_from_dict(LmConfig, d["lm"], "lm"),
+        head_dropout=head_dropout,
     )
-
-
-def load_config_file(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "profile" in raw:
-        cfg = model_profile(raw["profile"], vocab_size=raw.get("vocab_size", 512))
-        for section in ("vision", "lm"):
-            for key, val in raw.get(section, {}).items():
-                setattr(getattr(cfg, section), key, val)
-        if "head_dropout" in raw:
-            cfg.head_dropout = raw["head_dropout"]
-        return cfg
-    return config_from_dict(raw)

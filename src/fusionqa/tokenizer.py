@@ -209,7 +209,13 @@ class Vocab:
             lines.pop()
         if lines[:N_SPECIALS] != _SPECIAL_RENDER:
             raise ValueError(f"vocab file {path}: reserved token header mismatch")
-        return cls([_unescape(line) for line in lines[N_SPECIALS:]])
+        tokens = []
+        for lineno, line in enumerate(lines[N_SPECIALS:], start=N_SPECIALS + 1):
+            try:
+                tokens.append(_unescape(line))
+            except ValueError as exc:
+                raise ValueError(f"vocab file {path}: line {lineno}: {exc}") from None
+        return cls(tokens)
 
 
 def _escape(token: bytes) -> str:
@@ -227,24 +233,28 @@ def _escape(token: bytes) -> str:
 
 
 def _unescape(text: str) -> bytes:
+    """Inverse of ``_escape``; raises ValueError on any other text."""
     out = bytearray()
     i = 0
     while i < len(text):
         c = text[i]
+        nxt = text[i + 1:i + 2]
         if c != "\\":
+            if not 0x21 <= ord(c) <= 0x7E:
+                raise ValueError(f"unescaped character {c!r} in vocab token {text!r}")
             out.append(ord(c))
             i += 1
-        elif text[i + 1] == "\\":
+        elif nxt == "\\":
             out.append(0x5C)
             i += 2
-        elif text[i + 1] == "s":
+        elif nxt == "s":
             out.append(0x20)
             i += 2
-        elif text[i + 1] == "x":
+        elif nxt == "x" and re.fullmatch("[0-9a-fA-F]{2}", text[i + 2:i + 4]):
             out.append(int(text[i + 2:i + 4], 16))
             i += 4
         else:
-            raise ValueError(f"bad escape in vocab token {text!r}")
+            raise ValueError(f"bad escape {text[i:i + 4]!r} in vocab token {text!r}")
     return bytes(out)
 
 

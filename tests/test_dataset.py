@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,94 @@ class TestCheckpoint:
                          + raw[16 + header_len:])
         with pytest.raises(ValueError, match="rogue.weight"):
             load_checkpoint(path)
+
+    def _saved(self, tmp_path, tiny_vocab):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(tiny_vocab), path)
+        return path
+
+    @staticmethod
+    def _edit_header(path, edit):
+        import struct
+
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + header_len].decode())
+        edit(header)
+        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header
+                         + raw[16 + header_len:])
+        return 16 + len(new_header)
+
+    def test_short_file_names_size(self, tmp_path):
+        p = tmp_path / "short.ckpt"
+        p.write_bytes(b"FQCK" + b"\x01\x00\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match=r"short.ckpt: file is 10 bytes, shorter than the 16-byte"):
+            load_checkpoint(p)
+
+    def test_header_past_end_of_file(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (len(raw)).to_bytes(8, "little") + raw[16:])
+        with pytest.raises(ValueError, match=rf"runs past the end of the file at byte {len(raw)}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("delta", [4, -4])
+    def test_payload_length_must_match_tensors(self, tmp_path, tiny_vocab, delta):
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" * delta if delta > 0 else raw[:delta])
+        with pytest.raises(ValueError, match=rf"tensors end at byte {len(raw)}, "
+                                             rf"the file at byte {len(raw) + delta}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "tensors"])
+    def test_missing_header_key(self, tmp_path, tiny_vocab, key):
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h.pop(key))
+        with pytest.raises(ValueError, match=rf"m.ckpt: header has no '{key}' key"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("lm_edit,message", [
+        ({"bogus": 1}, r"unknown lm config fields \['bogus'\]"),
+        ({"n_heads": 0}, r"config field lm.n_heads must be an integer >= 1, got 0"),
+        ({"max_len": "256"}, r"config field lm.max_len must be an integer >= 1, got '256'"),
+        ({"dropout_rate": None}, r"config field lm.dropout_rate must be a finite number"),
+    ], ids=["unknown", "zero_heads", "string_size", "null_rate"])
+    def test_malformed_config_field(self, tmp_path, tiny_vocab, lm_edit, message):
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["config"]["lm"].update(lm_edit))
+        with pytest.raises(ValueError, match=r"m.ckpt: " + message):
+            load_checkpoint(path)
+
+    def test_negative_offset_names_tensor(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["tensors"]["cls_head.b1"].update(offset=-4))
+        with pytest.raises(ValueError, match=r"tensor cls_head.b1 has offset -4"):
+            load_checkpoint(path)
+
+    def test_overlapping_offsets_rejected(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        header_end = self._edit_header(
+            path, lambda h: h["tensors"]["cls_head.b2"].update(
+                offset=h["tensors"]["cls_head.b1"]["offset"]))
+        with pytest.raises(ValueError, match=rf"tensor cls_head.b\d at byte {header_end}\d* "
+                                             r"overlaps tensor cls_head.b\d"):
+            load_checkpoint(path)
+
+    def test_gap_between_tensors_rejected(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+
+        def move_last(h):
+            last = max(h["tensors"].values(), key=lambda spec: spec["offset"])
+            last["offset"] += 4
+
+        self._edit_header(path, move_last)
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match=r"m.ckpt: bytes \d+\.\.\d+ belong to no tensor") as err:
+            load_checkpoint(path)
+        start, end = map(int, re.search(r"(\d+)\.\.(\d+)", str(err.value)).groups())
+        assert end - start == 4
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"

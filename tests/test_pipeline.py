@@ -264,6 +264,18 @@ class TestCli:
         assert rc == 1
         assert "candidate 0 has non-finite score nan" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_one(self, tmp_path, corpora_dir, capsys):
+        vocab = Vocab.load(corpora_dir / "vocab.txt")
+        ckpt = tmp_path / "rr.ckpt"
+        save_checkpoint(MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size),
+                                                    Rng(0)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        rc = main(["rerank", "--model", str(ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(corpora_dir / "qa_heldout.jsonl"),
+                   "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert f"checkpoint {ckpt}: file is 10 bytes" in capsys.readouterr().err
+
     def test_invalid_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "nope.jsonl"
         bad.write_text("{broken\n")

@@ -59,6 +59,17 @@ class TestBuildVocab:
         loaded.save(tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("bad", ["ab\\", "\\x4", "\\x", "\\xg1", "\\q", "a b"],
+                             ids=["dangling", "short_hex", "empty_hex", "non_hex", "unknown", "space"])
+    def test_malformed_token_line_names_line(self, tmp_path, tiny_vocab, bad):
+        path = tmp_path / "vocab.txt"
+        tiny_vocab.save(path)
+        lines = path.read_text().split("\n")
+        lines[7] = bad
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=r"vocab.txt: line 8: "):
+            Vocab.load(path)
+
 
 class TestEncodeDecode:
     def test_empty_text_is_eos_only(self, tiny_vocab):
