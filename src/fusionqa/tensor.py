@@ -570,8 +570,7 @@ def backward(loss: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
 
-    # Only leaves (parameters and inputs) keep a .grad; an intermediate
-    # node's gradient lives in ``grads`` until its vjp has consumed it.
+    # A node's gradient is dropped from ``grads`` once its vjp has run.
     grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
