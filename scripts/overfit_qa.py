@@ -39,8 +39,7 @@ def run_overfit(pairs=32, epochs=5, seed=0, outdir=None, lr=2e-3, batch=2):
     hits = 0
     for inst in data:
         gold_docs = [d for d in inst.pool if d.id in set(inst.gold_ids)]
-        answer = generate(model, vocab, inst.question, gold_docs, gen,
-                          model.config.lm.max_len, image_loader=loader)
+        answer = generate(model, vocab, inst.question, gold_docs, gen, image_loader=loader)
         hits += metric_em(answer, inst.answers)
     return hits, len(data), trace
 

@@ -23,9 +23,10 @@ from fusionqa.config import (
     model_profile,
     pretrain_stage_defaults,
 )
-from fusionqa.dataset import instance_from_json, load_dataset
+from fusionqa.dataset import doc_from_json, instance_from_json, load_dataset
+from fusionqa.generator import generate
 from fusionqa.model import MultimodalTransformer
-from fusionqa.pipeline import evaluate_dataset, make_image_loader, run_pipeline
+from fusionqa.pipeline import evaluate_dataset, make_image_loader, rerank
 from fusionqa.synthetic import generate_corpora, load_pretrain_corpus
 from fusionqa.tensor import Rng
 from fusionqa.tokenizer import Vocab
@@ -118,9 +119,6 @@ def _cmd_rerank(args):
     sel = SelectionConfig(tau=args.tau, k=args.top_k)
     loader = make_image_loader()
     base = os.path.dirname(os.path.abspath(args.input))
-    from fusionqa.reranker import score, select_contexts
-    from fusionqa.tensor import no_grad
-
     with open(args.input, "r", encoding="utf-8") as fin, \
          open(args.output, "w", encoding="utf-8", newline="\n") as fout:
         for lineno, line in enumerate(fin, 1):
@@ -132,13 +130,7 @@ def _cmd_rerank(args):
                 inst.validate()
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
-            with no_grad():
-                logits = [
-                    score(model, vocab, inst.question, d, model.config.lm.max_len,
-                          image_loader=loader).item()
-                    for d in inst.pool
-                ]
-            retrieved = select_contexts(logits, sel)
+            retrieved = rerank(inst, model, vocab, sel, loader)
             fout.write(json.dumps({
                 "qid": inst.qid,
                 "scores": {d.id: float(s) for d, s in zip(inst.pool, retrieved.scores)},
@@ -148,14 +140,10 @@ def _cmd_rerank(args):
 
 
 def _cmd_answer(args):
-    from fusionqa.generator import generate
-
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     loader = make_image_loader()
     base = os.path.dirname(os.path.abspath(args.input))
-    from fusionqa.dataset import _doc_from_json
-
     with open(args.input, "r", encoding="utf-8") as fin, \
          open(args.output, "w", encoding="utf-8", newline="\n") as fout:
         for lineno, line in enumerate(fin, 1):
@@ -164,14 +152,13 @@ def _cmd_answer(args):
                 continue
             try:
                 rec = json.loads(line)
-                contexts = [_doc_from_json(d, base) for d in rec["contexts"]]
+                contexts = [doc_from_json(d, base) for d in rec["contexts"]]
                 for d in contexts:
                     d.validate()
                 question = rec["question"]
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
-            answer = generate(model, vocab, question, contexts, gen,
-                              model.config.lm.max_len, image_loader=loader)
+            answer = generate(model, vocab, question, contexts, gen, image_loader=loader)
             fout.write(json.dumps(
                 {"qid": rec.get("qid"), "answer": answer}, sort_keys=True) + "\n")
     return 0

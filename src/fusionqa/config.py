@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 
+def _check_rate(name: str, rate):
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"config field {name} must lie in [0, 1), got {rate!r}")
+
+
 @dataclass
 class VisionConfig:
     patch_size: int = 8
@@ -49,6 +54,7 @@ class LmConfig:
             raise ValueError(
                 f"lm hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
             )
+        _check_rate("lm.dropout_rate", self.dropout_rate)
 
 
 @dataclass
@@ -63,6 +69,7 @@ class ModelConfig:
                 "vision and language hidden sizes must be identical for direct injection, "
                 f"got {self.vision.hidden_size} vs {self.lm.hidden_size}"
             )
+        _check_rate("head_dropout", self.head_dropout)
 
     @property
     def n_img_tokens(self) -> int:
@@ -113,8 +120,6 @@ class StageConfig:
     ve_lr: float | None
     ve_llrd_factor: float | None
     weight_decay: float = 0.05
-    scheduler: str = "cosine"
-    optimizer: str = "adamw"
 
     def __post_init__(self):
         if self.trainable not in ("VE", "VE+LM", "LM"):
@@ -163,8 +168,6 @@ class FinetuneConfig:
     epochs: int
     lr: float
     weight_decay: float = 0.05
-    scheduler: str = "cosine"
-    optimizer: str = "adamw"
 
     def __post_init__(self):
         if self.task not in ("reranker", "qa"):

@@ -6,10 +6,9 @@ import json
 import os
 
 from fusionqa.documents import Document, QaInstance, TableDoc
-from fusionqa.synthetic import instance_to_json
 
 
-def _doc_from_json(rec: dict, base_dir: str) -> Document:
+def doc_from_json(rec: dict, base_dir: str) -> Document:
     table = None
     if "table" in rec:
         t = rec["table"]
@@ -28,11 +27,36 @@ def _doc_from_json(rec: dict, base_dir: str) -> Document:
     )
 
 
+def _doc_to_json(doc: Document) -> dict:
+    rec = {"id": doc.id, "modality": doc.modality}
+    if doc.text is not None:
+        rec["text"] = doc.text
+    if doc.table is not None:
+        rec["table"] = {"header": doc.table.header, "rows": doc.table.rows}
+    if doc.image_path is not None:
+        rec["image"] = doc.image_path
+    if doc.snippet is not None:
+        rec["snippet"] = doc.snippet
+    if doc.label is not None:
+        rec["label"] = doc.label
+    return rec
+
+
+def instance_to_json(inst: QaInstance) -> dict:
+    return {
+        "qid": inst.qid,
+        "question": inst.question,
+        "answers": inst.answers,
+        "gold_ids": inst.gold_ids,
+        "pool": [_doc_to_json(d) for d in inst.pool],
+    }
+
+
 def instance_from_json(rec: dict, base_dir: str = "") -> QaInstance:
     return QaInstance(
         qid=rec["qid"],
         question=rec["question"],
-        pool=[_doc_from_json(d, base_dir) for d in rec["pool"]],
+        pool=[doc_from_json(d, base_dir) for d in rec["pool"]],
         answers=list(rec.get("answers", [])),
         gold_ids=list(rec.get("gold_ids", [])),
     )

@@ -1,8 +1,10 @@
-"""Retrieval-side data types: tables, candidate documents, QA instances."""
+"""Data types: tables, candidate documents, QA instances, pretraining samples."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from fusionqa.images import Image
 
 
 @dataclass
@@ -51,10 +53,6 @@ class Document:
         if self.label not in (None, "supporting", "distractor"):
             raise ValueError(f"document {self.id}: bad label {self.label!r}")
 
-    @property
-    def is_supporting(self) -> bool:
-        return self.label == "supporting"
-
 
 @dataclass
 class QaInstance:
@@ -79,3 +77,14 @@ class QaInstance:
                 raise ValueError(
                     f"instance {self.qid}: gold id {gid!r} not in candidate pool"
                 )
+
+
+@dataclass
+class PretrainSample:
+    """One pretraining record: an image, a textual prompt, a target string.
+    kind is 'caption' for stages 1-2 and 'vqa' for stage 3."""
+
+    image: Image
+    prompt: str
+    target: str
+    kind: str

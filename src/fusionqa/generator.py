@@ -12,7 +12,7 @@ from fusionqa.model import (
     decoder_logits,
     encode_multimodal,
 )
-from fusionqa.tensor import Tensor, cross_entropy_logits
+from fusionqa.tensor import Tensor, cross_entropy_logits, no_grad
 from fusionqa.tokenizer import PAD_ID, assemble_qa_input
 
 
@@ -54,21 +54,28 @@ def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
     return out
 
 
-def generate(model, vocab, question: str, contexts, cfg: GenerationConfig,
-             max_len: int, image_loader=None, prompt=None) -> str:
-    """Answer a question from ordered contexts (descending reranker score)."""
-    from fusionqa.tensor import no_grad
-
+def encode_contexts(model, vocab, question: str, contexts, image_loader=None, prompt=None,
+                    train=False, rng=None) -> EncoderStates:
+    """Encode the generator's input: prompt, question and ordered contexts,
+    with the images of the image contexts that survive truncation."""
+    contexts = list(contexts)
     seq = assemble_qa_input(
-        vocab, question, list(contexts), model.config.n_img_tokens, max_len, prompt=prompt
+        vocab, question, contexts, model.config.n_img_tokens, model.config.lm.max_len,
+        prompt=prompt,
     )
-    image_docs = [d for d in contexts if d.modality == "image"]
     images = []
     if seq.image_spans:
         if image_loader is None:
             raise ValueError("contexts include images but no image loader given")
+        image_docs = [d for d in contexts if d.modality == "image"]
         images = [image_loader(d) for d in image_docs[: len(seq.image_spans)]]
+    return encode_multimodal(model, seq, images, train=train, rng=rng)
+
+
+def generate(model, vocab, question: str, contexts, cfg: GenerationConfig,
+             image_loader=None, prompt=None) -> str:
+    """Answer a question from ordered contexts (descending reranker score)."""
     with no_grad():
-        enc = encode_multimodal(model, seq, images, train=False)
+        enc = encode_contexts(model, vocab, question, contexts, image_loader, prompt)
         ids = generate_ids(model, enc, cfg)
     return vocab.decode(ids)

@@ -151,12 +151,6 @@ class MultimodalTransformer:
         }
         return cls(config, params)
 
-    def named_parameters(self):
-        return self.params.items()
-
-    def trainable_parameters(self):
-        return [(n, p) for n, p in self.params.items() if p.requires_grad]
-
     def set_trainable(self, prefixes):
         """Mark parameters trainable iff their name starts with any prefix."""
         prefixes = tuple(prefixes)
@@ -166,10 +160,6 @@ class MultimodalTransformer:
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
-
-
-def _dropout_cfg(model, x, cfg_rate, train, rng):
-    return dropout(x, cfg_rate, rng=rng, train=train)
 
 
 def _layer_norm_named(model, prefix, x):
@@ -321,6 +311,9 @@ def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderS
 
 def encode_multimodal(model, seq: TokenSequence, images=(), train=False, rng=None) -> EncoderStates:
     """Embed a token sequence, encode and inject its images, run the encoder."""
+    # vision imports this module, so the name is looked up at call time; the
+    # traced benchmark run (perfbench/spans.py) also relies on this lookup:
+    # it replaces vision.encode_image to time the vision encoder
     from fusionqa.vision import encode_image
 
     images = list(images)

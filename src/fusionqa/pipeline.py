@@ -38,6 +38,17 @@ class PipelineResult:
     metrics: dict | None
 
 
+def rerank(instance: QaInstance, model, vocab, sel: SelectionConfig,
+           image_loader) -> RetrievedSet:
+    """Score every pool document against the question, then select."""
+    with no_grad():
+        logits = [
+            score(model, vocab, instance.question, doc, image_loader=image_loader).item()
+            for doc in instance.pool
+        ]
+    return select_contexts(logits, sel)
+
+
 def run_pipeline(instance: QaInstance, reranker_model, qa_model,
                  sel: SelectionConfig, gen: GenerationConfig, vocab,
                  image_loader=None) -> PipelineResult:
@@ -45,18 +56,11 @@ def run_pipeline(instance: QaInstance, reranker_model, qa_model,
     if reranker_model.config.lm.vocab_size != qa_model.config.lm.vocab_size:
         raise ValueError("reranker and qa model vocabularies differ")
     image_loader = image_loader or make_image_loader()
-    max_len = reranker_model.config.lm.max_len
-    with no_grad():
-        logits = [
-            score(reranker_model, vocab, instance.question, doc, max_len,
-                  image_loader=image_loader).item()
-            for doc in instance.pool
-        ]
-    retrieved = select_contexts(logits, sel)
+    retrieved = rerank(instance, reranker_model, vocab, sel, image_loader)
     selected_docs = [instance.pool[i] for i in retrieved.selected]
     selected_ids = [d.id for d in selected_docs]
     answer = generate(qa_model, vocab, instance.question, selected_docs, gen,
-                      qa_model.config.lm.max_len, image_loader=image_loader)
+                      image_loader=image_loader)
     metrics = None
     if instance.answers and instance.gold_ids:
         metrics = {

@@ -52,10 +52,11 @@ def classifier_head(model, h: Tensor, train=False, rng=None) -> Tensor:
     return reshape(y, ())
 
 
-def score(model, vocab, question: str, doc: Document, max_len: int,
-          image_loader=None, train=False, rng=None) -> Tensor:
+def score(model, vocab, question: str, doc: Document, image_loader=None,
+          train=False, rng=None) -> Tensor:
     """Relevance logit for one (question, document) pair; scalar Tensor."""
-    seq = assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens, max_len)
+    seq = assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens,
+                                  model.config.lm.max_len)
     images = []
     if seq.image_spans:
         if image_loader is None:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fusionqa.documents import Document, QaInstance, TableDoc
+from fusionqa.config import QA_PROMPT
+from fusionqa.dataset import write_dataset
+from fusionqa.documents import Document, PretrainSample, QaInstance, TableDoc
 from fusionqa.images import Image, load_image_ppm, save_image_ppm
 from fusionqa.tensor import Rng
-from fusionqa.training import PretrainSample
+from fusionqa.tokenizer import Vocab, serialize_table
 
 COLORS = {
     "red": (0.9, 0.1, 0.1),
@@ -290,9 +292,6 @@ def build_instance(world: World, qid: str, entity: str, relation: str,
 
 def corpus_text_lines(world: World) -> list[str]:
     """Every sentence the synthetic world can produce; vocabulary fodder."""
-    from fusionqa.config import QA_PROMPT
-    from fusionqa.tokenizer import serialize_table
-
     lines = [QA_PROMPT]
     lines.extend(_CAPTION_PROMPTS)
     for spec in all_scene_specs():
@@ -338,31 +337,6 @@ def vqa_samples(n: int, rng: Rng) -> list[tuple[int, str, str]]:
     return out
 
 
-def _doc_to_json(doc: Document) -> dict:
-    rec = {"id": doc.id, "modality": doc.modality}
-    if doc.text is not None:
-        rec["text"] = doc.text
-    if doc.table is not None:
-        rec["table"] = {"header": doc.table.header, "rows": doc.table.rows}
-    if doc.image_path is not None:
-        rec["image"] = doc.image_path
-    if doc.snippet is not None:
-        rec["snippet"] = doc.snippet
-    if doc.label is not None:
-        rec["label"] = doc.label
-    return rec
-
-
-def instance_to_json(inst: QaInstance) -> dict:
-    return {
-        "qid": inst.qid,
-        "question": inst.question,
-        "answers": inst.answers,
-        "gold_ids": inst.gold_ids,
-        "pool": [_doc_to_json(d) for d in inst.pool],
-    }
-
-
 def generate_corpora(outdir, seed: int, n_entities: int = 100,
                      n_captions: int = 500, n_vqa: int = 500,
                      n_train: int = 300, n_heldout: int = 100,
@@ -374,8 +348,6 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     Everything is a pure function of the seed; rerunning overwrites with
     byte-identical content.
     """
-    from fusionqa.tokenizer import Vocab
-
     rng = Rng(seed)
     os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
 
@@ -409,24 +381,22 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     chosen = [keys[int(i)] for i in order[:n_total]]
 
     def write_instances(name, selection, offset, variants):
-        n_written = 0
-        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-            for j, (entity, relation) in enumerate(selection):
-                photo_picks = [None]
-                if relation in IMAGE_RELATIONS and variants > 1:
-                    # both photos of the entity: the same question text gets
-                    # scene-dependent answers, so pixels must be read
-                    photo_picks = list(range(min(variants, 2)))
-                for v, which in enumerate(photo_picks):
-                    inst = build_instance(
-                        world, qid=f"q{offset + j:04d}v{v}", entity=entity,
-                        relation=relation, rng=rng.child(f"inst/{offset + j}/{v}"),
-                        n_distractors=n_distractors, answer_style=answer_style,
-                        which_photo=which,
-                    )
-                    fh.write(json.dumps(instance_to_json(inst), sort_keys=True) + "\n")
-                    n_written += 1
-        return n_written
+        instances = []
+        for j, (entity, relation) in enumerate(selection):
+            photo_picks = [None]
+            if relation in IMAGE_RELATIONS and variants > 1:
+                # both photos of the entity: the same question text gets
+                # scene-dependent answers, so pixels must be read
+                photo_picks = list(range(min(variants, 2)))
+            for v, which in enumerate(photo_picks):
+                instances.append(build_instance(
+                    world, qid=f"q{offset + j:04d}v{v}", entity=entity,
+                    relation=relation, rng=rng.child(f"inst/{offset + j}/{v}"),
+                    n_distractors=n_distractors, answer_style=answer_style,
+                    which_photo=which,
+                ))
+        write_dataset(instances, os.path.join(outdir, name))
+        return len(instances)
 
     n_train_written = write_instances("qa_train.jsonl", chosen[:n_train], 0,
                                       photo_variants)

@@ -25,7 +25,6 @@ __all__ = [
     "no_grad",
     "backward",
     "grad_check",
-    "primitive_forward",
     "matmul",
     "add",
     "sub",
@@ -520,28 +519,6 @@ def cross_entropy_logits(logits: Tensor, targets, mask=None) -> Tensor:
         return (p * g,)
 
     return _out(out, (logits,), vjp)
-
-
-_PRIMITIVES = {
-    "matmul": lambda inputs, p: matmul(*inputs),
-    "add": lambda inputs, p: add(*inputs),
-    "mul": lambda inputs, p: mul(*inputs),
-    "tanh": lambda inputs, p: tanh(*inputs),
-    "gelu": lambda inputs, p: gelu(*inputs),
-    "softmax_lastdim": lambda inputs, p: softmax_lastdim(*inputs),
-    "layer_norm": lambda inputs, p: layer_norm(*inputs, eps=p.get("eps", 1e-5)),
-    "dropout": lambda inputs, p: dropout(inputs[0], p["rate"], p.get("rng"), p.get("train", False)),
-    "embedding_lookup": lambda inputs, p: embedding_lookup(inputs[0], p["ids"]),
-    "concat": lambda inputs, p: concat(inputs, axis=p.get("axis", 0)),
-    "slice": lambda inputs, p: slice_(inputs[0], p["key"]),
-}
-
-
-def primitive_forward(op: str, inputs, params=None) -> Tensor:
-    """Dispatch a named primitive over Tensor inputs."""
-    if op not in _PRIMITIVES:
-        raise ValueError(f"primitive_forward: unknown op {op!r}")
-    return _PRIMITIVES[op](list(inputs), params or {})
 
 
 def backward(loss: Tensor):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from fusionqa.config import QA_PROMPT
 from fusionqa.documents import Document, TableDoc
 
 PAD_ID = 0
@@ -328,8 +329,6 @@ def assemble_qa_input(
     """prompt + question + [eos] + context [eos] per context, in the order
     given (callers pass reranker output already sorted by descending score).
     """
-    from fusionqa.config import QA_PROMPT
-
     prompt = QA_PROMPT if prompt is None else prompt
     lead = f"{prompt} {question}" if prompt else question
     head = vocab.token_ids(lead) + [EOS_ID]

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fusionqa.config import FinetuneConfig, StageConfig
-from fusionqa.documents import Document, QaInstance
-from fusionqa.generator import qa_loss
-from fusionqa.images import Image
+from fusionqa.documents import Document, PretrainSample, QaInstance
+from fusionqa.generator import encode_contexts, qa_loss
 from fusionqa.model import MultimodalTransformer, encode_multimodal
 from fusionqa.reranker import build_training_batch, reranker_loss, score
 from fusionqa.tensor import Rng, Tensor, backward, scale
@@ -175,19 +174,41 @@ def clone_model(model) -> MultimodalTransformer:
     return MultimodalTransformer(model.config, params)
 
 
-@dataclass
-class PretrainSample:
-    """One pretraining record: an image, a textual prompt, a target string.
-    kind is 'caption' for stages 1-2 and 'vqa' for stage 3."""
-
-    image: Image
-    prompt: str
-    target: str
-    kind: str
-
-
 _STAGE_KIND = {1: "caption", 2: "caption", 3: "vqa"}
 _STAGE_PREFIXES = {"VE": ("vision.",), "VE+LM": ("vision.", "lm."), "LM": ("lm.",)}
+
+
+def _train(model, opt, items, batch, epochs, rng, tag, lr, example_loss):
+    """The loop every phase shares; returns the (step, lr, mean loss) trace.
+
+    Each epoch visits ``items`` in a fresh permutation, ``batch`` at a time.
+    A step zeroes the gradients, back-propagates every member's loss scaled
+    by 1/len(members), clips the global norm and takes one AdamW step at the
+    cosine factor. ``example_loss(item, step_rng, j)`` returns the scalar
+    loss of member j; the rng streams are ``{tag}/epoch{e}`` and
+    ``{tag}/step{i}``, and each phase derives its per-member streams itself.
+    """
+    n_batches = math.ceil(len(items) / batch)
+    total_steps = epochs * n_batches
+    trace = []
+    step_idx = 0
+    for epoch in range(epochs):
+        order = rng.child(f"{tag}/epoch{epoch}").permutation(len(items))
+        for b in range(n_batches):
+            members = order[b * batch:(b + 1) * batch]
+            step_rng = rng.child(f"{tag}/step{step_idx}")
+            model.zero_grads()
+            batch_loss = 0.0
+            for j, idx in enumerate(members):
+                loss = example_loss(items[int(idx)], step_rng, j)
+                batch_loss += loss.item()
+                backward(scale(loss, 1.0 / len(members)))
+            clip_global_norm(model)
+            factor = cosine_lr(step_idx, total_steps, 1.0)
+            opt.step(factor)
+            trace.append((step_idx, lr * factor, batch_loss / len(members)))
+            step_idx += 1
+    return trace
 
 
 def _image_doc() -> Document:
@@ -236,65 +257,36 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
 
     model.set_trainable(_STAGE_PREFIXES[stage.trainable])
     opt = _stage_optimizer(model, stage)
-    batch = max(1, stage.global_batch)
-    n_batches = math.ceil(len(corpus) / batch)
-    total_steps = stage.epochs * n_batches
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
-    trace = []
-    step_idx = 0
-    for epoch in range(stage.epochs):
-        order = rng.child(f"stage{stage.stage}/epoch{epoch}").permutation(len(corpus))
-        for b in range(n_batches):
-            members = order[b * batch:(b + 1) * batch]
-            step_rng = rng.child(f"stage{stage.stage}/step{step_idx}")
-            model.zero_grads()
-            batch_loss = 0.0
-            for j, sample_idx in enumerate(members):
-                loss = _pretrain_loss(model, vocab, corpus[int(sample_idx)],
-                                      step_rng.child(f"s{j}"))
-                batch_loss += loss.item()
-                backward(scale(loss, 1.0 / len(members)))
-            clip_global_norm(model)
-            factor = cosine_lr(step_idx, total_steps, 1.0)
-            opt.step(factor)
-            trace.append((step_idx, primary_lr * factor, batch_loss / len(members)))
-            step_idx += 1
-    return trace
+    def example_loss(sample, step_rng, j):
+        return _pretrain_loss(model, vocab, sample, step_rng.child(f"s{j}"))
+
+    return _train(model, opt, corpus, max(1, stage.global_batch), stage.epochs, rng,
+                  f"stage{stage.stage}", primary_lr, example_loss)
 
 
 def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                       rng: Rng, image_loader=None) -> list[tuple[int, float, float]]:
-    """Fine-tune the relevance scorer; vision encoder stays frozen."""
+    """Fine-tune the relevance scorer, one question per step; ``global_batch``
+    is the number of pool documents scored per question. The vision encoder
+    stays frozen."""
     if cfg.task != "reranker":
         raise ValueError(f"expected a reranker config, got task {cfg.task!r}")
     model.set_trainable(("lm.", "cls_head."))
     opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay, include_cls_head=True)])
-    max_len = model.config.lm.max_len
-    total_steps = cfg.epochs * len(dataset)
 
-    trace = []
-    step_idx = 0
-    for epoch in range(cfg.epochs):
-        order = rng.child(f"rr/epoch{epoch}").permutation(len(dataset))
-        for qi in order:
-            inst = dataset[int(qi)]
-            step_rng = rng.child(f"rr/step{step_idx}")
-            docs, labels = build_training_batch(inst.pool, cfg.global_batch,
-                                                step_rng.child("batch"))
-            logits = [
-                score(model, vocab, inst.question, d, max_len,
-                      image_loader=image_loader, train=True, rng=step_rng.child(f"d{j}"))
-                for j, d in enumerate(docs)
-            ]
-            loss = reranker_loss(logits, labels)
-            model.zero_grads()
-            backward(loss)
-            clip_global_norm(model)
-            opt.step(cosine_lr(step_idx, total_steps, 1.0))
-            trace.append((step_idx, cfg.lr * cosine_lr(step_idx, total_steps, 1.0), loss.item()))
-            step_idx += 1
-    return trace
+    def example_loss(inst, step_rng, j):
+        docs, labels = build_training_batch(inst.pool, cfg.global_batch,
+                                            step_rng.child("batch"))
+        logits = [
+            score(model, vocab, inst.question, d, image_loader=image_loader,
+                  train=True, rng=step_rng.child(f"d{k}"))
+            for k, d in enumerate(docs)
+        ]
+        return reranker_loss(logits, labels)
+
+    return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, example_loss)
 
 
 def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> list[Document]:
@@ -318,41 +310,17 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
         raise ValueError(f"expected a qa config, got task {cfg.task!r}")
     model.set_trainable(("lm.",))
     opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay)])
-    max_len = model.config.lm.max_len
-    batch = max(1, cfg.global_batch)
-    n_batches = math.ceil(len(dataset) / batch)
-    total_steps = cfg.epochs * n_batches
 
-    trace = []
-    step_idx = 0
-    for epoch in range(cfg.epochs):
-        order = rng.child(f"qa/epoch{epoch}").permutation(len(dataset))
-        for b in range(n_batches):
-            members = order[b * batch:(b + 1) * batch]
-            step_rng = rng.child(f"qa/step{step_idx}")
-            model.zero_grads()
-            batch_loss = 0.0
-            for j, di in enumerate(members):
-                inst = dataset[int(di)]
-                ex_rng = step_rng.child(f"x{j}")
-                contexts = _qa_train_contexts(inst, extra_distractors, ex_rng.child("ctx"))
-                seq = assemble_qa_input(vocab, inst.question, contexts,
-                                        model.config.n_img_tokens, max_len)
-                image_docs = [d for d in contexts if d.modality == "image"]
-                if seq.image_spans and image_loader is None:
-                    raise ValueError("dataset contains images but no image loader given")
-                images = [image_loader(d) for d in image_docs[: len(seq.image_spans)]]
-                enc = encode_multimodal(model, seq, images, train=True, rng=ex_rng)
-                target = vocab.encode(inst.answers[0]).ids
-                loss = qa_loss(model, enc, target, train=True, rng=ex_rng)
-                batch_loss += loss.item()
-                backward(scale(loss, 1.0 / len(members)))
-            clip_global_norm(model)
-            factor = cosine_lr(step_idx, total_steps, 1.0)
-            opt.step(factor)
-            trace.append((step_idx, cfg.lr * factor, batch_loss / len(members)))
-            step_idx += 1
-    return trace
+    def example_loss(inst, step_rng, j):
+        ex_rng = step_rng.child(f"x{j}")
+        contexts = _qa_train_contexts(inst, extra_distractors, ex_rng.child("ctx"))
+        enc = encode_contexts(model, vocab, inst.question, contexts, image_loader,
+                              train=True, rng=ex_rng)
+        target = vocab.encode(inst.answers[0]).ids
+        return qa_loss(model, enc, target, train=True, rng=ex_rng)
+
+    return _train(model, opt, dataset, max(1, cfg.global_batch), cfg.epochs, rng, "qa",
+                  cfg.lr, example_loss)
 
 
 def write_trace_csv(trace, path):

@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from fusionqa.images import Image
-from fusionqa.tensor import Tensor, add, matmul
+from fusionqa.model import transformer_block
+from fusionqa.tensor import Tensor, add, dropout, layer_norm, matmul
+
 
 def patchify(img: Image, patch_size: int) -> np.ndarray:
     """Flatten an image into (N, P*P*C) rows, row-major over the patch grid,
@@ -25,8 +27,6 @@ def patchify(img: Image, patch_size: int) -> np.ndarray:
 
 def encode_image(model, img: Image, train: bool = False, rng=None) -> Tensor:
     """Run the vision encoder; returns an (N, d) embedding matrix."""
-    from fusionqa.model import transformer_block, _layer_norm_named, _dropout_cfg
-
     cfg = model.config.vision
     patches = patchify(img, cfg.patch_size)
     expected = model.params["vision.patch_proj.weight"].shape[0]
@@ -43,10 +43,11 @@ def encode_image(model, img: Image, train: bool = False, rng=None) -> Tensor:
         model.params["vision.patch_proj.bias"],
     )
     x = add(x, model.params["vision.pos_emb"])
-    x = _dropout_cfg(model, x, cfg_rate=model.config.lm.dropout_rate, train=train, rng=rng)
+    x = dropout(x, model.config.lm.dropout_rate, rng=rng, train=train)
     for i in range(cfg.n_layers):
         x = transformer_block(
             model, f"vision.layer{i}", x, n_heads=cfg.n_heads,
             mask=None, train=train, rng=rng,
         )
-    return _layer_norm_named(model, "vision.final_norm", x)
+    return layer_norm(x, model.params["vision.final_norm.gamma"],
+                      model.params["vision.final_norm.beta"])

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionqa
 from fusionqa.checkpoint import load_checkpoint, save_checkpoint
 from fusionqa.dataset import load_dataset, write_dataset
 from fusionqa.documents import Document, QaInstance, TableDoc
@@ -129,6 +133,18 @@ class TestLoadDataset:
         else:
             with pytest.raises(ValueError):
                 load_dataset(p)
+
+
+def test_dataset_import_leaves_model_and_training_unloaded():
+    # loading data must not pull in the training stack
+    code = ("import sys, fusionqa.dataset; "
+            "print(sorted(m for m in ('fusionqa.model', 'fusionqa.training') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusionqa.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestPpm:
@@ -270,15 +286,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"m.ckpt: header has no '{key}' key"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("lm_edit,message", [
-        ({"bogus": 1}, r"unknown lm config fields \['bogus'\]"),
-        ({"n_heads": 0}, r"config field lm.n_heads must be an integer >= 1, got 0"),
-        ({"max_len": "256"}, r"config field lm.max_len must be an integer >= 1, got '256'"),
-        ({"dropout_rate": None}, r"config field lm.dropout_rate must be a finite number"),
-    ], ids=["unknown", "zero_heads", "string_size", "null_rate"])
-    def test_malformed_config_field(self, tmp_path, tiny_vocab, lm_edit, message):
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c["lm"].update(bogus=1), r"unknown lm config fields \['bogus'\]"),
+        (lambda c: c["lm"].update(n_heads=0),
+         r"config field lm.n_heads must be an integer >= 1, got 0"),
+        (lambda c: c["lm"].update(max_len="256"),
+         r"config field lm.max_len must be an integer >= 1, got '256'"),
+        (lambda c: c["lm"].update(dropout_rate=None),
+         r"config field lm.dropout_rate must be a finite number"),
+        (lambda c: c["lm"].update(dropout_rate=1.5),
+         r"config field lm.dropout_rate must lie in \[0, 1\), got 1.5"),
+        (lambda c: c["lm"].update(dropout_rate=1.0),
+         r"config field lm.dropout_rate must lie in \[0, 1\), got 1.0"),
+        (lambda c: c.update(head_dropout=-3.0),
+         r"config field head_dropout must lie in \[0, 1\), got -3.0"),
+    ], ids=["unknown", "zero_heads", "string_size", "null_rate", "rate_above_one",
+            "rate_one", "negative_head_rate"])
+    def test_malformed_config_field(self, tmp_path, tiny_vocab, edit, message):
         path = self._saved(tmp_path, tiny_vocab)
-        self._edit_header(path, lambda h: h["config"]["lm"].update(lm_edit))
+        self._edit_header(path, lambda h: edit(h["config"]))
         with pytest.raises(ValueError, match=r"m.ckpt: " + message):
             load_checkpoint(path)
 

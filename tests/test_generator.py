@@ -72,10 +72,8 @@ class TestGenerate:
     def test_deterministic(self, tiny_model, tiny_vocab):
         doc = Document(id="t", modality="text", text="the capital of balor is venta")
         cfg = GenerationConfig(max_new_tokens=12)
-        a = generate(tiny_model, tiny_vocab, "what is the capital of balor?", [doc],
-                     cfg, 128)
-        b = generate(tiny_model, tiny_vocab, "what is the capital of balor?", [doc],
-                     cfg, 128)
+        a = generate(tiny_model, tiny_vocab, "what is the capital of balor?", [doc], cfg)
+        b = generate(tiny_model, tiny_vocab, "what is the capital of balor?", [doc], cfg)
         assert a == b
 
     def test_length_bound(self, tiny_model):
@@ -99,7 +97,7 @@ class TestGenerate:
     def test_answer_text_has_no_specials(self, tiny_model, tiny_vocab):
         doc = Document(id="t", modality="text", text="red square")
         out = generate(tiny_model, tiny_vocab, "what?", [doc],
-                       GenerationConfig(max_new_tokens=8), 128)
+                       GenerationConfig(max_new_tokens=8))
         for special in ("<pad>", "</s>", "<cls>", "<img>", "<unk>"):
             assert special not in out
 

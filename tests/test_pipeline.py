@@ -7,7 +7,7 @@ import pytest
 from fusionqa.checkpoint import save_checkpoint
 from fusionqa.cli import main
 from fusionqa.config import GenerationConfig, SelectionConfig, model_profile
-from fusionqa.dataset import load_dataset
+from fusionqa.dataset import _doc_to_json, load_dataset
 from fusionqa.documents import Document, QaInstance
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, run_pipeline
@@ -185,8 +185,6 @@ class TestCli:
             first = lines[0]
             inst = heldout[0]
             sel_docs = [d for d in inst.pool if d.id in first["selected"]]
-            from fusionqa.synthetic import _doc_to_json
-
             fh.write(json.dumps({
                 "qid": inst.qid,
                 "question": inst.question,
@@ -203,7 +201,11 @@ class TestCli:
         assert main(["eval", "--reranker", rr, "--qa", qa, "--vocab", vocab_path,
                      "--data", str(corpora / "qa_heldout.jsonl"),
                      "--output", results, "--max-new-tokens", "8"]) == 0
-        assert len(open(results).readlines()) == 2
+        evaluated = [json.loads(l) for l in open(results)]
+        assert len(evaluated) == 2
+        # rerank and eval share one rerank path: same selection per question
+        assert [(l["qid"], l["selected"]) for l in lines] == \
+            [(r["qid"], r["selected"]) for r in evaluated]
 
     def test_answer_contexts_relative_image_paths(self, tmp_path, corpora_dir):
         # image contexts in answer input resolve relative to the input file

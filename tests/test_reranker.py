@@ -137,8 +137,8 @@ class TestScore:
         model.params["cls_head.b2"].data[:] = 0.3
         doc_a = Document(id="a", modality="text", text="the capital of balor is venta")
         doc_b = Document(id="b", modality="text", text="red square")
-        sa = score(model, tiny_vocab, "what is the capital of balor?", doc_a, 128)
-        sb = score(model, tiny_vocab, "anything", doc_b, 128)
+        sa = score(model, tiny_vocab, "what is the capital of balor?", doc_a)
+        sb = score(model, tiny_vocab, "anything", doc_b)
         assert abs(sa.item() - 0.3) < 1e-6
         assert abs(sb.item() - 0.3) < 1e-6
 
@@ -149,7 +149,7 @@ class TestScore:
         model.params["cls_head.b1"].data[:] = 0.0
         model.params["cls_head.b2"].data[:] = -1.25
         doc = Document(id="a", modality="text", text="red square")
-        s = score(model, tiny_vocab, "what?", doc, 128)
+        s = score(model, tiny_vocab, "what?", doc)
         assert abs(s.item() - (-1.25)) < 1e-6
 
     def test_eval_mode_deterministic(self, tiny_vocab):
@@ -158,8 +158,8 @@ class TestScore:
         )
         model.config.head_dropout = 0.2
         doc = Document(id="a", modality="text", text="red square")
-        s1 = score(model, tiny_vocab, "what?", doc, 128).item()
-        s2 = score(model, tiny_vocab, "what?", doc, 128).item()
+        s1 = score(model, tiny_vocab, "what?", doc).item()
+        s2 = score(model, tiny_vocab, "what?", doc).item()
         assert s1 == s2
 
     def test_full_loss_gradient_check_two_docs(self, tiny_vocab):
@@ -169,8 +169,8 @@ class TestScore:
         doc_neg = Document(id="n", modality="text", text="red square")
 
         def f(params):
-            s1 = score(model, tiny_vocab, "what is the capital of balor?", doc_pos, 128)
-            s2 = score(model, tiny_vocab, "what is the capital of balor?", doc_neg, 128)
+            s1 = score(model, tiny_vocab, "what is the capital of balor?", doc_pos)
+            s2 = score(model, tiny_vocab, "what is the capital of balor?", doc_neg)
             return reranker_loss([s1, s2], [1.0, 0.0])
 
         params = [p for _, p in sorted(model.params.items())]

@@ -9,6 +9,7 @@ from fusionqa.tensor import (
     Rng,
     ShapeError,
     Tensor,
+    add,
     backward,
     bce_with_logits,
     concat,
@@ -21,7 +22,6 @@ from fusionqa.tensor import (
     matmul,
     mul,
     no_grad,
-    primitive_forward,
     reshape,
     slice_,
     softmax_lastdim,
@@ -81,22 +81,12 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="add"):
-            primitive_forward("add", [Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
     def test_embedding_out_of_range(self):
         table = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="out of range"):
             embedding_lookup(table, [0, 4])
-
-    def test_primitive_forward_dispatch(self):
-        x = Tensor(np.ones((2, 2)))
-        assert primitive_forward("gelu", [x]).shape == (2, 2)
-        assert primitive_forward("concat", [x, x], {"axis": 0}).shape == (4, 2)
-        assert primitive_forward("slice", [x], {"key": (slice(0, 1),)}).shape == (1, 2)
-        out = primitive_forward("dropout", [x], {"rate": 0.5, "train": False})
-        assert out is x
-        with pytest.raises(ValueError, match="unknown op"):
-            primitive_forward("conv2d", [x])
 
 
 class TestBackward:
