@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--init", help="checkpoint to continue from (else fresh init)")
     p.add_argument("--out", required=True)
-    p.add_argument("--trace", help="write the (step, lr, loss) CSV here")
+    p.add_argument("--trace", help="write the (step, lr, loss, grad_norm) CSV here")
     p.add_argument("--profile", choices=("desk", "base", "large"), default="desk")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)

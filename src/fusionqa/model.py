@@ -32,20 +32,19 @@ from fusionqa.tensor import (
     softmax_lastdim,
     transpose,
 )
-from fusionqa.tokenizer import TokenSequence
 
 
 @dataclass
 class FusedSequence:
     """Embedding matrix after injection."""
 
-    embeddings: Tensor  # (L, d)
+    embeddings: Tensor  # (L, d) or (B, L, d)
     attention_mask: np.ndarray
 
 
 @dataclass
 class EncoderStates:
-    states: Tensor  # (L, d)
+    states: Tensor  # (L, d) or (B, L, d)
     attention_mask: np.ndarray
 
 
@@ -174,17 +173,24 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
                          train=False, rng=None, cache=None, static_kv=False):
     """Scaled dot-product attention over h heads; additive pre-softmax mask.
 
+    Inputs are (..., L, d): heads are split and merged on the trailing axes,
+    so a leading batch axis passes through. A mask is a suffix of the
+    (..., h, Lq, Lk) scores, or a (B, 1, 1, Lk) per-row key mask.
+
     With a ``cache`` dict the keys and values are kept under ``prefix``: the
     K/V of ``x_kv`` are appended to the cached ones, or, with ``static_kv``,
     projected on the first call only and reused by every later call.
     """
     p = model.params
-    lq, d = x_q.shape
+    d = x_q.shape[-1]
     dh = d // n_heads
     rate = model.config.lm.dropout_rate
+    lead = tuple(range(x_q.ndim - 2))
+    # (..., L, h, dh) <-> (..., h, L, dh); the swap is its own inverse
+    swap = lead + (len(lead) + 1, len(lead), len(lead) + 2)
 
     def split_heads(t):
-        return transpose(reshape(t, (t.shape[0], n_heads, dh)), (1, 0, 2))
+        return transpose(reshape(t, t.shape[:-1] + (n_heads, dh)), swap)
 
     q = split_heads(_linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
     cached = None if cache is None else cache.get(prefix)
@@ -194,17 +200,20 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
         k = split_heads(_linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
         v = split_heads(_linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
         if cached is not None:
-            k = concat([cached[0], k], axis=1)
-            v = concat([cached[1], v], axis=1)
+            k = concat([cached[0], k], axis=-2)
+            v = concat([cached[1], v], axis=-2)
         if cache is not None:
             cache[prefix] = (k, v)
 
-    scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    k_t = transpose(k, lead + (len(lead), len(lead) + 2, len(lead) + 1))
+    scores = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
     if mask is not None:
+        if mask.ndim == scores.ndim:  # per-row key mask: a view over heads and queries
+            mask = Tensor._wrap(np.broadcast_to(mask.data, scores.shape))
         scores = add(scores, mask)
     probs = softmax_lastdim(scores)
     probs = dropout(probs, rate, rng=rng, train=train)
-    ctx = reshape(transpose(matmul(probs, v), (1, 0, 2)), (lq, d))
+    ctx = reshape(transpose(matmul(probs, v), swap), x_q.shape)
     return _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -229,11 +238,21 @@ def transformer_block(model, prefix, x, n_heads, mask=None, train=False, rng=Non
 
 
 def key_padding_mask(attention_mask, dtype) -> Tensor | None:
-    """Additive (-inf at padded keys) mask, or None when nothing is padded."""
-    m = np.asarray(attention_mask)
+    """Additive (-inf at padded keys) mask, or None when nothing is padded.
+
+    An (L,) attention mask gives an (L,) row; a (B, L) mask gives
+    (B, 1, 1, L), one row per sequence. A sequence with every key padded
+    raises: its softmax would be all NaN.
+    """
+    m = np.asarray(attention_mask) != 0
     if m.all():
         return None
-    row = np.where(m != 0, 0.0, -np.inf).astype(dtype)
+    empty = np.flatnonzero(~m.reshape(-1, m.shape[-1]).any(axis=-1))
+    if empty.size:
+        raise ValueError(f"key_padding_mask: row {int(empty[0])} has every key masked")
+    row = np.where(m, 0.0, -np.inf).astype(dtype)
+    if row.ndim == 2:
+        row = row[:, None, None, :]
     return Tensor._wrap(row)
 
 
@@ -247,61 +266,73 @@ def causal_mask(length, dtype, offset=0) -> Tensor | None:
 
 
 def embed_tokens(model, seq) -> Tensor:
-    """Embedding rows for a TokenSequence (or raw id array); (L, d)."""
-    ids = seq.ids if isinstance(seq, TokenSequence) else np.asarray(seq, dtype=np.int64)
+    """Embedding rows for a TokenSequence, a TokenBatch or a raw id array;
+    (L, d) or (B, L, d)."""
+    ids = np.asarray(getattr(seq, "ids", seq), dtype=np.int64)
     return embedding_lookup(model.params["lm.embed"], ids)
 
 
 def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSequence:
     """Replace placeholder rows with image embedding rows (no projection).
 
-    Row i of the result is image_embs[j][i - start_j] inside span j and
-    text_emb[i] everywhere else; inputs are left untouched.
+    ``text_emb`` is (L, d) with ``spans`` a list of (start, length), or
+    (B, L, d) with one such list per sequence; ``image_embs`` follow the
+    spans in order. Position i of a sequence is image_embs[j][i - start_j]
+    inside span j and its text row everywhere else; inputs are left
+    untouched. The text and image rows are concatenated once and the fused
+    matrix is one gather from them.
     """
     image_embs = list(image_embs)
-    if len(image_embs) != len(spans):
+    per_row = spans if text_emb.ndim == 3 else [spans]
+    n_spans = sum(len(row) for row in per_row)
+    if len(image_embs) != n_spans:
         raise ValueError(
-            f"inject: {len(image_embs)} image matrices for {len(spans)} spans"
+            f"inject: {len(image_embs)} image matrices for {n_spans} spans"
         )
-    length, d = text_emb.shape
-    prev_end = 0
-    for j, ((start, span_len), emb) in enumerate(zip(spans, image_embs)):
-        if emb.shape != (span_len, d):
-            raise ValueError(
-                f"inject: span {j} expects ({span_len}, {d}) embeddings, got {emb.shape}"
-            )
-        if start < prev_end or start + span_len > length:
-            raise ValueError(f"inject: span {j} at ({start}, {span_len}) is out of order or range")
-        prev_end = start + span_len
-    mask = np.ones(length, dtype=np.int64) if attention_mask is None else attention_mask
+    length, d = text_emb.shape[-2:]
+    n_text = text_emb.size // d
+    index = np.arange(n_text).reshape(-1, length)
+    j = 0
+    offset = n_text
+    for row, row_spans in zip(index, per_row):
+        prev_end = 0
+        for start, span_len in row_spans:
+            emb = image_embs[j]
+            if emb.shape != (span_len, d):
+                raise ValueError(
+                    f"inject: span {j} expects ({span_len}, {d}) embeddings, got {emb.shape}"
+                )
+            if start < prev_end or start + span_len > length:
+                raise ValueError(
+                    f"inject: span {j} at ({start}, {span_len}) is out of order or range"
+                )
+            prev_end = start + span_len
+            row[start:prev_end] = np.arange(offset, offset + span_len)
+            offset += span_len
+            j += 1
+    mask = (np.ones(text_emb.shape[:-1], dtype=np.int64) if attention_mask is None
+            else attention_mask)
 
-    if not spans:
+    if not image_embs:
         return FusedSequence(text_emb, mask)
-
-    pieces = []
-    cursor = 0
-    for j, (start, span_len) in enumerate(spans):
-        if start > cursor:
-            pieces.append(slice_(text_emb, (slice(cursor, start),)))
-        pieces.append(image_embs[j])
-        cursor = start + span_len
-    if cursor < length:
-        pieces.append(slice_(text_emb, (slice(cursor, length),)))
-    fused = concat(pieces, axis=0)
+    text_rows = text_emb if text_emb.ndim == 2 else reshape(text_emb, (n_text, d))
+    fused = embedding_lookup(concat([text_rows] + image_embs, axis=0),
+                             index.reshape(text_emb.shape[:-1]))
     return FusedSequence(fused, mask)
 
 
 def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderStates:
-    """Run the language-model encoder over a fused embedding sequence."""
+    """Run the language-model encoder over a fused embedding sequence, (L, d)
+    or a padded (B, L, d) batch."""
     cfg = model.config.lm
-    length = fused.embeddings.shape[0]
-    if len(fused.attention_mask) != length:
+    length = fused.embeddings.shape[-2]
+    if np.shape(fused.attention_mask) != fused.embeddings.shape[:-1]:
         raise ValueError("encode: attention mask length differs from sequence length")
     if length > cfg.max_len:
         raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
+    mask = key_padding_mask(fused.attention_mask, model.dtype)
     x = add(fused.embeddings, slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)))
     x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
-    mask = key_padding_mask(fused.attention_mask, model.dtype)
     for i in range(cfg.n_enc_layers):
         x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads,
                               mask=mask, train=train, rng=rng)
@@ -309,21 +340,24 @@ def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderS
     return EncoderStates(x, np.asarray(fused.attention_mask))
 
 
-def encode_multimodal(model, seq: TokenSequence, images=(), train=False, rng=None) -> EncoderStates:
-    """Embed a token sequence, encode and inject its images, run the encoder."""
+def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderStates:
+    """Embed a TokenSequence, or a padded TokenBatch in one pass, encode and
+    inject its images (in span order, row by row), run the encoder."""
     # vision imports this module, so the name is looked up at call time; the
     # traced benchmark run (perfbench/spans.py) also relies on this lookup:
     # it replaces vision.encode_image to time the vision encoder
     from fusionqa.vision import encode_image
 
     images = list(images)
-    if len(images) != len(seq.image_spans):
+    spans = seq.image_spans
+    n_spans = sum(map(len, spans)) if seq.ids.ndim == 2 else len(spans)
+    if len(images) != n_spans:
         raise ValueError(
-            f"sequence has {len(seq.image_spans)} image spans but {len(images)} images given"
+            f"sequence has {n_spans} image spans but {len(images)} images given"
         )
     text_emb = embed_tokens(model, seq)
     image_embs = [encode_image(model, img, train=train, rng=rng) for img in images]
-    fused = inject(text_emb, image_embs, seq.image_spans, seq.attention_mask)
+    fused = inject(text_emb, image_embs, spans, seq.attention_mask)
     return encode_fused(model, fused, train=train, rng=rng)
 
 

@@ -1,8 +1,8 @@
 """The two-stage pipeline: rerank every candidate, select contexts, generate.
 
-Stage 1 scores each pool document against the question and applies the
-relative-threshold + top-k rule; stage 2 feeds the selected documents, in
-descending score order, to the generator.
+Stage 1 scores the whole pool against the question in one batched encoder
+pass and applies the relative-threshold + top-k rule; stage 2 feeds the
+selected documents, in descending score order, to the generator.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ class PipelineResult:
 
 def rerank(instance: QaInstance, model, vocab, sel: SelectionConfig,
            image_loader) -> RetrievedSet:
-    """Score every pool document against the question, then select."""
+    """Score every pool document against the question in one pass, then select."""
     with no_grad():
-        logits = [
-            score(model, vocab, instance.question, doc, image_loader=image_loader).item()
-            for doc in instance.pool
-        ]
-    return select_contexts(logits, sel)
+        logits = score(model, vocab, instance.question, instance.pool,
+                       image_loader=image_loader)
+    return select_contexts(logits.data, sel)
 
 
 def run_pipeline(instance: QaInstance, reranker_model, qa_model,

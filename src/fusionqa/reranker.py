@@ -1,9 +1,11 @@
 """Cross-encoder relevance scoring and relative-threshold + top-k selection.
 
-Each (question, document) pair runs through the backbone encoder alone; the
-hidden state at the prepended <cls> position feeds a two-layer scoring head.
-Raw logits are sigmoid-normalized, candidates below tau times the best score
-are dropped, and at most k survivors are kept (ties to the lower index).
+Each (question, document) pair is one cross-encoder input; a candidate pool
+is padded into one batch and runs through the backbone encoder in one pass.
+The hidden state at each pair's prepended <cls> position feeds a two-layer
+scoring head. Raw logits are sigmoid-normalized, candidates below tau times
+the best score are dropped, and at most k survivors are kept (ties to the
+lower index).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fusionqa.tensor import (
     Tensor,
     add,
     bce_with_logits,
-    concat,
     dropout,
     matmul,
     reshape,
@@ -28,7 +29,7 @@ from fusionqa.tensor import (
     tanh,
     transpose,
 )
-from fusionqa.tokenizer import assemble_reranker_input
+from fusionqa.tokenizer import assemble_reranker_input, pad_sequences
 from fusionqa.model import encode_multimodal
 
 
@@ -42,28 +43,35 @@ class RetrievedSet:
 
 
 def classifier_head(model, h: Tensor, train=False, rng=None) -> Tensor:
-    """Scalar relevance logit from the <cls> hidden state (1, d)."""
+    """Relevance logits (N,) from the <cls> hidden states (N, d)."""
     p = model.params
     rate = model.config.head_dropout
     h = dropout(h, rate, rng=rng, train=train)
     z = tanh(add(matmul(h, transpose(p["cls_head.w1"], (1, 0))), p["cls_head.b1"]))
     z = dropout(z, rate, rng=rng, train=train)
     y = add(matmul(z, transpose(p["cls_head.w2"], (1, 0))), p["cls_head.b2"])
-    return reshape(y, ())
+    return reshape(y, (h.shape[0],))
 
 
-def score(model, vocab, question: str, doc: Document, image_loader=None,
+def score(model, vocab, question: str, docs: list[Document], image_loader=None,
           train=False, rng=None) -> Tensor:
-    """Relevance logit for one (question, document) pair; scalar Tensor."""
-    seq = assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens,
-                                  model.config.lm.max_len)
+    """Relevance logits (N,) of the question against each of N documents,
+    from one encoder pass over the pairs padded into one batch."""
+    docs = list(docs)
+    if not docs:
+        raise ValueError("score: no documents to score")
+    seqs = []
     images = []
-    if seq.image_spans:
-        if image_loader is None:
-            raise ValueError(f"document {doc.id} is an image but no image loader given")
-        images = [image_loader(doc)]
-    enc = encode_multimodal(model, seq, images, train=train, rng=rng)
-    h = slice_(enc.states, (slice(0, 1),))
+    for doc in docs:
+        seq = assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens,
+                                      model.config.lm.max_len)
+        if seq.image_spans:
+            if image_loader is None:
+                raise ValueError(f"document {doc.id} is an image but no image loader given")
+            images.append(image_loader(doc))
+        seqs.append(seq)
+    enc = encode_multimodal(model, pad_sequences(seqs), images, train=train, rng=rng)
+    h = slice_(enc.states, (slice(None), 0))
     return classifier_head(model, h, train=train, rng=rng)
 
 
@@ -87,14 +95,8 @@ def select_contexts(logits, cfg: SelectionConfig) -> RetrievedSet:
     return RetrievedSet(scores=scores, selected=selected)
 
 
-def reranker_loss(logits, labels) -> Tensor:
-    """Mean binary cross-entropy over a candidate batch, from raw logits.
-
-    ``logits`` may be a (N,) Tensor or a list of scalar Tensors straight from
-    ``score``.
-    """
-    if isinstance(logits, (list, tuple)):
-        logits = concat([reshape(t, (1,)) for t in logits], axis=0)
+def reranker_loss(logits: Tensor, labels) -> Tensor:
+    """Mean binary cross-entropy over a candidate batch, from (N,) raw logits."""
     labels = np.asarray(labels, dtype=np.float64)
     if logits.shape != labels.shape:
         raise ValueError(

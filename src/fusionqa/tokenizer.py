@@ -66,6 +66,30 @@ class TokenSequence:
             raise ValueError(f"sequence length {len(self.ids)} exceeds max {max_len}")
 
 
+@dataclass
+class TokenBatch:
+    """B token sequences padded to one length: (B, L) ids and attention mask
+    (0 at padding), plus each row's image spans."""
+
+    ids: np.ndarray
+    attention_mask: np.ndarray
+    image_spans: list[list[tuple[int, int]]]
+
+
+def pad_sequences(seqs) -> TokenBatch:
+    """Right-pad sequences with ``<pad>`` to the longest one."""
+    seqs = list(seqs)
+    if not seqs:
+        raise ValueError("pad_sequences: need at least one sequence")
+    length = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), length), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), length), dtype=np.int64)
+    for row, s in enumerate(seqs):
+        ids[row, :len(s)] = s.ids
+        mask[row, :len(s)] = s.attention_mask
+    return TokenBatch(ids, mask, [list(s.image_spans) for s in seqs])
+
+
 def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 

@@ -14,7 +14,6 @@ generator) always keeps the vision encoder frozen.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -154,18 +153,6 @@ def clip_global_norm(model, max_norm: float = 1.0) -> float:
     return norm
 
 
-def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
-    """Content digests for freezing verification."""
-    out = {}
-    for name, p in model.params.items():
-        if name.startswith(prefix):
-            h = hashlib.blake2b(digest_size=16)
-            h.update(str(p.shape).encode())
-            h.update(np.ascontiguousarray(p.data).tobytes())
-            out[name] = h.hexdigest()
-    return out
-
-
 def clone_model(model) -> MultimodalTransformer:
     params = {
         n: Tensor(p.data.copy(), requires_grad=p.requires_grad, dtype=p.data.dtype)
@@ -179,7 +166,8 @@ _STAGE_PREFIXES = {"VE": ("vision.",), "VE+LM": ("vision.", "lm."), "LM": ("lm."
 
 
 def _train(model, opt, items, batch, epochs, rng, tag, lr, example_loss):
-    """The loop every phase shares; returns the (step, lr, mean loss) trace.
+    """The loop every phase shares; returns the (step, lr, mean loss, grad
+    norm) trace, the norm taken before clipping.
 
     Each epoch visits ``items`` in a fresh permutation, ``batch`` at a time.
     A step zeroes the gradients, back-propagates every member's loss scaled
@@ -203,10 +191,10 @@ def _train(model, opt, items, batch, epochs, rng, tag, lr, example_loss):
                 loss = example_loss(items[int(idx)], step_rng, j)
                 batch_loss += loss.item()
                 backward(scale(loss, 1.0 / len(members)))
-            clip_global_norm(model)
+            grad_norm = clip_global_norm(model)
             factor = cosine_lr(step_idx, total_steps, 1.0)
             opt.step(factor)
-            trace.append((step_idx, lr * factor, batch_loss / len(members)))
+            trace.append((step_idx, lr * factor, batch_loss / len(members), grad_norm))
             step_idx += 1
     return trace
 
@@ -240,8 +228,8 @@ def _stage_optimizer(model, stage: StageConfig) -> AdamW:
 
 
 def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSample],
-                       rng: Rng) -> list[tuple[int, float, float]]:
-    """Train one stage in place; returns the (step, lr, loss) trace.
+                       rng: Rng) -> list[tuple[int, float, float, float]]:
+    """Train one stage in place; returns the (step, lr, loss, grad norm) trace.
 
     Only the stage's trainable component changes; everything else is frozen
     and stays bit-identical.
@@ -267,10 +255,10 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
 
 
 def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
-                      rng: Rng, image_loader=None) -> list[tuple[int, float, float]]:
+                      rng: Rng, image_loader=None) -> list[tuple[int, float, float, float]]:
     """Fine-tune the relevance scorer, one question per step; ``global_batch``
-    is the number of pool documents scored per question. The vision encoder
-    stays frozen."""
+    is the number of pool documents scored per question, all in one encoder
+    pass. The vision encoder stays frozen."""
     if cfg.task != "reranker":
         raise ValueError(f"expected a reranker config, got task {cfg.task!r}")
     model.set_trainable(("lm.", "cls_head."))
@@ -279,11 +267,8 @@ def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConf
     def example_loss(inst, step_rng, j):
         docs, labels = build_training_batch(inst.pool, cfg.global_batch,
                                             step_rng.child("batch"))
-        logits = [
-            score(model, vocab, inst.question, d, image_loader=image_loader,
-                  train=True, rng=step_rng.child(f"d{k}"))
-            for k, d in enumerate(docs)
-        ]
+        logits = score(model, vocab, inst.question, docs, image_loader=image_loader,
+                       train=True, rng=step_rng.child("docs"))
         return reranker_loss(logits, labels)
 
     return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, example_loss)
@@ -304,7 +289,7 @@ def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> li
 
 def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
-                ) -> list[tuple[int, float, float]]:
+                ) -> list[tuple[int, float, float, float]]:
     """Fine-tune the generator on gold contexts; vision encoder stays frozen."""
     if cfg.task != "qa":
         raise ValueError(f"expected a qa config, got task {cfg.task!r}")
@@ -325,6 +310,6 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
 
 def write_trace_csv(trace, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,lr,loss\n")
-        for step, lr, loss in trace:
-            fh.write(f"{step},{lr:.10g},{loss:.10g}\n")
+        fh.write("step,lr,loss,grad_norm\n")
+        for step, lr, loss, grad_norm in trace:
+            fh.write(f"{step},{lr:.10g},{loss:.10g},{grad_norm:.10g}\n")

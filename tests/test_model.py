@@ -15,10 +15,19 @@ from fusionqa.model import (
     encode_fused,
     encode_multimodal,
     inject,
+    key_padding_mask,
     parameter_shapes,
 )
-from fusionqa.tensor import Rng, Tensor, backward, softmax_lastdim, tsum
-from fusionqa.tokenizer import EOS_ID, IMG_ID, PAD_ID, TokenSequence, assemble_qa_input
+from fusionqa.tensor import Rng, Tensor, backward, grad_check, mul, softmax_lastdim, tsum
+from fusionqa.tokenizer import (
+    EOS_ID,
+    IMG_ID,
+    PAD_ID,
+    TokenBatch,
+    TokenSequence,
+    assemble_qa_input,
+    pad_sequences,
+)
 
 from conftest import make_tiny_config
 
@@ -111,6 +120,29 @@ class TestInject:
             expected[start:start + l] = img.data
         np.testing.assert_array_equal(fused.embeddings.data, expected)
 
+    def test_batched_rows_equal_per_row_injection(self):
+        rng = np.random.default_rng(3)
+        text = Tensor(rng.normal(size=(3, 6, 2)).astype(np.float32))
+        imgs = [Tensor(rng.normal(size=(2, 2)).astype(np.float32)) for _ in range(3)]
+        spans = [[(1, 2)], [], [(0, 2), (4, 2)]]
+        fused = inject(text, imgs, spans).embeddings.data
+        assert fused.shape == (3, 6, 2)
+        rows = [imgs[:1], [], imgs[1:]]
+        for b in range(3):
+            alone = inject(Tensor(text.data[b]), rows[b], spans[b]).embeddings.data
+            np.testing.assert_array_equal(fused[b], alone)
+
+    def test_batched_injection_gradient(self):
+        rng = np.random.default_rng(4)
+        text = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, dtype=np.float64)
+        img = Tensor(rng.normal(size=(2, 3)), requires_grad=True, dtype=np.float64)
+        weight = Tensor(rng.normal(size=(2, 5, 3)), dtype=np.float64)
+
+        def f(params):
+            return tsum(mul(inject(params[0], [params[1]], [[], [(2, 2)]]).embeddings, weight))
+
+        assert grad_check(f, [text, img]) < 1e-8
+
 
 class TestEncoder:
     def test_shape_preserved_and_deterministic(self, tiny_model):
@@ -142,6 +174,46 @@ class TestEncoder:
         assert model.params["lm.embed"].grad is not None
         assert model.params["vision.patch_proj.weight"].grad is not None
         assert model.params["vision.layer0.attn.wq"].grad is not None
+
+    def test_batch_matches_each_sequence_alone(self, tiny_vocab, scene_image_16):
+        # a padded batch of ragged text and image sequences encodes each row
+        # as that sequence encodes alone, at its own length
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(4))
+        n_img = model.config.n_img_tokens
+        docs = [Document(id="i", modality="image", image_path="<m>", snippet="a photo"),
+                Document(id="t", modality="text", text="the capital of balor is venta")]
+        seqs = [assemble_qa_input(tiny_vocab, "what?", ctx, n_img, 128)
+                for ctx in ([docs[1]], docs, [docs[0], docs[0]], [])]
+        images = [[], [scene_image_16], [scene_image_16, scene_image_16], []]
+        batch = pad_sequences(seqs)
+        states = encode_multimodal(model, batch, [im for row in images for im in row]).states
+        assert states.shape == (4, max(map(len, seqs)), model.config.lm.hidden_size)
+        for row, (seq, imgs) in enumerate(zip(seqs, images)):
+            alone = encode_multimodal(model, seq, imgs).states.data
+            np.testing.assert_allclose(states.data[row, :len(seq)], alone, rtol=0, atol=1e-5)
+
+    def test_batch_image_count_checked_before_encoding(self, tiny_model):
+        batch = pad_sequences([TokenSequence([3, IMG_ID, IMG_ID, 1], image_spans=[(1, 2)]),
+                               TokenSequence([3, 1])])
+        with pytest.raises(ValueError, match="1 image spans but 0 images"):
+            encode_multimodal(tiny_model, batch, [])
+
+    @pytest.mark.parametrize("mask", [[0, 0, 0], [[1, 1, 0], [0, 0, 0]]], ids=["1d", "2d"])
+    def test_fully_masked_key_row_rejected(self, mask):
+        with pytest.raises(ValueError, match="every key masked"):
+            key_padding_mask(np.array(mask), np.float32)
+
+    def test_fully_masked_batch_row_rejected(self, tiny_model):
+        batch = TokenBatch(np.array([[3, 5, 1], [3, 5, 1]]), np.array([[1, 1, 1], [0, 0, 0]]),
+                           [[], []])
+        with pytest.raises(ValueError, match="row 1 has every key masked"):
+            encode_multimodal(tiny_model, batch)
+
+    def test_batch_key_mask_is_one_row_per_sequence(self):
+        m = key_padding_mask(np.array([[1, 1, 0], [1, 1, 1]]), np.float32)
+        assert m.shape == (2, 1, 1, 3)
+        np.testing.assert_array_equal(m.data[:, 0, 0], [[0, 0, -np.inf], [0, 0, 0]])
+        assert key_padding_mask(np.ones((2, 3)), np.float32) is None
 
 
 class TestDecoder:

@@ -153,7 +153,7 @@ class TestCli:
                      "--epochs", "1", "--batch", "8", "--seed", "0"]) == 0
         with open(trace2) as fh:
             header = fh.readline().strip()
-        assert header == "step,lr,loss"
+        assert header == "step,lr,loss,grad_norm"
 
         stage3 = str(out / "stage3.ckpt")
         assert main(["pretrain", "--stage", "3", "--data",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fusionqa.config import SelectionConfig
 from fusionqa.documents import Document
+from fusionqa.images import Image
 from fusionqa.model import MultimodalTransformer
 from fusionqa.reranker import (
     RetrievedSet,
@@ -137,10 +138,11 @@ class TestScore:
         model.params["cls_head.b2"].data[:] = 0.3
         doc_a = Document(id="a", modality="text", text="the capital of balor is venta")
         doc_b = Document(id="b", modality="text", text="red square")
-        sa = score(model, tiny_vocab, "what is the capital of balor?", doc_a)
-        sb = score(model, tiny_vocab, "anything", doc_b)
-        assert abs(sa.item() - 0.3) < 1e-6
-        assert abs(sb.item() - 0.3) < 1e-6
+        sa = score(model, tiny_vocab, "what is the capital of balor?", [doc_a, doc_b])
+        sb = score(model, tiny_vocab, "anything", [doc_b])
+        assert sa.shape == (2,) and sb.shape == (1,)
+        np.testing.assert_allclose(sa.data, 0.3, atol=1e-6)
+        np.testing.assert_allclose(sb.data, 0.3, atol=1e-6)
 
     def test_zero_hidden_path_gives_b2(self, tiny_vocab):
         model = self._head_fixed_model(tiny_vocab)
@@ -149,8 +151,8 @@ class TestScore:
         model.params["cls_head.b1"].data[:] = 0.0
         model.params["cls_head.b2"].data[:] = -1.25
         doc = Document(id="a", modality="text", text="red square")
-        s = score(model, tiny_vocab, "what?", doc)
-        assert abs(s.item() - (-1.25)) < 1e-6
+        s = score(model, tiny_vocab, "what?", [doc])
+        assert abs(s.data[0] - (-1.25)) < 1e-6
 
     def test_eval_mode_deterministic(self, tiny_vocab):
         model = MultimodalTransformer.build(
@@ -158,9 +160,9 @@ class TestScore:
         )
         model.config.head_dropout = 0.2
         doc = Document(id="a", modality="text", text="red square")
-        s1 = score(model, tiny_vocab, "what?", doc).item()
-        s2 = score(model, tiny_vocab, "what?", doc).item()
-        assert s1 == s2
+        s1 = score(model, tiny_vocab, "what?", [doc]).data
+        s2 = score(model, tiny_vocab, "what?", [doc]).data
+        np.testing.assert_array_equal(s1, s2)
 
     def test_full_loss_gradient_check_two_docs(self, tiny_vocab):
         cfg = make_tiny_config(tiny_vocab.size, d=16, heads=2, layers=1)
@@ -169,13 +171,54 @@ class TestScore:
         doc_neg = Document(id="n", modality="text", text="red square")
 
         def f(params):
-            s1 = score(model, tiny_vocab, "what is the capital of balor?", doc_pos)
-            s2 = score(model, tiny_vocab, "what is the capital of balor?", doc_neg)
-            return reranker_loss([s1, s2], [1.0, 0.0])
+            # the two pairs differ in length, so the batch pads the shorter one
+            logits = score(model, tiny_vocab, "what is the capital of balor?",
+                           [doc_pos, doc_neg])
+            return reranker_loss(logits, [1.0, 0.0])
 
         params = [p for _, p in sorted(model.params.items())]
         err = grad_check(f, params, eps=1e-4, max_coords_per_param=3, rng=Rng(1))
         assert err < 1e-4
+
+    def test_empty_pool_rejected(self, tiny_vocab):
+        model = self._head_fixed_model(tiny_vocab)
+        with pytest.raises(ValueError, match="no documents"):
+            score(model, tiny_vocab, "what?", [])
+
+    def test_image_document_needs_loader(self, tiny_vocab):
+        model = self._head_fixed_model(tiny_vocab)
+        doc = Document(id="img", modality="image", image_path="x.ppm")
+        with pytest.raises(ValueError, match="img is an image but no image loader"):
+            score(model, tiny_vocab, "what?", [doc])
+
+    def test_padding_invariance_in_ragged_pool(self, tiny_vocab, scene_image_16):
+        # each document's logit scored alone equals its logit inside a
+        # 20-document pool of different lengths, text and image mixed; a
+        # scaled-up head spreads the logits over ~1 so a leak would show
+        model = self._head_fixed_model(tiny_vocab)
+        model.params["cls_head.w1"].data *= 50
+        model.params["cls_head.w2"].data *= 50
+        words = "the capital of balor is venta and the animal of rimek is fox".split()
+        pool = []
+        for i in range(20):
+            if i % 5 == 2:
+                pool.append(Document(id=f"i{i}", modality="image", image_path=f"{i}.ppm",
+                                     snippet=" ".join(words[: i % 4])))
+            else:
+                pool.append(Document(id=f"t{i}", modality="text",
+                                     text=" ".join(words[: 1 + (7 * i) % len(words)])))
+        noise = Image(np.random.default_rng(0).random(scene_image_16.pixels.shape))
+
+        def loader(doc):
+            return scene_image_16 if doc.id in ("i2", "i12") else noise
+
+        question = "what is the capital of balor?"
+        batched = score(model, tiny_vocab, question, pool, image_loader=loader).data
+        alone = np.array([score(model, tiny_vocab, question, [d], image_loader=loader).data[0]
+                          for d in pool])
+        assert batched.dtype == np.float32
+        assert np.ptp(alone) > 0.5
+        np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-5)
 
 
 class TestBuildTrainingBatch:

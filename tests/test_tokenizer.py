@@ -14,6 +14,7 @@ from fusionqa.tokenizer import (
     Vocab,
     assemble_qa_input,
     assemble_reranker_input,
+    pad_sequences,
     serialize_table,
 )
 
@@ -278,3 +279,25 @@ class TestTokenSequenceValidation:
         seq = TokenSequence(np.array([IMG_ID] * 6), image_spans=[(0, 4), (2, 2)])
         with pytest.raises(ValueError, match="overlap"):
             seq.validate()
+
+
+class TestPadSequences:
+    def test_pads_to_longest_with_mask_and_row_spans(self):
+        a = TokenSequence([CLS_ID, IMG_ID, IMG_ID, EOS_ID], image_spans=[(1, 2)])
+        b = TokenSequence([CLS_ID, 7, EOS_ID])
+        batch = pad_sequences([a, b])
+        np.testing.assert_array_equal(batch.ids, [[CLS_ID, IMG_ID, IMG_ID, EOS_ID],
+                                                  [CLS_ID, 7, EOS_ID, PAD_ID]])
+        np.testing.assert_array_equal(batch.attention_mask, [[1, 1, 1, 1], [1, 1, 1, 0]])
+        assert batch.image_spans == [[(1, 2)], []]
+        assert batch.ids.dtype == np.int64
+
+    def test_single_sequence_is_unpadded(self):
+        seq = TokenSequence([CLS_ID, 9, EOS_ID])
+        batch = pad_sequences([seq])
+        np.testing.assert_array_equal(batch.ids, seq.ids[None])
+        assert batch.attention_mask.all()
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            pad_sequences([])

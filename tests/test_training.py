@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fusionqa.documents import Document, PretrainSample, QaInstance
 from fusionqa.model import MultimodalTransformer
 from fusionqa.synthetic import all_scene_specs, caption_samples, render_scene, vqa_samples
 from fusionqa.tensor import Rng, Tensor
+from fusionqa import training
 from fusionqa.training import (
     AdamW,
     ParamGroup,
@@ -27,11 +29,24 @@ from fusionqa.training import (
     llrd_rates,
     lm_param_group,
     run_pretrain_stage,
-    tensor_checksums,
     vision_param_groups,
+    write_trace_csv,
 )
 
 from conftest import make_tiny_config
+
+
+def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
+    """Content digests of the parameters named with ``prefix``, for checking
+    that frozen tensors stay bit-identical."""
+    out = {}
+    for name, p in model.params.items():
+        if name.startswith(prefix):
+            h = hashlib.blake2b(digest_size=16)
+            h.update(str(p.shape).encode())
+            h.update(np.ascontiguousarray(p.data).tobytes())
+            out[name] = h.hexdigest()
+    return out
 
 
 class TestSchedules:
@@ -76,8 +91,8 @@ class TestSchedules:
             fn = finetune_qa if phase == "qa" else finetune_reranker
             trace = fn(model, tiny_vocab, _qa_dataset(4), cfg, Rng(0))
             base = cfg.lr
-        assert [step for step, _, _ in trace] == [0, 1, 2, 3]
-        lrs = [lr for _, lr, _ in trace]
+        assert [step for step, _, _, _ in trace] == [0, 1, 2, 3]
+        lrs = [lr for _, lr, _, _ in trace]
         assert lrs == [base * cosine_lr(step, 4, 1.0) for step in range(4)]
         assert lrs[0] == base
         assert lrs[2] == pytest.approx(base / 2)
@@ -265,8 +280,8 @@ class TestPretrainStages:
         stage = StageConfig(2, "VE+LM", 10, 4, 1e-3, 5e-3, 0.5)
         trace = run_pretrain_stage(model, vocab, stage, _caption_corpus(500), Rng(2))
         assert len(trace) == 200
-        first = np.mean([loss for _, _, loss in trace[:10]])
-        last = np.mean([loss for _, _, loss in trace[-10:]])
+        first = np.mean([loss for _, _, loss, _ in trace[:10]])
+        last = np.mean([loss for _, _, loss, _ in trace[-10:]])
         assert last < first
         # seeded regression fixture, loose enough for float32 drift
         assert first == pytest.approx(4.6174, abs=0.05)
@@ -337,6 +352,49 @@ class TestFinetunes:
             return trace, tensor_checksums(model)
 
         assert run() == run()
+
+    def test_reranker_step_scores_pool_in_one_pass(self, tiny_vocab, monkeypatch):
+        # one question per step: one batched score call and one backward
+        calls = {"backward": 0, "score": []}
+        real_backward, real_score = training.backward, training.score
+
+        def counting_backward(loss):
+            calls["backward"] += 1
+            return real_backward(loss)
+
+        def counting_score(model, vocab, question, docs, **kwargs):
+            calls["score"].append(len(docs))
+            return real_score(model, vocab, question, docs, **kwargs)
+
+        monkeypatch.setattr(training, "backward", counting_backward)
+        monkeypatch.setattr(training, "score", counting_score)
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
+        trace = finetune_reranker(model, tiny_vocab, _qa_dataset(3),
+                                  FinetuneConfig("reranker", 4, 1, 1e-3), Rng(0))
+        assert len(trace) == 3
+        assert calls["backward"] == 3
+        assert calls["score"] == [4, 4, 4]
+
+    @pytest.mark.parametrize("task", ["reranker", "qa"])
+    def test_trace_records_pre_clip_grad_norm(self, tiny_vocab, monkeypatch, tmp_path, task):
+        norms = []
+        real_clip = training.clip_global_norm
+
+        def recording_clip(model, max_norm=1.0):
+            norms.append(real_clip(model, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_global_norm", recording_clip)
+        fn = finetune_reranker if task == "reranker" else finetune_qa
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
+        trace = fn(model, tiny_vocab, _qa_dataset(2), FinetuneConfig(task, 1, 1, 1e-3), Rng(0))
+        assert [t[3] for t in trace] == norms
+        assert all(math.isfinite(n) and n > 0 for n in norms)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,lr,loss,grad_norm"
+        assert [float(line.split(",")[3]) for line in lines[1:]] == pytest.approx(norms)
 
     def test_clone_model_is_independent(self, tiny_model):
         clone = clone_model(tiny_model)
