@@ -5,7 +5,10 @@ held-out split.
     python scripts/run_desk_pipeline.py --workdir /tmp/fusionqa-run --seed 0
 
 Every artifact (corpora, checkpoints, loss traces, metrics) lands in the
-workdir. The run is a pure function of the seed.
+workdir, and every one but ``timings.json`` is a pure function of the seed.
+``timings.json`` records, for each of the five training phases and the
+eval, its wall time, optimizer steps (questions, for the eval), examples and
+examples per second.
 """
 
 import argparse
@@ -56,6 +59,13 @@ def main(argv=None):
     def log(msg):
         print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
 
+    timings = {}
+
+    def record(phase, start, steps, examples):
+        wall = time.perf_counter() - start
+        timings[phase] = {"wall_s": wall, "steps": steps, "examples": examples,
+                          "examples_per_s": examples / wall}
+
     generate_corpora(corpora, seed=args.seed, n_entities=args.entities,
                      n_captions=args.captions, n_vqa=args.vqa,
                      n_train=args.train_questions,
@@ -70,8 +80,10 @@ def main(argv=None):
         stage = desk_stage_config(stage_id)
         corpus = load_pretrain_corpus(
             os.path.join(corpora, f"pretrain_stage{stage_id}.jsonl"))
+        start = time.perf_counter()
         trace = run_pretrain_stage(model, vocab, stage, corpus,
                                    rng.child(f"stage{stage_id}"))
+        record(f"stage{stage_id}", start, len(trace), stage.epochs * len(corpus))
         write_trace_csv(trace, os.path.join(work, f"stage{stage_id}_trace.csv"))
         log(f"stage {stage_id}: {len(trace)} steps, "
             f"loss {trace[0][2]:.3f} -> {trace[-1][2]:.3f}")
@@ -82,27 +94,35 @@ def main(argv=None):
     loader = make_image_loader()
 
     reranker_model = clone_model(model)
-    trace = finetune_reranker(reranker_model, vocab, train,
-                              desk_finetune_config("reranker"),
+    cfg = desk_finetune_config("reranker")
+    start = time.perf_counter()
+    trace = finetune_reranker(reranker_model, vocab, train, cfg,
                               rng.child("ft_reranker"), image_loader=loader)
+    record("reranker", start, len(trace), cfg.epochs * len(train))
     write_trace_csv(trace, os.path.join(work, "reranker_trace.csv"))
     save_checkpoint(reranker_model, os.path.join(work, "reranker.ckpt"))
     log(f"reranker fine-tuned ({len(trace)} steps, last loss {trace[-1][2]:.4f})")
 
     qa_model = clone_model(model)
-    trace = finetune_qa(qa_model, vocab, train, desk_finetune_config("qa"),
-                        rng.child("ft_qa"), image_loader=loader,
-                        extra_distractors=2)
+    cfg = desk_finetune_config("qa")
+    start = time.perf_counter()
+    trace = finetune_qa(qa_model, vocab, train, cfg, rng.child("ft_qa"),
+                        image_loader=loader, extra_distractors=2)
+    record("qa", start, len(trace), cfg.epochs * len(train))
     write_trace_csv(trace, os.path.join(work, "qa_trace.csv"))
     save_checkpoint(qa_model, os.path.join(work, "qa.ckpt"))
     log(f"qa model fine-tuned ({len(trace)} steps, last loss {trace[-1][2]:.4f})")
 
+    start = time.perf_counter()
     _, aggregate = evaluate_dataset(heldout, reranker_model, qa_model,
                                     SelectionConfig(), GenerationConfig(),
                                     vocab, image_loader=loader)
+    record("eval", start, len(heldout), len(heldout))
     log(f"held-out metrics: {aggregate}")
     with open(os.path.join(work, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
+    with open(os.path.join(work, "timings.json"), "w", encoding="utf-8") as fh:
+        json.dump(timings, fh, indent=2)
     return 0
 
 

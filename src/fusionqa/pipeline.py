@@ -18,9 +18,10 @@ from fusionqa.reranker import RetrievedSet, score, select_contexts
 from fusionqa.tensor import no_grad
 
 
-def make_image_loader(cache=None):
-    """Path-cached PPM loader for Documents."""
-    cache = {} if cache is None else cache
+def make_image_loader():
+    """Path-cached PPM loader for Documents. Each path loads once, so the
+    frozen vision encoder's rows kept on its Image are reused too."""
+    cache = {}
 
     def load(doc):
         if doc.image_path not in cache:

@@ -23,6 +23,7 @@ __all__ = [
     "Tensor",
     "Rng",
     "no_grad",
+    "grad_enabled",
     "backward",
     "grad_check",
     "matmul",
@@ -38,6 +39,7 @@ __all__ = [
     "layer_norm",
     "dropout",
     "embedding_lookup",
+    "take_rows",
     "concat",
     "slice_",
     "reshape",
@@ -67,6 +69,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether op results are being recorded on the tape."""
+    return _grad_enabled
 
 
 def _derive_seed(seed: int, tag) -> int:
@@ -390,6 +397,21 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (buf,)
 
     return _out(out, (table,), vjp)
+
+
+def take_rows(x: Tensor, index) -> Tensor:
+    """Rows of `x` at an integer index with no repeated entry. Because no
+    row is taken twice, the gradient scatters back by plain assignment; use
+    ``embedding_lookup`` when ids can repeat."""
+    index = np.asarray(index, dtype=np.int64)
+    out = x.data[index]
+
+    def vjp(g):
+        buf = np.zeros_like(x.data)
+        buf[index] = g
+        return (buf,)
+
+    return _out(out, (x,), vjp)
 
 
 def concat(tensors, axis=0) -> Tensor:

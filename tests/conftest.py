@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fusionqa import vision
 from fusionqa.config import LmConfig, ModelConfig, VisionConfig
 from fusionqa.model import MultimodalTransformer
 from fusionqa.synthetic import SceneSpec, render_scene
@@ -20,6 +21,26 @@ TINY_LINES = [
     "red green blue yellow purple orange",
     "describe the image",
 ]
+
+
+def encode_every_visit(model, images, train=False, rng=None):
+    """``vision.image_rows`` without its memo: the reference that memo tests
+    monkeypatch in."""
+    return [vision.encode_image(model, img, train=train, rng=rng) for img in images]
+
+
+def count_encode_image(monkeypatch) -> list:
+    """Replace ``vision.encode_image`` by a wrapper that appends each image it
+    encodes to the returned list."""
+    seen = []
+    real = vision.encode_image
+
+    def counting(model, img, train=False, rng=None):
+        seen.append(img)
+        return real(model, img, train=train, rng=rng)
+
+    monkeypatch.setattr(vision, "encode_image", counting)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionqa import model as model_module
 from fusionqa.config import model_profile
 from fusionqa.documents import Document
 from fusionqa.model import (
@@ -18,7 +19,16 @@ from fusionqa.model import (
     key_padding_mask,
     parameter_shapes,
 )
-from fusionqa.tensor import Rng, Tensor, backward, grad_check, mul, softmax_lastdim, tsum
+from fusionqa.tensor import (
+    Rng,
+    Tensor,
+    backward,
+    embedding_lookup,
+    grad_check,
+    mul,
+    softmax_lastdim,
+    tsum,
+)
 from fusionqa.tokenizer import (
     EOS_ID,
     IMG_ID,
@@ -142,6 +152,29 @@ class TestInject:
             return tsum(mul(inject(params[0], [params[1]], [[], [(2, 2)]]).embeddings, weight))
 
         assert grad_check(f, [text, img]) < 1e-8
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    def test_gather_bit_identical_to_embedding_lookup(self, monkeypatch, batched):
+        # the injection index never repeats, so scattering its gradient by
+        # assignment gives embedding_lookup's np.add.at result bit for bit
+        rng = np.random.default_rng(5)
+        shape = (2, 7, 4) if batched else (7, 4)
+        spans = [[(1, 3)], [(0, 2), (4, 3)]] if batched else [(1, 3), (5, 2)]
+        text_arr = rng.normal(size=shape).astype(np.float32)
+        lengths = [n for row in (spans if batched else [spans]) for _, n in row]
+        img_arrs = [rng.normal(size=(n, 4)).astype(np.float32) for n in lengths]
+        weight = Tensor(rng.normal(size=shape).astype(np.float32))
+
+        def run():
+            text = Tensor(text_arr, requires_grad=True)
+            imgs = [Tensor(a, requires_grad=True) for a in img_arrs]
+            out = inject(text, imgs, spans).embeddings
+            backward(tsum(mul(out, weight)))
+            return [t.tobytes() for t in [out.data, text.grad] + [i.grad for i in imgs]]
+
+        gathered = run()
+        monkeypatch.setattr(model_module, "take_rows", embedding_lookup)
+        assert gathered == run()
 
 
 class TestEncoder:

@@ -4,18 +4,21 @@ import os
 import numpy as np
 import pytest
 
+from fusionqa import generator, vision
 from fusionqa.checkpoint import save_checkpoint
 from fusionqa.cli import main
 from fusionqa.config import GenerationConfig, SelectionConfig, model_profile
 from fusionqa.dataset import _doc_to_json, load_dataset
 from fusionqa.documents import Document, QaInstance
+from fusionqa.images import save_image_ppm
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, run_pipeline
-from fusionqa.synthetic import generate_corpora
+from fusionqa.synthetic import SceneSpec, generate_corpora, render_scene
 from fusionqa.tensor import Rng
 from fusionqa.tokenizer import Vocab
+from fusionqa.training import clone_model
 
-from conftest import make_tiny_config
+from conftest import count_encode_image, encode_every_visit, make_tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,52 @@ class TestRunPipeline:
         assert set(agg) == {"em", "f1", "retr_f1"}
         for v in agg.values():
             assert 0.0 <= v <= 1.0
+
+    def test_memo_keeps_greedy_ids_and_scores(self, corpora_dir, desk_models, monkeypatch):
+        vocab, rr, qa = desk_models
+        instances = load_dataset(corpora_dir / "qa_heldout.jsonl")
+        assert any(d.modality == "image" for inst in instances for d in inst.pool)
+        greedy = []
+        real_generate_ids = generator.generate_ids
+
+        def recording(model, enc, cfg):
+            greedy.append(real_generate_ids(model, enc, cfg))
+            return greedy[-1]
+
+        monkeypatch.setattr(generator, "generate_ids", recording)
+
+        def answers():
+            # two passes over one loader: the second is served from the memo
+            loader = make_image_loader()
+            results = [run_pipeline(inst, rr, qa, SelectionConfig(),
+                                    GenerationConfig(max_new_tokens=8), vocab,
+                                    image_loader=loader)
+                       for inst in instances + instances]
+            return greedy[-len(results):], [r.retrieved.scores.tobytes() for r in results]
+
+        with_memo = answers()
+        monkeypatch.setattr(vision, "image_rows", encode_every_visit)
+        assert answers() == with_memo
+
+    def test_shared_image_encoded_once_across_models(self, tiny_vocab, tmp_path, monkeypatch):
+        path = tmp_path / "scene.ppm"
+        save_image_ppm(render_scene(SceneSpec("red", "square", "top left")), path)
+        rr = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, image_size=32), Rng(4))
+        qa = clone_model(rr)  # another object with bit-identical vision weights
+        doc = Document(id="photo", modality="image", image_path=str(path), label="supporting")
+        questions = ["what color is the shape in the photo of rimek?",
+                     "describe the image"]
+        encoded = count_encode_image(monkeypatch)
+        loader = make_image_loader()
+        for i, question in enumerate(questions):
+            inst = QaInstance(qid=f"q{i}", question=question, pool=[doc],
+                              answers=["red"], gold_ids=["photo"])
+            res = run_pipeline(inst, rr, qa, SelectionConfig(),
+                               GenerationConfig(max_new_tokens=2), tiny_vocab,
+                               image_loader=loader)
+            assert res.selected_ids == ["photo"]
+        # reranked and answered twice, encoded once
+        assert len(encoded) == 1
 
 
 class TestGenSynthetic:

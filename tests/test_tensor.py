@@ -25,6 +25,7 @@ from fusionqa.tensor import (
     reshape,
     slice_,
     softmax_lastdim,
+    take_rows,
     tanh,
     tmean,
     transpose,
@@ -196,7 +197,7 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "name",
         ["matmul", "add_bias", "mul", "tanh", "gelu", "softmax", "layer_norm",
-         "embedding", "concat_slice", "bce", "ce"],
+         "embedding", "take_rows", "concat_slice", "bce", "ce"],
     )
     def test_each_op_composite(self, name):
         rng = Rng(hash(name) & 0xFFFF)
@@ -228,6 +229,9 @@ class TestGradCheck:
         elif name == "embedding":
             params = [t64(rng.normal((5, 3)))]
             fn = lambda ps: tsum(tanh(embedding_lookup(ps[0], [0, 2, 2, 4])))
+        elif name == "take_rows":
+            params = [t64(rng.normal((5, 3)))]  # row 1 is not taken
+            fn = lambda ps: tsum(tanh(take_rows(ps[0], [[4, 0], [2, 3]])))
         elif name == "concat_slice":
             a, b = t64(rng.normal((2, 3))), t64(rng.normal((4, 3)))
             fn = lambda ps: tsum(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fusionqa import vision
 from fusionqa.config import (
     FinetuneConfig,
     StageConfig,
@@ -12,10 +13,20 @@ from fusionqa.config import (
     finetune_defaults,
     pretrain_stage_defaults,
 )
+from fusionqa.dataset import load_dataset
 from fusionqa.documents import Document, PretrainSample, QaInstance
 from fusionqa.model import MultimodalTransformer
-from fusionqa.synthetic import all_scene_specs, caption_samples, render_scene, vqa_samples
+from fusionqa.pipeline import make_image_loader
+from fusionqa.synthetic import (
+    all_scene_specs,
+    caption_samples,
+    generate_corpora,
+    load_pretrain_corpus,
+    render_scene,
+    vqa_samples,
+)
 from fusionqa.tensor import Rng, Tensor
+from fusionqa.tokenizer import Vocab
 from fusionqa import training
 from fusionqa.training import (
     AdamW,
@@ -33,7 +44,7 @@ from fusionqa.training import (
     write_trace_csv,
 )
 
-from conftest import make_tiny_config
+from conftest import count_encode_image, encode_every_visit, make_tiny_config
 
 
 def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
@@ -401,6 +412,82 @@ class TestFinetunes:
         clone.params["lm.embed"].data += 1.0
         assert not np.allclose(clone.params["lm.embed"].data,
                                tiny_model.params["lm.embed"].data)
+
+
+@pytest.fixture(scope="module")
+def image_corpora(tmp_path_factory):
+    # pools hold image documents; every pretraining sample has its own image
+    out = tmp_path_factory.mktemp("image_corpora")
+    generate_corpora(out, seed=5, n_entities=8, n_captions=8, n_vqa=12, n_train=4,
+                     n_heldout=2, n_distractors=3, vocab_size=300)
+    return out
+
+
+def _stage_config(phase, batch):
+    if phase == "stage2":
+        return StageConfig(2, "VE+LM", batch, 2, 1e-3, 1e-3, 0.5)
+    return StageConfig(3, "LM", batch, 2, 1e-3, None, None)
+
+
+def _tiny_image_model(vocab, seed, dropout=0.0):
+    return MultimodalTransformer.build(
+        make_tiny_config(vocab.size, image_size=32, dropout=dropout), Rng(seed))
+
+
+def _run_phase(corpora, phase, seed):
+    """Train a fresh 32-pixel tiny model for two epochs of one phase on
+    freshly loaded images; returns (trace, weight checksums)."""
+    vocab = Vocab.load(corpora / "vocab.txt")
+    model = _tiny_image_model(vocab, seed)
+    rng = Rng(100 + seed)
+    if phase == "stage3":
+        corpus = load_pretrain_corpus(corpora / "pretrain_stage3.jsonl")
+        trace = run_pretrain_stage(model, vocab, _stage_config(phase, 4), corpus, rng)
+    elif phase == "reranker":
+        trace = finetune_reranker(model, vocab, load_dataset(corpora / "qa_train.jsonl"),
+                                  FinetuneConfig("reranker", 4, 2, 1e-3), rng,
+                                  image_loader=make_image_loader())
+    else:
+        trace = finetune_qa(model, vocab, load_dataset(corpora / "qa_train.jsonl"),
+                            FinetuneConfig("qa", 2, 2, 1e-3), rng,
+                            image_loader=make_image_loader(), extra_distractors=1)
+    return trace, tensor_checksums(model)
+
+
+class TestFrozenVisionMemo:
+    """Serving the frozen vision encoder's rows from the image memo changes
+    no number; where it would, every visit encodes."""
+
+    @pytest.mark.parametrize("phase", ["stage3", "reranker", "qa"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trace_and_weights_match_encoding_every_visit(self, image_corpora, monkeypatch,
+                                                          phase, seed):
+        encoded = count_encode_image(monkeypatch)
+        with_memo = _run_phase(image_corpora, phase, seed)
+        memo_calls = len(encoded)
+        encoded.clear()
+        monkeypatch.setattr(vision, "image_rows", encode_every_visit)
+        assert _run_phase(image_corpora, phase, seed) == with_memo
+        # the second epoch revisits every image, so the memo served some rows
+        assert 0 < memo_calls < len(encoded)
+
+    @pytest.mark.parametrize("phase, dropout, every_visit", [
+        ("stage2", 0.0, True),  # vision trainable
+        ("stage3", 0.1, True),  # vision frozen, its dropout active
+        ("stage3", 0.0, False),
+    ], ids=["stage2", "stage3_dropout", "stage3"])
+    def test_encodes_every_visit_unless_frozen_without_dropout(self, image_corpora,
+                                                               monkeypatch, phase, dropout,
+                                                               every_visit):
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        model = _tiny_image_model(vocab, 0, dropout=dropout)
+        samples = load_pretrain_corpus(image_corpora / f"pretrain_{phase}.jsonl")
+        # each image twice per one-step epoch, so a step revisits it at
+        # unchanged weights even while the vision encoder trains
+        corpus = samples + samples
+        encoded = count_encode_image(monkeypatch)
+        run_pretrain_stage(model, vocab, _stage_config(phase, len(corpus)), corpus, Rng(1))
+        assert len(encoded) == (2 * len(corpus) if every_visit else len(samples))
 
 
 class TestDeskConfigs:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from fusionqa.images import Image
 from fusionqa.model import MultimodalTransformer
-from fusionqa.tensor import Rng, backward, tsum
-from fusionqa.vision import encode_image, patchify
+from fusionqa.tensor import Rng, backward, no_grad, tsum
+from fusionqa.training import clone_model
+from fusionqa.vision import encode_image, image_rows, patchify
 
-from conftest import make_tiny_config
+from conftest import count_encode_image, make_tiny_config
 
 
 def test_patchify_224_16():
@@ -115,3 +116,60 @@ class TestEncodeImage:
     def test_wrong_image_size_rejected(self, tiny_model, scene_image_32):
         with pytest.raises(ValueError, match="patches"):
             encode_image(tiny_model, scene_image_32)
+
+
+class TestImageRows:
+    def test_in_place_weight_change_gives_fresh_rows(self, fresh_tiny_model, scene_image_16,
+                                                     monkeypatch):
+        model, img = fresh_tiny_model, Image(scene_image_16.pixels.copy())
+        encoded = count_encode_image(monkeypatch)
+        w = model.params["vision.layer0.mlp.w1"].data
+        old = w[0, 0].copy()
+        with no_grad():
+            first = image_rows(model, [img])[0]
+            assert image_rows(model, [img])[0] is first
+            w[0, 0] += 0.5
+            changed = image_rows(model, [img])[0]
+            expected = encode_image(model, img)
+            w[0, 0] = old
+            again = image_rows(model, [img])[0]
+        np.testing.assert_array_equal(changed.data, expected.data)
+        assert not np.array_equal(changed.data, first.data)
+        assert again is first
+        assert len(encoded) == 2
+
+    def test_models_with_identical_vision_weights_share_rows(self, tiny_vocab, scene_image_16,
+                                                             monkeypatch):
+        cfg = make_tiny_config(tiny_vocab.size)
+        a = MultimodalTransformer.build(cfg, Rng(7))
+        b = clone_model(a)
+        b.params["lm.embed"].data += 1.0
+        b.set_trainable(("lm.",))
+        other = MultimodalTransformer.build(cfg, Rng(8))
+        img = Image(scene_image_16.pixels.copy())
+        encoded = count_encode_image(monkeypatch)
+        with no_grad():
+            rows = image_rows(a, [img, img])
+        # grad recording on, vision frozen, dropout rate 0: served
+        served = image_rows(b, [img], train=True, rng=Rng(0))[0]
+        assert rows[0] is rows[1] is served
+        assert not served.requires_grad and served._vjp is None
+        with no_grad():
+            image_rows(other, [img])
+        assert encoded == [img, img]
+
+    def test_trainable_encoder_gets_taped_rows(self, fresh_tiny_model, scene_image_16,
+                                               monkeypatch):
+        model, img = fresh_tiny_model, Image(scene_image_16.pixels.copy())
+        encoded = count_encode_image(monkeypatch)
+        with no_grad():
+            served = image_rows(model, [img])[0]
+        taped = image_rows(model, [img])[0]
+        assert taped is not served and taped._vjp is not None
+        np.testing.assert_array_equal(taped.data, served.data)
+        assert len(encoded) == 2
+
+    def test_pixels_are_read_only(self, scene_image_16):
+        img = Image(scene_image_16.pixels.copy())
+        with pytest.raises(ValueError, match="read-only"):
+            img.pixels[0, 0, 0] = 1.0
