@@ -23,7 +23,6 @@ __all__ = [
     "Tensor",
     "Rng",
     "no_grad",
-    "grad_enabled",
     "backward",
     "grad_check",
     "matmul",
@@ -72,7 +71,9 @@ def no_grad():
 
 
 def grad_enabled() -> bool:
-    """Whether op results are being recorded on the tape."""
+    """Whether op results are being recorded on the tape. Not in ``__all__``,
+    whose other names are ops or types: the traced benchmark run counts each
+    call of an ``__all__`` function it does not know as a taped op."""
     return _grad_enabled
 
 
