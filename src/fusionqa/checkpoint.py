@@ -1,8 +1,13 @@
 """Binary model checkpoints: named float32 tensors plus a config snapshot.
 
 Layout: magic 'FQCK' | u32 format version | u64 header length | header JSON
-(sorted keys; config snapshot and a name -> {shape, offset} table; offsets in
-bytes into the payload) | payload of little-endian IEEE-754 float32 values.
+(sorted keys; config snapshot and a name -> {shape, offset, crc32} table;
+offsets in bytes into the payload, crc32 the zlib CRC-32 of the tensor's
+bytes) | payload of little-endian IEEE-754 float32 values.
+
+Files are written in format 2. Format 1 files still load: they carry no
+CRC-32s, and their config snapshot holds a vision ``llrd_factor`` that
+nothing reads, which the loader drops.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from fusionqa.model import MultimodalTransformer, parameter_shapes
 from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _PREAMBLE = 16  # magic, u32 version, u64 header length
 
 
@@ -33,8 +39,8 @@ def save_checkpoint(model: MultimodalTransformer, path):
     blobs = []
     for name in names:
         arr = np.ascontiguousarray(model.params[name].data, dtype="<f4")
-        table[name] = {"shape": list(arr.shape), "offset": offset}
         blobs.append(arr.tobytes())
+        table[name] = {"shape": list(arr.shape), "offset": offset, "crc32": zlib.crc32(blobs[-1])}
         offset += len(blobs[-1])
     header = {
         "format_version": FORMAT_VERSION,
@@ -57,7 +63,8 @@ def load_checkpoint(path) -> MultimodalTransformer:
 
     Any malformed file raises ValueError naming the file and the byte offset
     or header key at fault: the tensors must tile the payload exactly, with
-    no overlap, gap or trailing byte.
+    no overlap, gap or trailing byte, and in format 2 each tensor's bytes
+    must match its CRC-32.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -68,9 +75,9 @@ def load_checkpoint(path) -> MultimodalTransformer:
             f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {_PREAMBLE}-byte preamble"
         )
     (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(
-            f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
+            f"checkpoint {path}: format version {version} unsupported (expected 1 or {FORMAT_VERSION})"
         )
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     header_end = _PREAMBLE + header_len
@@ -90,6 +97,10 @@ def load_checkpoint(path) -> MultimodalTransformer:
     for key in ("config", "tensors"):
         if key not in header:
             raise ValueError(f"checkpoint {path}: header has no {key!r} key")
+    # format 1 stored VisionConfig.llrd_factor, which nothing read
+    vision = header["config"].get("vision") if isinstance(header["config"], dict) else None
+    if version == 1 and isinstance(vision, dict):
+        vision.pop("llrd_factor", None)
     try:
         config = config_from_dict(header["config"])
     except ValueError as exc:
@@ -144,6 +155,12 @@ def load_checkpoint(path) -> MultimodalTransformer:
 
     params = {}
     for start, end, name in spans:
-        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(expected[name])
+        data = payload[start:end]
+        if version > 1 and (crc := zlib.crc32(data)) != table[name].get("crc32"):
+            raise ValueError(
+                f"checkpoint {path}: tensor {name} at bytes {header_end + start}..{header_end + end} "
+                f"has CRC-32 {crc}, the header records {table[name].get('crc32')!r}"
+            )
+        arr = np.frombuffer(data, dtype="<f4").reshape(expected[name])
         params[name] = Tensor(arr.copy(), requires_grad=True, dtype=np.float32)
     return MultimodalTransformer(config, params)

@@ -67,6 +67,7 @@ def _cmd_gen_synthetic(args):
 
 def _cmd_pretrain(args):
     vocab = Vocab.load(args.vocab)
+    corpus = load_pretrain_corpus(args.data)
     if args.init:
         model = load_checkpoint(args.init)
     else:
@@ -78,7 +79,6 @@ def _cmd_pretrain(args):
         stage.epochs = args.epochs
     if args.batch is not None:
         stage.global_batch = args.batch
-    corpus = load_pretrain_corpus(args.data)
     trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(_seed(args)))
     save_checkpoint(model, args.out)
     if args.trace:

@@ -25,7 +25,6 @@ class VisionConfig:
     n_layers: int = 2
     n_heads: int = 4
     image_size: int = 32
-    llrd_factor: float = 0.5
 
     def __post_init__(self):
         if self.hidden_size % self.n_heads:
@@ -96,7 +95,6 @@ class GenerationConfig:
     128 sentence-answer corpora."""
 
     max_new_tokens: int = 64
-    eos_id: int = 1
 
     def __post_init__(self):
         if self.max_new_tokens < 1:

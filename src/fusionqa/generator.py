@@ -13,7 +13,7 @@ from fusionqa.model import (
     encode_multimodal,
 )
 from fusionqa.tensor import Tensor, cross_entropy_logits, no_grad
-from fusionqa.tokenizer import PAD_ID, assemble_qa_input
+from fusionqa.tokenizer import EOS_ID, PAD_ID, assemble_qa_input
 
 
 def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Tensor:
@@ -47,22 +47,20 @@ def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
     for _ in range(cfg.max_new_tokens):
         logits = decode_step(model, enc, prefix, cache)
         nxt = int(np.argmax(logits.data))
-        if nxt == cfg.eos_id:
+        if nxt == EOS_ID:
             break
         out.append(nxt)
         prefix.append(nxt)
     return out
 
 
-def encode_contexts(model, vocab, question: str, contexts, image_loader=None, prompt=None,
+def encode_contexts(model, vocab, question: str, contexts, image_loader=None,
                     train=False, rng=None) -> EncoderStates:
     """Encode the generator's input: prompt, question and ordered contexts,
     with the images of the image contexts that survive truncation."""
     contexts = list(contexts)
     seq = assemble_qa_input(
-        vocab, question, contexts, model.config.n_img_tokens, model.config.lm.max_len,
-        prompt=prompt,
-    )
+        vocab, question, contexts, model.config.n_img_tokens, model.config.lm.max_len)
     images = []
     if seq.image_spans:
         if image_loader is None:
@@ -73,9 +71,9 @@ def encode_contexts(model, vocab, question: str, contexts, image_loader=None, pr
 
 
 def generate(model, vocab, question: str, contexts, cfg: GenerationConfig,
-             image_loader=None, prompt=None) -> str:
+             image_loader=None) -> str:
     """Answer a question from ordered contexts (descending reranker score)."""
     with no_grad():
-        enc = encode_contexts(model, vocab, question, contexts, image_loader, prompt)
+        enc = encode_contexts(model, vocab, question, contexts, image_loader)
         ids = generate_ids(model, enc, cfg)
     return vocab.decode(ids)

@@ -39,7 +39,9 @@ class Image:
         return self.pixels.shape[1]
 
 
-def _read_ppm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _read_ppm_int(path, buf: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The header field (width, height or maxval) at ``pos``, a positive
+    decimal integer; returns it and the position after it."""
     # skip whitespace and '#' comment lines between header tokens
     n = len(buf)
     while pos < n:
@@ -55,8 +57,13 @@ def _read_ppm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise ValueError(f"ppm: truncated header at byte offset {start}")
-    return buf[start:pos], pos
+        raise ValueError(f"ppm {path}: truncated header at byte offset {start}")
+    tok = buf[start:pos]
+    if not tok.isdigit() or int(tok) == 0:
+        raise ValueError(
+            f"ppm {path}: {what} at byte offset {start} is {tok[:16]!r}, not a positive integer"
+        )
+    return int(tok), pos
 
 
 def load_image_ppm(path) -> Image:
@@ -66,10 +73,9 @@ def load_image_ppm(path) -> Image:
     if buf[:2] != b"P6":
         raise ValueError(f"ppm {path}: expected magic 'P6', got {buf[:2]!r}")
     pos = 2
-    width_tok, pos = _read_ppm_token(buf, pos)
-    height_tok, pos = _read_ppm_token(buf, pos)
-    maxval_tok, pos = _read_ppm_token(buf, pos)
-    width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
+    width, pos = _read_ppm_int(path, buf, pos, "width")
+    height, pos = _read_ppm_int(path, buf, pos, "height")
+    maxval, pos = _read_ppm_int(path, buf, pos, "maxval")
     if maxval != 255:
         raise ValueError(f"ppm {path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -36,14 +36,6 @@ from fusionqa.tensor import (
 
 
 @dataclass
-class FusedSequence:
-    """Embedding matrix after injection."""
-
-    embeddings: Tensor  # (L, d) or (B, L, d)
-    attention_mask: np.ndarray
-
-
-@dataclass
 class EncoderStates:
     states: Tensor  # (L, d) or (B, L, d)
     attention_mask: np.ndarray
@@ -275,7 +267,7 @@ def embed_tokens(model, seq) -> Tensor:
     return embedding_lookup(model.params["lm.embed"], ids)
 
 
-def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSequence:
+def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
     """Replace placeholder rows with image embedding rows (no projection).
 
     ``text_emb`` is (L, d) with ``spans`` a list of (start, length), or
@@ -313,39 +305,17 @@ def inject(text_emb: Tensor, image_embs, spans, attention_mask=None) -> FusedSeq
             row[start:prev_end] = np.arange(offset, offset + span_len)
             offset += span_len
             j += 1
-    mask = (np.ones(text_emb.shape[:-1], dtype=np.int64) if attention_mask is None
-            else attention_mask)
-
     if not image_embs:
-        return FusedSequence(text_emb, mask)
+        return text_emb
     text_rows = text_emb if text_emb.ndim == 2 else reshape(text_emb, (n_text, d))
-    fused = take_rows(concat([text_rows] + image_embs, axis=0),
-                      index.reshape(text_emb.shape[:-1]))
-    return FusedSequence(fused, mask)
-
-
-def encode_fused(model, fused: FusedSequence, train=False, rng=None) -> EncoderStates:
-    """Run the language-model encoder over a fused embedding sequence, (L, d)
-    or a padded (B, L, d) batch."""
-    cfg = model.config.lm
-    length = fused.embeddings.shape[-2]
-    if np.shape(fused.attention_mask) != fused.embeddings.shape[:-1]:
-        raise ValueError("encode: attention mask length differs from sequence length")
-    if length > cfg.max_len:
-        raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
-    mask = key_padding_mask(fused.attention_mask, model.dtype)
-    x = add(fused.embeddings, slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)))
-    x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
-    for i in range(cfg.n_enc_layers):
-        x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads,
-                              mask=mask, train=train, rng=rng)
-    x = _layer_norm_named(model, "lm.encoder.final_norm", x)
-    return EncoderStates(x, np.asarray(fused.attention_mask))
+    return take_rows(concat([text_rows] + image_embs, axis=0),
+                     index.reshape(text_emb.shape[:-1]))
 
 
 def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderStates:
     """Embed a TokenSequence, or a padded TokenBatch in one pass, encode and
-    inject its images (in span order, row by row), run the encoder."""
+    inject its images (in span order, row by row), and run the language-model
+    encoder over the fused (L, d) or (B, L, d) sequence."""
     # vision imports this module, so the name is looked up at call time
     from fusionqa.vision import image_rows
 
@@ -356,10 +326,21 @@ def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderSt
         raise ValueError(
             f"sequence has {n_spans} image spans but {len(images)} images given"
         )
-    text_emb = embed_tokens(model, seq)
-    image_embs = image_rows(model, images, train=train, rng=rng)
-    fused = inject(text_emb, image_embs, spans, seq.attention_mask)
-    return encode_fused(model, fused, train=train, rng=rng)
+    cfg = model.config.lm
+    length = seq.ids.shape[-1]
+    if np.shape(seq.attention_mask) != seq.ids.shape:
+        raise ValueError("encode: attention mask length differs from sequence length")
+    if length > cfg.max_len:
+        raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
+    mask = key_padding_mask(seq.attention_mask, model.dtype)
+    x = inject(embed_tokens(model, seq), image_rows(model, images, train=train, rng=rng), spans)
+    x = add(x, slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)))
+    x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
+    for i in range(cfg.n_enc_layers):
+        x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads,
+                              mask=mask, train=train, rng=rng)
+    x = _layer_norm_named(model, "lm.encoder.final_norm", x)
+    return EncoderStates(x, np.asarray(seq.attention_mask))
 
 
 def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None,

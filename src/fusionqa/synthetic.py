@@ -205,7 +205,7 @@ def photo_document(world: World, entity: str, which: int) -> Document:
     )
 
 
-def entity_documents(world: World, entity: str, which_photo: int = 0) -> list[Document]:
+def entity_documents(world: World, entity: str, which: int = 0) -> list[Document]:
     """The per-entity document set: a text or table doc per relation plus one
     of the entity's photos."""
     docs = []
@@ -221,7 +221,7 @@ def entity_documents(world: World, entity: str, which_photo: int = 0) -> list[Do
                 id=f"txt_{entity}_{rel}", modality="text",
                 text=fact_sentence(entity, rel, value), label=None,
             ))
-    docs.append(photo_document(world, entity, which_photo))
+    docs.append(photo_document(world, entity, which))
     return docs
 
 
@@ -246,17 +246,16 @@ def _copy_doc(doc: Document, label: str) -> Document:
 
 def build_instance(world: World, qid: str, entity: str, relation: str,
                    rng: Rng, n_distractors: int = 9,
-                   answer_style: str = "short", which_photo: int = None) -> QaInstance:
+                   answer_style: str = "short") -> QaInstance:
     """One question with its supporting document and same-world distractors
     drawn from other entities only. Photo questions attach one of the
-    entity's photos (chosen by ``which_photo`` or the rng); the answer is
-    read from that photo's scene."""
+    entity's photos, chosen by the rng; the answer is read from that photo's
+    scene."""
     specs = all_scene_specs()
     if relation in IMAGE_RELATIONS:
-        if which_photo is None:
-            which_photo = int(rng.child("photo").integers(0, 2))
-        support = photo_document(world, entity, which_photo)
-        spec = specs[world.scenes_of[entity][which_photo]]
+        which = int(rng.child("photo").integers(0, 2))
+        support = photo_document(world, entity, which)
+        spec = specs[world.scenes_of[entity][which]]
         attr = relation.split("_")[1]
         question = f"what {attr} is the thing in the photo of {entity}?"
         value = spec.color if attr == "color" else spec.shape
@@ -278,8 +277,7 @@ def build_instance(world: World, qid: str, entity: str, relation: str,
     chosen_entities = pick.sample_indices(len(others), min(n_distractors, len(others)))
     for j in np.asarray(chosen_entities).tolist():
         other = others[int(j)]
-        other_docs = entity_documents(world, other,
-                                      which_photo=int(pick.integers(0, 2)))
+        other_docs = entity_documents(world, other, which=int(pick.integers(0, 2)))
         doc = other_docs[int(pick.integers(0, len(other_docs)))]
         pool.append(_copy_doc(doc, "distractor"))
     order = rng.child("order").permutation(len(pool))
@@ -341,8 +339,7 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
                      n_captions: int = 500, n_vqa: int = 500,
                      n_train: int = 300, n_heldout: int = 100,
                      n_distractors: int = 9, vocab_size: int = 600,
-                     answer_style: str = "short",
-                     photo_variants: int = 1) -> dict:
+                     answer_style: str = "short") -> dict:
     """Write scene images, pretraining corpora, QA splits, and the vocab file.
 
     Everything is a pure function of the seed; rerunning overwrites with
@@ -380,27 +377,21 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
         )
     chosen = [keys[int(i)] for i in order[:n_total]]
 
-    def write_instances(name, selection, offset, variants):
-        instances = []
-        for j, (entity, relation) in enumerate(selection):
-            photo_picks = [None]
-            if relation in IMAGE_RELATIONS and variants > 1:
-                # both photos of the entity: the same question text gets
-                # scene-dependent answers, so pixels must be read
-                photo_picks = list(range(min(variants, 2)))
-            for v, which in enumerate(photo_picks):
-                instances.append(build_instance(
-                    world, qid=f"q{offset + j:04d}v{v}", entity=entity,
-                    relation=relation, rng=rng.child(f"inst/{offset + j}/{v}"),
-                    n_distractors=n_distractors, answer_style=answer_style,
-                    which_photo=which,
-                ))
+    # the "v0" id suffix and the "/0" rng tag are part of every corpus written
+    # so far; dropping either would change them all
+    def write_instances(name, selection, offset):
+        instances = [
+            build_instance(
+                world, qid=f"q{offset + j:04d}v0", entity=entity, relation=relation,
+                rng=rng.child(f"inst/{offset + j}/0"), n_distractors=n_distractors,
+                answer_style=answer_style,
+            )
+            for j, (entity, relation) in enumerate(selection)
+        ]
         write_dataset(instances, os.path.join(outdir, name))
-        return len(instances)
 
-    n_train_written = write_instances("qa_train.jsonl", chosen[:n_train], 0,
-                                      photo_variants)
-    write_instances("qa_heldout.jsonl", chosen[n_train:], n_train, 1)
+    write_instances("qa_train.jsonl", chosen[:n_train], 0)
+    write_instances("qa_heldout.jsonl", chosen[n_train:], n_train)
 
     vocab = Vocab.build(corpus_text_lines(world), vocab_size)
     vocab.save(os.path.join(outdir, "vocab.txt"))
@@ -411,7 +402,6 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
         "n_captions": n_captions,
         "n_vqa": n_vqa,
         "n_train": n_train,
-        "n_train_instances": n_train_written,
         "n_heldout": n_heldout,
         "vocab_size": vocab.size,
         "answer_style": answer_style,
@@ -430,6 +420,9 @@ def load_pretrain_corpus(path) -> list[PretrainSample]:
                 continue
             try:
                 rec = json.loads(line)
+                fields = [rec[k] for k in ("image", "prompt", "target", "kind")]
+                if not all(isinstance(f, str) for f in fields):
+                    raise ValueError("image, prompt, target and kind must be strings")
                 img_path = os.path.join(base, rec["image"])
                 if img_path not in cache:
                     cache[img_path] = load_image_ppm(img_path)
@@ -437,6 +430,6 @@ def load_pretrain_corpus(path) -> list[PretrainSample]:
                     image=cache[img_path], prompt=rec["prompt"],
                     target=rec["target"], kind=rec["kind"],
                 ))
-            except (KeyError, ValueError, OSError) as exc:
+            except (KeyError, TypeError, ValueError, OSError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad pretraining record: {exc}") from exc
     return samples

@@ -8,6 +8,10 @@ Layout is row-major throughout. Broadcasting is deliberately narrow: matmul
 allows a shared leading batch axis, add allows a trailing-suffix bias, and
 nothing else. Every other op requires exact shape agreement so that shape
 bugs fail loudly at the op that caused them.
+
+Every name here has a caller in the package, with one exception kept for
+the tests: ``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses and
+random inputs of the gradient checks.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ __all__ = [
     "grad_check",
     "matmul",
     "add",
-    "sub",
     "mul",
     "scale",
-    "shift",
-    "neg",
     "tanh",
     "gelu",
     "softmax_lastdim",
@@ -44,7 +45,6 @@ __all__ = [
     "reshape",
     "transpose",
     "tsum",
-    "tmean",
     "bce_with_logits",
     "cross_entropy_logits",
     "sigmoid_np",
@@ -167,40 +167,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; Tensor-Tensor goes through the taped ops, plain
-    # numbers through scale/shift.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported primitive")
-        return scale(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _out(data, parents, vjp):
@@ -260,18 +228,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _out(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if not (_suffix_ok(ad, bd) or _suffix_ok(bd, ad)):
-        raise ShapeError(f"sub: incompatible shapes {ad.shape} - {bd.shape}")
-    out = ad - bd
-
-    def vjp(g):
-        return _shrink(g, ad.shape), _shrink(-g, bd.shape)
-
-    return _out(out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; exact shape agreement required."""
     ad, bd = a.data, b.data
@@ -288,15 +244,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c) -> Tensor:
     c = float(c)
     return _out(a.data * c, (a,), lambda g: (g * c,))
-
-
-def shift(a: Tensor, c) -> Tensor:
-    c = float(c)
-    return _out(a.data + c, (a,), lambda g: (g,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _out(-a.data, (a,), lambda g: (-g,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -467,12 +414,6 @@ def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
     out = np.asarray(x.data.sum(), dtype=x.data.dtype)
     return _out(out, (x,), lambda g: (np.full(x.data.shape, g, dtype=x.data.dtype),))
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = np.asarray(x.data.sum() / n, dtype=x.data.dtype)
-    return _out(out, (x,), lambda g: (np.full(x.data.shape, g / n, dtype=x.data.dtype),))
 
 
 def sigmoid_np(x):

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fusionqa
@@ -20,6 +22,11 @@ from fusionqa.synthetic import SceneSpec, render_scene
 from fusionqa.tensor import Rng
 
 from conftest import make_tiny_config
+
+# A format-1 checkpoint, written before format 2 existed by the format-1
+# save_checkpoint from MultimodalTransformer.build(V1_CONFIG, Rng(7)).
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_v1.ckpt")
+V1_CONFIG = make_tiny_config(16, d=4, heads=2, image_size=8, patch=4, max_len=8)
 
 
 def _write_jsonl(path, records):
@@ -177,6 +184,18 @@ class TestPpm:
         p = tmp_path / "short.ppm"
         p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
         with pytest.raises(ValueError, match="byte offset"):
+            load_image_ppm(p)
+
+    @pytest.mark.parametrize("header,field,offset", [
+        (b"P6\nabc 3\n255\n", "width", 3),
+        (b"P6\n2 0\n255\n", "height", 5),
+        (b"P6\n2 3\n-255\n", "maxval", 7),
+    ], ids=["width", "height", "maxval"])
+    def test_bad_header_integer_names_file_and_offset(self, tmp_path, header, field, offset):
+        p = tmp_path / "h.ppm"
+        p.write_bytes(header + b"\x00" * 18)
+        with pytest.raises(ValueError, match=rf"ppm {re.escape(str(p))}: {field} at byte offset "
+                                             rf"{offset} is b'.*', not a positive integer"):
             load_image_ppm(p)
 
     def test_comment_in_header(self, tmp_path):
@@ -343,6 +362,58 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
 
+    def test_flipped_payload_byte_names_tensor(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + header_len].decode())
+        start = 16 + header_len + header["tensors"]["cls_head.b1"]["offset"]
+        raw[start + 2] ^= 0x40
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=rf"m.ckpt: tensor cls_head.b1 at bytes {start}\.\."
+                                             rf"{start + 4 * 32} has CRC-32 \d+, the header records "
+                                             rf"{header['tensors']['cls_head.b1']['crc32']}"):
+            load_checkpoint(path)
+
+    def test_missing_crc_rejected(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["tensors"]["cls_head.b2"].pop("crc32"))
+        with pytest.raises(ValueError, match=r"tensor cls_head.b2 .* the header records None"):
+            load_checkpoint(path)
+
+    def test_unsupported_version(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+        with pytest.raises(ValueError, match=r"format version 3 unsupported \(expected 1 or 2\)"):
+            load_checkpoint(path)
+
+    def test_v2_rejects_vision_llrd_factor(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["config"]["vision"].update(llrd_factor=0.5))
+        with pytest.raises(ValueError, match=r"unknown vision config fields \['llrd_factor'\]"):
+            load_checkpoint(path)
+
+    def test_v1_file_loads_and_resaves_as_v2_bit_exact(self, tmp_path):
+        raw = open(V1_FIXTURE, "rb").read()
+        assert struct.unpack_from("<I", raw, 4) == (1,) and b'"llrd_factor":0.5' in raw
+        v1 = load_checkpoint(V1_FIXTURE)
+        assert v1.config == V1_CONFIG
+        digest = hashlib.blake2b(digest_size=16)
+        for name in sorted(v1.params):
+            digest.update(name.encode())
+            digest.update(v1.params[name].data.tobytes())
+        assert digest.hexdigest() == "e3051c43a985372f94054538afb9634d"
+
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(v1, path)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+        v2 = load_checkpoint(path)
+        assert v2.config == v1.config
+        assert sorted(v2.params) == sorted(v1.params)
+        for name, p in v1.params.items():
+            assert v2.params[name].data.tobytes() == p.data.tobytes()
+
     def test_base_profile_checkpoint_config(self, tmp_path):
         # shape table only; the base profile itself is too large to allocate here
         from fusionqa.config import config_from_dict, config_to_dict, model_profile
@@ -352,6 +423,56 @@ class TestCheckpoint:
         assert restored == cfg
         assert restored.lm.hidden_size == 768
         assert restored.lm.n_enc_layers == restored.lm.n_dec_layers == 12
+
+
+@pytest.fixture(scope="module")
+def tiny_v2_checkpoint(tmp_path_factory):
+    """(path, bytes, header end) of the v1 fixture saved in format 2."""
+    path = tmp_path_factory.mktemp("fuzz") / "v2.ckpt"
+    save_checkpoint(load_checkpoint(V1_FIXTURE), path)
+    raw = path.read_bytes()
+    return path, raw, 16 + struct.unpack_from("<Q", raw, 8)[0]
+
+
+class TestCheckpointFuzz:
+    """Mutated checkpoints either load or raise ValueError, never anything
+    else; a changed payload byte always raises."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_loads_or_raises_value_error(self, tiny_v2_checkpoint, data):
+        path, raw, header_end = tiny_v2_checkpoint
+        kind = data.draw(st.sampled_from(["truncate", "flip", "append", "digit"]))
+        if kind == "truncate":
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "append":
+            mutated = raw + data.draw(st.binary(min_size=1, max_size=64))
+        elif kind == "flip":
+            mutated = bytearray(raw)
+            mutated[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        else:
+            digits = [i for i in range(16, header_end) if raw[i:i + 1].isdigit()]
+            mutated = bytearray(raw)
+            mutated[data.draw(st.sampled_from(digits))] = data.draw(st.sampled_from(b"0123456789"))
+        mutated_path = path.with_name("mutated.ckpt")
+        mutated_path.write_bytes(bytes(mutated))
+        try:
+            load_checkpoint(mutated_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"checkpoint {mutated_path}: ")
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_payload_flip_raises(self, tiny_v2_checkpoint, data):
+        path, raw, header_end = tiny_v2_checkpoint
+        mutated = bytearray(raw)
+        mutated[data.draw(st.integers(header_end, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        mutated_path = path.with_name("flipped.ckpt")
+        mutated_path.write_bytes(bytes(mutated))
+        with pytest.raises(ValueError, match=r"has CRC-32 \d+, the header records \d+"):
+            load_checkpoint(mutated_path)
 
 
 class TestMetrics:

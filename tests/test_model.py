@@ -13,7 +13,6 @@ from fusionqa.model import (
     decode_step,
     decoder_logits,
     embed_tokens,
-    encode_fused,
     encode_multimodal,
     inject,
     key_padding_mask,
@@ -39,7 +38,7 @@ from fusionqa.tokenizer import (
     pad_sequences,
 )
 
-from conftest import make_tiny_config
+from conftest import count_encode_image, make_tiny_config
 
 
 class TestEmbedTokens:
@@ -64,21 +63,21 @@ class TestInject:
         text = Tensor(np.arange(4 * 3, dtype=np.float32).reshape(4, 3))
         img = Tensor(np.full((2, 3), -1.0, dtype=np.float32))
         fused = inject(text, [img], [(1, 2)])
-        np.testing.assert_array_equal(fused.embeddings.data[0], text.data[0])
-        np.testing.assert_array_equal(fused.embeddings.data[1:3], img.data)
-        np.testing.assert_array_equal(fused.embeddings.data[3], text.data[3])
+        np.testing.assert_array_equal(fused.data[0], text.data[0])
+        np.testing.assert_array_equal(fused.data[1:3], img.data)
+        np.testing.assert_array_equal(fused.data[3], text.data[3])
 
     def test_zero_spans_identity(self):
         text = Tensor(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
         fused = inject(text, [], [])
-        assert fused.embeddings is text
+        assert fused is text
 
     def test_two_spans_rows(self):
         rng = np.random.default_rng(2)
         text = Tensor(rng.normal(size=(8, 2)).astype(np.float32))
         a = Tensor(np.ones((2, 2), dtype=np.float32))
         b = Tensor(np.full((2, 2), 2.0, dtype=np.float32))
-        fused = inject(text, [a, b], [(1, 2), (5, 2)]).embeddings.data
+        fused = inject(text, [a, b], [(1, 2), (5, 2)]).data
         np.testing.assert_array_equal(fused[1:3], a.data)
         np.testing.assert_array_equal(fused[5:7], b.data)
         outside = [0, 3, 4, 7]
@@ -128,18 +127,18 @@ class TestInject:
         expected = text.data.copy()
         for (start, l), img in zip(spans, imgs):
             expected[start:start + l] = img.data
-        np.testing.assert_array_equal(fused.embeddings.data, expected)
+        np.testing.assert_array_equal(fused.data, expected)
 
     def test_batched_rows_equal_per_row_injection(self):
         rng = np.random.default_rng(3)
         text = Tensor(rng.normal(size=(3, 6, 2)).astype(np.float32))
         imgs = [Tensor(rng.normal(size=(2, 2)).astype(np.float32)) for _ in range(3)]
         spans = [[(1, 2)], [], [(0, 2), (4, 2)]]
-        fused = inject(text, imgs, spans).embeddings.data
+        fused = inject(text, imgs, spans).data
         assert fused.shape == (3, 6, 2)
         rows = [imgs[:1], [], imgs[1:]]
         for b in range(3):
-            alone = inject(Tensor(text.data[b]), rows[b], spans[b]).embeddings.data
+            alone = inject(Tensor(text.data[b]), rows[b], spans[b]).data
             np.testing.assert_array_equal(fused[b], alone)
 
     def test_batched_injection_gradient(self):
@@ -149,7 +148,7 @@ class TestInject:
         weight = Tensor(rng.normal(size=(2, 5, 3)), dtype=np.float64)
 
         def f(params):
-            return tsum(mul(inject(params[0], [params[1]], [[], [(2, 2)]]).embeddings, weight))
+            return tsum(mul(inject(params[0], [params[1]], [[], [(2, 2)]]), weight))
 
         assert grad_check(f, [text, img]) < 1e-8
 
@@ -168,7 +167,7 @@ class TestInject:
         def run():
             text = Tensor(text_arr, requires_grad=True)
             imgs = [Tensor(a, requires_grad=True) for a in img_arrs]
-            out = inject(text, imgs, spans).embeddings
+            out = inject(text, imgs, spans)
             backward(tsum(mul(out, weight)))
             return [t.tobytes() for t in [out.data, text.grad] + [i.grad for i in imgs]]
 
@@ -230,6 +229,23 @@ class TestEncoder:
                                TokenSequence([3, 1])])
         with pytest.raises(ValueError, match="1 image spans but 0 images"):
             encode_multimodal(tiny_model, batch, [])
+
+    def test_mask_length_checked(self, tiny_model):
+        seq = TokenSequence(np.array([3, 5, 1]))
+        seq.attention_mask = np.ones(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="attention mask length differs from sequence length"):
+            encode_multimodal(tiny_model, seq)
+
+    def test_over_max_len_rejected_before_any_image_encodes(self, fresh_tiny_model,
+                                                            scene_image_16, monkeypatch):
+        model = fresh_tiny_model
+        n_img, max_len = model.config.n_img_tokens, model.config.lm.max_len
+        seq = TokenSequence(np.array([IMG_ID] * n_img + [3] * (max_len + 1 - n_img)),
+                            image_spans=[(0, n_img)])
+        seen = count_encode_image(monkeypatch)
+        with pytest.raises(ValueError, match=f"sequence length {max_len + 1} exceeds max_len {max_len}"):
+            encode_multimodal(model, seq, [scene_image_16])
+        assert seen == []
 
     @pytest.mark.parametrize("mask", [[0, 0, 0], [[1, 1, 0], [0, 0, 0]]], ids=["1d", "2d"])
     def test_fully_masked_key_row_rejected(self, mask):

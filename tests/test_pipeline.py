@@ -327,6 +327,19 @@ class TestCli:
         assert rc == 1
         assert f"checkpoint {ckpt}: file is 10 bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        "[1, 2]",
+        '{"image": 5, "prompt": "p", "target": "t", "kind": "caption"}',
+    ], ids=["array", "int_image"])
+    def test_bad_pretraining_record_exits_one(self, tmp_path, corpora_dir, capsys, record):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(record + "\n")
+        rc = main(["pretrain", "--stage", "1", "--data", str(data),
+                   "--vocab", str(corpora_dir / "vocab.txt"), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert f"{data}:1: bad pretraining record" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_invalid_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "nope.jsonl"
         bad.write_text("{broken\n")
