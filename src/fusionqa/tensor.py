@@ -9,9 +9,9 @@ allows a shared leading batch axis, add allows a trailing-suffix bias, and
 nothing else. Every other op requires exact shape agreement so that shape
 bugs fail loudly at the op that caused them.
 
-Every name here has a caller in the package, with one exception kept for
-the tests: ``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses and
-random inputs of the gradient checks.
+Every op here serves the package, with one exception kept for the tests:
+``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses and random
+inputs that the gradient checks probe with ``grad_check``.
 """
 
 from __future__ import annotations
