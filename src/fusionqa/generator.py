@@ -19,11 +19,16 @@ from fusionqa.tokenizer import EOS_ID, PAD_ID, assemble_qa_input
 def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Tensor:
     """Mean negative log-likelihood of the target sequence under teacher
     forcing (decoder input is the target shifted right behind a pad start
-    token); pad positions in the target are excluded from the average."""
+    token); pad positions in the target are excluded from the average.
+
+    (B, T) targets, right-padded with ``<pad>`` and decoded against a
+    batched ``enc``, give the mean over rows of each row's mean NLL.
+    """
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if target_ids.size == 0:
         raise ValueError("qa_loss: empty target")
-    dec_input = np.concatenate([[PAD_ID], target_ids[:-1]])
+    start = np.full(target_ids.shape[:-1] + (1,), PAD_ID)
+    dec_input = np.concatenate([start, target_ids[..., :-1]], axis=-1)
     logits = decoder_logits(model, enc, dec_input, train=train, rng=rng)
     mask = (target_ids != PAD_ID).astype(np.float64)
     return cross_entropy_logits(logits, target_ids, mask)
@@ -54,10 +59,10 @@ def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
     return out
 
 
-def encode_contexts(model, vocab, question: str, contexts, image_loader=None,
-                    train=False, rng=None) -> EncoderStates:
-    """Encode the generator's input: prompt, question and ordered contexts,
-    with the images of the image contexts that survive truncation."""
+def qa_input(model, vocab, question: str, contexts, image_loader=None):
+    """The generator's input: the (TokenSequence, images) of prompt,
+    question and ordered contexts, with the images of the image contexts
+    that survive truncation."""
     contexts = list(contexts)
     seq = assemble_qa_input(
         vocab, question, contexts, model.config.n_img_tokens, model.config.lm.max_len)
@@ -67,13 +72,14 @@ def encode_contexts(model, vocab, question: str, contexts, image_loader=None,
             raise ValueError("contexts include images but no image loader given")
         image_docs = [d for d in contexts if d.modality == "image"]
         images = [image_loader(d) for d in image_docs[: len(seq.image_spans)]]
-    return encode_multimodal(model, seq, images, train=train, rng=rng)
+    return seq, images
 
 
 def generate(model, vocab, question: str, contexts, cfg: GenerationConfig,
              image_loader=None) -> str:
     """Answer a question from ordered contexts (descending reranker score)."""
+    seq, images = qa_input(model, vocab, question, contexts, image_loader)
     with no_grad():
-        enc = encode_contexts(model, vocab, question, contexts, image_loader)
+        enc = encode_multimodal(model, seq, images)
         ids = generate_ids(model, enc, cfg)
     return vocab.decode(ids)

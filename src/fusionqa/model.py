@@ -20,16 +20,16 @@ from fusionqa.tensor import (
     Rng,
     Tensor,
     add,
+    attention_probs,
     concat,
     dropout,
     embedding_lookup,
     gelu,
     layer_norm,
+    linear,
     matmul,
     reshape,
-    scale,
     slice_,
-    softmax_lastdim,
     take_rows,
     transpose,
 )
@@ -160,10 +160,6 @@ def _layer_norm_named(model, prefix, x):
     return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
 
 
-def _linear(x, w, b):
-    return add(matmul(x, w), b)
-
-
 def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
                          train=False, rng=None, cache=None, static_kv=False):
     """Scaled dot-product attention over h heads; additive pre-softmax mask.
@@ -187,37 +183,31 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
     def split_heads(t):
         return transpose(reshape(t, t.shape[:-1] + (n_heads, dh)), swap)
 
-    q = split_heads(_linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+    q = split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
     cached = None if cache is None else cache.get(prefix)
     if static_kv and cached is not None:
         k, v = cached
     else:
-        k = split_heads(_linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-        v = split_heads(_linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+        k = split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
+        v = split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
         if cached is not None:
             k = concat([cached[0], k], axis=-2)
             v = concat([cached[1], v], axis=-2)
         if cache is not None:
             cache[prefix] = (k, v)
 
-    k_t = transpose(k, lead + (len(lead), len(lead) + 2, len(lead) + 1))
-    scores = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        if mask.ndim == scores.ndim:  # per-row key mask: a view over heads and queries
-            mask = Tensor._wrap(np.broadcast_to(mask.data, scores.shape))
-        scores = add(scores, mask)
-    probs = softmax_lastdim(scores)
+    probs = attention_probs(q, k, 1.0 / math.sqrt(dh), mask)
     probs = dropout(probs, rate, rng=rng, train=train)
     ctx = reshape(transpose(matmul(probs, v), swap), x_q.shape)
-    return _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _mlp(model, prefix, x, train, rng):
     p = model.params
     rate = model.config.lm.dropout_rate
-    h = gelu(_linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    h = gelu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
     h = dropout(h, rate, rng=rng, train=train)
-    return _linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def transformer_block(model, prefix, x, n_heads, mask=None, train=False, rng=None):
@@ -345,14 +335,25 @@ def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderSt
 
 def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None,
                    cache: DecoderCache | None = None) -> Tensor:
-    """Decoder states (T, d) for ``dec_input_ids``. With a cache the ids are
-    the T positions after the ``cache.length`` already run, and their
+    """Decoder states (T, d) for (T,) ``dec_input_ids``, or (B, T, d) for
+    (B, T) ids over a batched encoder output, one row per sequence.
+
+    Self-attention is causal only: right padding of the ids comes after
+    every real position, so no real position sees it. Cross-attention skips
+    the encoder's padded keys. With a cache (unbatched only) the ids are the
+    T positions after the ``cache.length`` already run, and their
     self-attention K/V are appended to the cache."""
     cfg = model.config.lm
-    if enc.states.shape[0] == 0:
-        raise ValueError("decoder: empty encoder states")
     ids = np.asarray(dec_input_ids, dtype=np.int64)
-    t_len = len(ids)
+    if ids.ndim not in (1, 2) or enc.states.shape[:-2] != ids.shape[:-1]:
+        raise ValueError(
+            f"decoder: ids {ids.shape} do not match encoder states {enc.states.shape}"
+        )
+    if ids.ndim == 2 and cache is not None:
+        raise ValueError("decoder: the decoding cache serves one sequence, not a batch")
+    if enc.states.shape[-2] == 0:
+        raise ValueError("decoder: empty encoder states")
+    t_len = ids.shape[-1]
     if t_len == 0:
         raise ValueError("decoder: empty input")
     start = 0 if cache is None else cache.length
@@ -385,11 +386,12 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
 
 def _lm_head(model, hidden: Tensor) -> Tensor:
     w_o = model.params["lm.head.w_o"]  # (V, d)
-    return add(matmul(hidden, transpose(w_o, (1, 0))), model.params["lm.head.b_o"])
+    return linear(hidden, transpose(w_o, (1, 0)), model.params["lm.head.b_o"])
 
 
 def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
-    """(T, V) pre-softmax logits under teacher forcing."""
+    """(T, V) pre-softmax logits under teacher forcing, or (B, T, V) for
+    (B, T) ids."""
     return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
 
 

@@ -19,10 +19,9 @@ from fusionqa.documents import Document
 from fusionqa.tensor import (
     Rng,
     Tensor,
-    add,
     bce_with_logits,
     dropout,
-    matmul,
+    linear,
     reshape,
     sigmoid_np,
     slice_,
@@ -47,9 +46,9 @@ def classifier_head(model, h: Tensor, train=False, rng=None) -> Tensor:
     p = model.params
     rate = model.config.head_dropout
     h = dropout(h, rate, rng=rng, train=train)
-    z = tanh(add(matmul(h, transpose(p["cls_head.w1"], (1, 0))), p["cls_head.b1"]))
+    z = tanh(linear(h, transpose(p["cls_head.w1"], (1, 0)), p["cls_head.b1"]))
     z = dropout(z, rate, rng=rng, train=train)
-    y = add(matmul(z, transpose(p["cls_head.w2"], (1, 0))), p["cls_head.b2"])
+    y = linear(z, transpose(p["cls_head.w2"], (1, 0)), p["cls_head.b2"])
     return reshape(y, (h.shape[0],))
 
 

@@ -30,12 +30,12 @@ __all__ = [
     "backward",
     "grad_check",
     "matmul",
+    "linear",
     "add",
     "mul",
-    "scale",
     "tanh",
     "gelu",
-    "softmax_lastdim",
+    "attention_probs",
     "layer_norm",
     "dropout",
     "embedding_lookup",
@@ -211,6 +211,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _out(out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,).
+
+    It keeps one result array where the two ops kept two, and its vjp runs
+    their numpy operations, so values and gradients are bit-identical.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: need (..., n) @ (n, m) + (m,), got {xd.shape} @ {wd.shape} + {bd.shape}")
+    out = xd @ wd
+    out += bd
+
+    def vjp(g):
+        gx = g @ np.swapaxes(wd, -1, -2)
+        gw = _shrink(np.swapaxes(xd, -1, -2) @ g, wd.shape)
+        return gx, gw, _shrink(g, bd.shape)
+
+    return _out(out, (x, w, b), vjp)
+
+
 def _suffix_ok(big, small):
     return small.ndim <= big.ndim and big.shape[big.ndim - small.ndim:] == small.shape
 
@@ -241,11 +261,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _out(out, (a, b), vjp)
 
 
-def scale(a: Tensor, c) -> Tensor:
-    c = float(c)
-    return _out(a.data * c, (a,), lambda g: (g * c,))
-
-
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
     return _out(t, (a,), lambda g: (g * (1.0 - t * t),))
@@ -254,37 +269,65 @@ def tanh(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_parts(x):
+    """x * x and the tanh term of gelu, which its vjp recomputes rather
+    than keep. The cube is two multiplies, not x**3: on float32 input with
+    negative entries numpy takes a generic pow path ~100x slower."""
+    x2 = x * x
+    return x2, np.tanh(_GELU_C * (x + 0.044715 * (x * x2)))
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form."""
     x = a.data
-    # The cube is two multiplies, not x**3: on float32 input with negative
-    # entries numpy takes a generic pow path ~100x slower than x * x * x.
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x * x2))
-    t = np.tanh(inner)
+    _, t = _gelu_parts(x)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
+        x2, t = _gelu_parts(x)
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _out(out, (a,), vjp)
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    x = a.data
-    if x.ndim < 1:
-        raise ShapeError("softmax_lastdim: operand must have at least one axis")
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+def attention_probs(q: Tensor, k: Tensor, c, mask: Tensor = None) -> Tensor:
+    """Attention weights softmax(q @ kᵀ * c + mask) over the last axis, as
+    one taped op.
+
+    ``q`` is (..., Lq, d) and ``k`` (..., Lk, d) with equal leading axes.
+    ``mask`` is an additive constant: a suffix of the (..., Lq, Lk) scores,
+    or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk) key
+    mask). The softmax is max-subtracted. Only the probabilities are kept,
+    and values and gradients are bit-identical to matmul, scale, add and a
+    last-axis softmax run one after another.
+    """
+    qd, kd = q.data, k.data
+    if qd.ndim < 2 or qd.shape[:-2] != kd.shape[:-2] or qd.shape[-1] != kd.shape[-1]:
+        raise ShapeError(f"attention_probs: need (..., Lq, d) and (..., Lk, d), got {qd.shape} and {kd.shape}")
+    c = float(c)
+    swap = tuple(range(kd.ndim - 2)) + (kd.ndim - 1, kd.ndim - 2)  # its own inverse
+    k_t = np.transpose(kd, swap)
+    s = qd @ k_t
+    s *= c
+    if mask is not None:
+        md = mask.data
+        per_axis = md.ndim == s.ndim and all(m in (1, n) for m, n in zip(md.shape, s.shape))
+        if not (per_axis or _suffix_ok(s, md)):
+            raise ShapeError(f"attention_probs: mask {md.shape} does not fit scores {s.shape}")
+        s += md
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        gs = s * (g - (g * s).sum(axis=-1, keepdims=True))
+        gs = gs * c
+        gq = gs @ np.swapaxes(k_t, -1, -2)
+        gk = np.transpose(np.swapaxes(qd, -1, -2) @ gs, swap)
+        return gq, gk
 
-    return _out(s, (a,), vjp)
+    return _out(s, (q, k), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
@@ -452,34 +495,43 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, targets, mask=None) -> Tensor:
-    """Token-level cross-entropy from (T, V) logits, averaged over mask.
+    """Token-level cross-entropy from (T, V) logits, averaged over mask; from
+    (B, T, V) logits, the mean over the B rows of each row's masked average.
 
-    ``targets`` are integer ids of length T; ``mask`` weights positions
-    (defaults to all ones). Stable via log-sum-exp.
+    ``targets`` are integer ids shaped like the logits without their last
+    axis; ``mask`` weights positions (defaults to all ones), and a row with
+    no unmasked position raises. Stable via log-sum-exp; the vjp recomputes
+    the probabilities from the logits rather than keep them.
     """
     x = logits.data
-    if x.ndim != 2:
-        raise ShapeError(f"cross_entropy_logits: logits must be (T, V), got {x.shape}")
-    t_len, vocab = x.shape
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"cross_entropy_logits: logits must be (T, V) or (B, T, V), got {x.shape}")
+    vocab = x.shape[-1]
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (t_len,):
+    if targets.shape != x.shape[:-1]:
         raise ShapeError(f"cross_entropy_logits: {x.shape} logits vs {targets.shape} targets")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError("cross_entropy_logits: target id out of range")
-    m = np.ones(t_len, dtype=x.dtype) if mask is None else np.asarray(mask, dtype=x.dtype)
-    total = m.sum()
-    if total <= 0:
-        raise ValueError("cross_entropy_logits: no unmasked target positions")
+    m = np.ones(targets.shape, dtype=x.dtype) if mask is None else np.asarray(mask, dtype=x.dtype)
+    if m.shape != targets.shape:
+        raise ShapeError(f"cross_entropy_logits: {m.shape} mask vs {targets.shape} targets")
+    total = m.sum(axis=-1, keepdims=True)  # (1,) or (B, 1)
+    empty = np.flatnonzero(total <= 0)
+    if empty.size:
+        where = f" in row {int(empty[0])}" if x.ndim == 3 else ""
+        raise ValueError(f"cross_entropy_logits: no unmasked target positions{where}")
+    rows = total.size
     mx = x.max(axis=-1, keepdims=True)
     lse = mx + np.log(np.exp(x - mx).sum(axis=-1, keepdims=True))
-    logp = x - lse
-    picked = logp[np.arange(t_len), targets]
-    out = np.asarray(-(m * picked).sum() / total, dtype=x.dtype)
+    picked = np.take_along_axis(x, targets[..., None], axis=-1)[..., 0] - lse[..., 0]
+    per_row = -(m * picked).sum(axis=-1) / total[..., 0]
+    out = np.asarray(per_row.sum() / rows, dtype=x.dtype)
 
     def vjp(g):
-        p = np.exp(logp)
-        p[np.arange(t_len), targets] -= 1.0
-        p *= (m / total)[:, None]
+        p = np.exp(x - lse)
+        flat = p.reshape(-1, vocab)
+        flat[np.arange(flat.shape[0]), targets.reshape(-1)] -= 1.0
+        p *= (m / total / rows)[..., None]
         return (p * g,)
 
     return _out(out, (logits,), vjp)

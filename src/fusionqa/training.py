@@ -21,11 +21,11 @@ import numpy as np
 
 from fusionqa.config import FinetuneConfig, StageConfig
 from fusionqa.documents import Document, PretrainSample, QaInstance
-from fusionqa.generator import encode_contexts, qa_loss
+from fusionqa.generator import qa_input, qa_loss
 from fusionqa.model import MultimodalTransformer, encode_multimodal
 from fusionqa.reranker import build_training_batch, reranker_loss, score
-from fusionqa.tensor import Rng, Tensor, backward, scale
-from fusionqa.tokenizer import assemble_qa_input
+from fusionqa.tensor import Rng, Tensor, backward
+from fusionqa.tokenizer import assemble_qa_input, pad_sequences
 
 
 def llrd_rates(base_lr: float, factor: float, n_layers: int) -> list[float]:
@@ -165,16 +165,17 @@ _STAGE_KIND = {1: "caption", 2: "caption", 3: "vqa"}
 _STAGE_PREFIXES = {"VE": ("vision.",), "VE+LM": ("vision.", "lm."), "LM": ("lm.",)}
 
 
-def _train(model, opt, items, batch, epochs, rng, tag, lr, example_loss):
-    """The loop every phase shares; returns the (step, lr, mean loss, grad
-    norm) trace, the norm taken before clipping.
+def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss):
+    """The loop every phase shares; returns the (step, lr, loss, grad norm)
+    trace, the norm taken before clipping.
 
     Each epoch visits ``items`` in a fresh permutation, ``batch`` at a time.
-    A step zeroes the gradients, back-propagates every member's loss scaled
-    by 1/len(members), clips the global norm and takes one AdamW step at the
-    cosine factor. ``example_loss(item, step_rng, j)`` returns the scalar
-    loss of member j; the rng streams are ``{tag}/epoch{e}`` and
-    ``{tag}/step{i}``, and each phase derives its per-member streams itself.
+    A step zeroes the gradients, back-propagates the step's loss once, clips
+    the global norm and takes one AdamW step at the cosine factor.
+    ``step_loss(members, step_rng)`` returns the scalar loss of the step's
+    members as one graph: the mean over members of each member's loss. The
+    rng streams are ``{tag}/epoch{e}`` and ``{tag}/step{i}``; each phase
+    derives any per-member streams itself.
     """
     n_batches = math.ceil(len(items) / batch)
     total_steps = epochs * n_batches
@@ -183,18 +184,15 @@ def _train(model, opt, items, batch, epochs, rng, tag, lr, example_loss):
     for epoch in range(epochs):
         order = rng.child(f"{tag}/epoch{epoch}").permutation(len(items))
         for b in range(n_batches):
-            members = order[b * batch:(b + 1) * batch]
+            members = [items[int(idx)] for idx in order[b * batch:(b + 1) * batch]]
             step_rng = rng.child(f"{tag}/step{step_idx}")
             model.zero_grads()
-            batch_loss = 0.0
-            for j, idx in enumerate(members):
-                loss = example_loss(items[int(idx)], step_rng, j)
-                batch_loss += loss.item()
-                backward(scale(loss, 1.0 / len(members)))
+            loss = step_loss(members, step_rng)
+            backward(loss)
             grad_norm = clip_global_norm(model)
             factor = cosine_lr(step_idx, total_steps, 1.0)
             opt.step(factor)
-            trace.append((step_idx, lr * factor, batch_loss / len(members), grad_norm))
+            trace.append((step_idx, lr * factor, loss.item(), grad_norm))
             step_idx += 1
     return trace
 
@@ -203,17 +201,22 @@ def _image_doc() -> Document:
     return Document(id="_pretrain_image", modality="image", image_path="<memory>")
 
 
-def _pretrain_loss(model, vocab, sample: PretrainSample, rng):
-    # vqa samples share the answer generator's instruction prompt so the
-    # stage-3 skills transfer to fine-tuning unchanged
-    instruction = None if sample.kind == "vqa" else ""
-    seq = assemble_qa_input(
-        vocab, sample.prompt, [_image_doc()], model.config.n_img_tokens,
-        model.config.lm.max_len, prompt=instruction,
-    )
-    enc = encode_multimodal(model, seq, [sample.image], train=True, rng=rng)
-    target = vocab.encode(sample.target).ids
-    return qa_loss(model, enc, target, train=True, rng=rng)
+def _pretrain_loss(model, vocab, samples: list[PretrainSample], rng):
+    """One stage step's loss: the samples padded into one batch, one encoder
+    pass and one decoder pass."""
+    seqs = []
+    for sample in samples:
+        # vqa samples share the answer generator's instruction prompt so the
+        # stage-3 skills transfer to fine-tuning unchanged
+        instruction = None if sample.kind == "vqa" else ""
+        seqs.append(assemble_qa_input(
+            vocab, sample.prompt, [_image_doc()], model.config.n_img_tokens,
+            model.config.lm.max_len, prompt=instruction,
+        ))
+    enc = encode_multimodal(model, pad_sequences(seqs), [s.image for s in samples],
+                            train=True, rng=rng)
+    targets = pad_sequences([vocab.encode(s.target) for s in samples]).ids
+    return qa_loss(model, enc, targets, train=True, rng=rng)
 
 
 def _stage_optimizer(model, stage: StageConfig) -> AdamW:
@@ -247,11 +250,11 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
     opt = _stage_optimizer(model, stage)
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
-    def example_loss(sample, step_rng, j):
-        return _pretrain_loss(model, vocab, sample, step_rng.child(f"s{j}"))
+    def step_loss(samples, step_rng):
+        return _pretrain_loss(model, vocab, samples, step_rng)
 
     return _train(model, opt, corpus, max(1, stage.global_batch), stage.epochs, rng,
-                  f"stage{stage.stage}", primary_lr, example_loss)
+                  f"stage{stage.stage}", primary_lr, step_loss)
 
 
 def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
@@ -264,14 +267,15 @@ def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConf
     model.set_trainable(("lm.", "cls_head."))
     opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay, include_cls_head=True)])
 
-    def example_loss(inst, step_rng, j):
+    def step_loss(insts, step_rng):
+        (inst,) = insts
         docs, labels = build_training_batch(inst.pool, cfg.global_batch,
                                             step_rng.child("batch"))
         logits = score(model, vocab, inst.question, docs, image_loader=image_loader,
                        train=True, rng=step_rng.child("docs"))
         return reranker_loss(logits, labels)
 
-    return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, example_loss)
+    return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, step_loss)
 
 
 def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> list[Document]:
@@ -287,6 +291,22 @@ def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> li
     return gold + extra
 
 
+def _answer_loss(model, vocab, insts: list[QaInstance], rng, image_loader,
+                 extra_distractors) -> Tensor:
+    """One QA fine-tune step's loss: each question with its gold contexts and
+    distractors (drawn from ``rng``'s stream ``x{j}/ctx`` for member j),
+    padded into one batch for one encoder and one decoder pass."""
+    seqs, images = [], []
+    for j, inst in enumerate(insts):
+        contexts = _qa_train_contexts(inst, extra_distractors, rng.child(f"x{j}").child("ctx"))
+        seq, imgs = qa_input(model, vocab, inst.question, contexts, image_loader)
+        seqs.append(seq)
+        images.extend(imgs)
+    enc = encode_multimodal(model, pad_sequences(seqs), images, train=True, rng=rng)
+    targets = pad_sequences([vocab.encode(inst.answers[0]) for inst in insts]).ids
+    return qa_loss(model, enc, targets, train=True, rng=rng)
+
+
 def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
                 ) -> list[tuple[int, float, float, float]]:
@@ -296,16 +316,11 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
     model.set_trainable(("lm.",))
     opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay)])
 
-    def example_loss(inst, step_rng, j):
-        ex_rng = step_rng.child(f"x{j}")
-        contexts = _qa_train_contexts(inst, extra_distractors, ex_rng.child("ctx"))
-        enc = encode_contexts(model, vocab, inst.question, contexts, image_loader,
-                              train=True, rng=ex_rng)
-        target = vocab.encode(inst.answers[0]).ids
-        return qa_loss(model, enc, target, train=True, rng=ex_rng)
+    def step_loss(insts, step_rng):
+        return _answer_loss(model, vocab, insts, step_rng, image_loader, extra_distractors)
 
     return _train(model, opt, dataset, max(1, cfg.global_batch), cfg.epochs, rng, "qa",
-                  cfg.lr, example_loss)
+                  cfg.lr, step_loss)
 
 
 def write_trace_csv(trace, path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from fusionqa.images import Image
 from fusionqa.model import transformer_block
-from fusionqa.tensor import Tensor, add, dropout, grad_enabled, layer_norm, matmul
+from fusionqa.tensor import Tensor, add, dropout, grad_enabled, layer_norm, linear
 
 
 def patchify(img: Image, patch_size: int) -> np.ndarray:
@@ -44,10 +44,8 @@ def encode_image(model, img: Image, train: bool = False, rng=None) -> Tensor:
         raise ValueError(
             f"image yields {patches.shape[0]} patches, config expects {cfg.n_patches}"
         )
-    x = add(
-        matmul(Tensor(patches, dtype=model.dtype), model.params["vision.patch_proj.weight"]),
-        model.params["vision.patch_proj.bias"],
-    )
+    x = linear(Tensor(patches, dtype=model.dtype), model.params["vision.patch_proj.weight"],
+               model.params["vision.patch_proj.bias"])
     x = add(x, model.params["vision.pos_emb"])
     x = dropout(x, model.config.lm.dropout_rate, rng=rng, train=train)
     for i in range(cfg.n_layers):

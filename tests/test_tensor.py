@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionqa import tensor
 from fusionqa.tensor import (
     Rng,
     ShapeError,
     Tensor,
     add,
+    attention_probs,
     backward,
     bce_with_logits,
     concat,
@@ -20,13 +22,12 @@ from fusionqa.tensor import (
     gelu,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
-    scale,
     reshape,
     slice_,
-    softmax_lastdim,
     take_rows,
     tanh,
     transpose,
@@ -40,8 +41,8 @@ def t64(data, requires_grad=True):
 
 class TestForward:
     def test_softmax_symmetry(self):
-        out = softmax_lastdim(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        out = attention_probs(Tensor(np.zeros((1, 3))), Tensor(np.ones((2, 3))), 1.0)
+        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_matmul_identity(self):
         rng = Rng(3)
@@ -221,8 +222,9 @@ class TestGradCheck:
             params = [t64(rng.normal((6,)))]
             fn = lambda ps: tsum(gelu(ps[0]))
         elif name == "softmax":
-            params = [t64(rng.normal((2, 5)))]
-            fn = lambda ps: tsum(mul(softmax_lastdim(ps[0]), softmax_lastdim(ps[0])))
+            params = [t64(rng.normal((2, 3))), t64(rng.normal((5, 3)))]
+            fn = lambda ps: tsum(mul(attention_probs(ps[0], ps[1], 0.7),
+                                     attention_probs(ps[0], ps[1], 0.7)))
         elif name == "layer_norm":
             x, g, b = t64(rng.normal((3, 7))), t64(rng.normal((7,))), t64(rng.normal((7,)))
             fn = lambda ps: tsum(tanh(layer_norm(ps[0], ps[1], ps[2])))
@@ -265,19 +267,164 @@ class TestGradCheck:
         x = t64(np.linspace(-1, 1, 16))
 
         def fn(ps):
-            return scale(tsum(dropout(ps[0], 0.25, rng=Rng(123), train=True)), 1 / 16)
+            return tsum(dropout(ps[0], 0.25, rng=Rng(123), train=True))
 
         assert grad_check(fn, [x], eps=1e-4) < 1e-8
+
+
+def _scale_reference(a, c):
+    """The removed ``scale`` op, kept as the reference the fused ops replay."""
+    return tensor._out(a.data * c, (a,), lambda g: (g * c,))
+
+
+def _softmax_reference(a):
+    """The removed ``softmax_lastdim`` op, the same way."""
+    x = a.data
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return (s * (g - dot),)
+
+    return tensor._out(s, (a,), vjp)
+
+
+def _attention_reference(q, k, c, mask):
+    """attention_probs as the model composed it before the fused op."""
+    lead = tuple(range(k.ndim - 2))
+    scores = _scale_reference(matmul(q, transpose(k, lead + (k.ndim - 1, k.ndim - 2))), c)
+    if mask is not None:
+        if mask.ndim == scores.ndim:
+            mask = Tensor._wrap(np.broadcast_to(mask.data, scores.shape))
+        scores = add(scores, mask)
+    return _softmax_reference(scores)
+
+
+def _key_mask(batch, length, rng):
+    """A (B, 1, 1, L) additive key mask hiding a random tail of each row."""
+    keep = rng.integers(1, length + 1, size=batch)
+    row = np.where(np.arange(length)[None, :] < keep[:, None], 0.0, -np.inf)
+    return row[:, None, None, :]
+
+
+# (q shape, k shape, mask kind): 2-D, 3-D and 4-D operands; no mask, a
+# causal (Lq, Lk) mask, and a (B, 1, 1, Lk) key mask
+ATTENTION_CASES = [
+    ((4, 3), (6, 3), None),
+    ((5, 3), (5, 3), "causal"),
+    ((2, 4, 3), (2, 6, 3), None),
+    ((2, 5, 3), (2, 5, 3), "causal"),
+    ((3, 2, 4, 3), (3, 2, 6, 3), None),
+    ((3, 2, 5, 3), (3, 2, 5, 3), "causal"),
+    ((3, 2, 4, 3), (3, 2, 6, 3), "key"),
+]
+
+
+def _attention_inputs(q_shape, k_shape, kind, dtype, seed=0):
+    rng = Rng(seed)
+    q = Tensor(rng.normal(q_shape), requires_grad=True, dtype=dtype)
+    k = Tensor(rng.normal(k_shape), requires_grad=True, dtype=dtype)
+    lq, lk = q_shape[-2], k_shape[-2]
+    mask = None
+    if kind == "causal":
+        mask = Tensor(np.triu(np.full((lq, lk), -np.inf), k=1), dtype=dtype)
+    elif kind == "key":
+        mask = Tensor(_key_mask(q_shape[0], lk, rng), dtype=dtype)
+    return q, k, mask
+
+
+def _grads(out_fn, params, upstream):
+    """Forward value and every parameter's gradient of sum(out * upstream)."""
+    for p in params:
+        p.grad = None
+    out = out_fn()
+    backward(tsum(mul(out, Tensor(upstream, dtype=out.data.dtype))))
+    return out.data, [p.grad for p in params]
+
+
+class TestFusedOps:
+    """The fused ops give the composed ops' values and gradients bit for bit
+    in float32, and pass a float64 gradient check."""
+
+    @pytest.mark.parametrize("x_shape", [(5, 8), (3, 5, 8), (2, 3, 5, 8)],
+                             ids=["2d", "3d", "4d"])
+    def test_linear_matches_matmul_then_add(self, x_shape):
+        rng = Rng(len(x_shape))
+        x = Tensor(rng.normal(x_shape), requires_grad=True)
+        w = Tensor(rng.normal((8, 6)), requires_grad=True)
+        b = Tensor(rng.normal((6,)), requires_grad=True)
+        upstream = rng.normal(x_shape[:-1] + (6,))
+        fused = _grads(lambda: linear(x, w, b), [x, w, b], upstream)
+        composed = _grads(lambda: add(matmul(x, w), b), [x, w, b], upstream)
+        assert fused[0].dtype == np.float32
+        assert np.array_equal(fused[0], composed[0])
+        for got, want in zip(fused[1], composed[1]):
+            assert np.array_equal(got, want)
+
+    def test_linear_through_a_transposed_weight(self):
+        # the lm head and the reranker head multiply by a transposed (out, in) weight
+        rng = Rng(4)
+        x = Tensor(rng.normal((2, 5, 8)), requires_grad=True)
+        w = Tensor(rng.normal((6, 8)), requires_grad=True)
+        b = Tensor(rng.normal((6,)), requires_grad=True)
+        upstream = rng.normal((2, 5, 6))
+        fused = _grads(lambda: linear(x, transpose(w, (1, 0)), b), [x, w, b], upstream)
+        composed = _grads(lambda: add(matmul(x, transpose(w, (1, 0))), b), [x, w, b], upstream)
+        assert np.array_equal(fused[0], composed[0])
+        for got, want in zip(fused[1], composed[1]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q_shape, k_shape, kind", ATTENTION_CASES)
+    def test_attention_probs_matches_composed_ops(self, q_shape, k_shape, kind):
+        q, k, mask = _attention_inputs(q_shape, k_shape, kind, np.float32)
+        upstream = Rng(1).normal(q_shape[:-1] + (k_shape[-2],))
+        c = 1.0 / math.sqrt(q_shape[-1])
+        fused = _grads(lambda: attention_probs(q, k, c, mask), [q, k], upstream)
+        composed = _grads(lambda: _attention_reference(q, k, c, mask), [q, k], upstream)
+        assert fused[0].dtype == np.float32
+        assert np.array_equal(fused[0], composed[0])
+        for got, want in zip(fused[1], composed[1]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q_shape, k_shape, kind", ATTENTION_CASES)
+    def test_attention_probs_grad_check(self, q_shape, k_shape, kind):
+        q, k, mask = _attention_inputs(q_shape, k_shape, kind, np.float64, seed=2)
+        weights = Tensor(Rng(3).normal(q_shape[:-1] + (k_shape[-2],)), dtype=np.float64)
+        fn = lambda ps: tsum(mul(attention_probs(ps[0], ps[1], 0.6, mask), weights))
+        assert grad_check(fn, [q, k], eps=1e-5) < 1e-7
+
+    def test_linear_grad_check(self):
+        rng = Rng(6)
+        params = [t64(rng.normal((2, 3, 4))), t64(rng.normal((4, 5))), t64(rng.normal((5,)))]
+        fn = lambda ps: tsum(tanh(linear(ps[0], ps[1], ps[2])))
+        assert grad_check(fn, params, eps=1e-5) < 1e-7
+
+    def test_shape_errors_name_the_op(self):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+        with pytest.raises(ShapeError, match="attention_probs"):
+            attention_probs(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), 1.0)
+        with pytest.raises(ShapeError, match=r"attention_probs: mask \(3,\)"):
+            attention_probs(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), 1.0,
+                            Tensor(np.zeros(3)))
 
 
 class TestProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-30, 30))
     @settings(max_examples=100, deadline=None)
     def test_softmax_rows_sum_to_one_and_shift_invariant(self, row, c):
-        x = np.array(row, dtype=np.float64)
-        s = softmax_lastdim(Tensor(x, dtype=np.float64)).data
+        # with a one-dimensional unit query the scores are the keys themselves,
+        # and a constant mask row shifts every score by c
+        one = Tensor(np.ones((1, 1)), dtype=np.float64)
+        keys = Tensor(np.array(row)[:, None], dtype=np.float64)
+        s = attention_probs(one, keys, 1.0).data
         assert abs(s.sum() - 1.0) < 1e-6
-        shifted = softmax_lastdim(Tensor(x + c, dtype=np.float64)).data
+        shift = Tensor(np.full((1, len(row)), c), dtype=np.float64)
+        shifted = attention_probs(one, keys, 1.0, shift).data
         assert np.max(np.abs(s - shifted)) < 1e-6
 
     @given(st.integers(0, 2**63 - 1))

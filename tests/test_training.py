@@ -25,7 +25,8 @@ from fusionqa.synthetic import (
     render_scene,
     vqa_samples,
 )
-from fusionqa.tensor import Rng, Tensor
+from fusionqa.reranker import build_training_batch, reranker_loss, score
+from fusionqa.tensor import Rng, Tensor, backward
 from fusionqa.tokenizer import Vocab
 from fusionqa import training
 from fusionqa.training import (
@@ -488,6 +489,84 @@ class TestFrozenVisionMemo:
         encoded = count_encode_image(monkeypatch)
         run_pretrain_stage(model, vocab, _stage_config(phase, len(corpus)), corpus, Rng(1))
         assert len(encoded) == (2 * len(corpus) if every_visit else len(samples))
+
+
+_PHASE_TRAINABLE = {"stage1": ("vision.",), "stage2": ("vision.", "lm."), "stage3": ("lm.",),
+                    "reranker": ("lm.", "cls_head."), "qa": ("lm.",)}
+
+
+def _phase_members(corpora, model, vocab, phase):
+    """(members, loss of a member list) for one ragged step of ``phase``."""
+    rng = Rng(11)
+    loader = make_image_loader()
+    if phase.startswith("stage"):
+        samples = load_pretrain_corpus(corpora / f"pretrain_{phase}.jsonl")
+        assert len({len(vocab.token_ids(s.prompt)) for s in samples}) > 1  # ragged inputs
+        return samples, lambda ms: training._pretrain_loss(model, vocab, ms, rng)
+    insts = load_dataset(corpora / "qa_train.jsonl")
+    if phase == "qa":
+        return insts, lambda ms: training._answer_loss(model, vocab, ms, rng, loader, 0)
+    docs, labels = build_training_batch(insts[0].pool, 4, Rng(0))
+
+    def loss(ms):
+        logits = score(model, vocab, insts[0].question, [d for d, _ in ms],
+                       image_loader=loader, train=True, rng=rng)
+        return reranker_loss(logits, [label for _, label in ms])
+
+    return list(zip(docs, labels)), loss
+
+
+def _loss_and_grads(model, loss_fn):
+    model.zero_grads()
+    loss = loss_fn()
+    backward(loss)
+    return loss.item(), {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+
+
+class TestOneGraphPerStep:
+    """Every phase builds one graph per step from its padded members; the
+    result is the per-member path's mean loss and mean gradient."""
+
+    @pytest.mark.parametrize("phase", ["stage1", "stage2", "stage3", "reranker", "qa"])
+    def test_batched_step_matches_per_member(self, image_corpora, phase):
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        model = _tiny_image_model(vocab, 4)
+        model.set_trainable(_PHASE_TRAINABLE[phase])
+        members, loss_fn = _phase_members(image_corpora, model, vocab, phase)
+        batched_loss, batched = _loss_and_grads(model, lambda: loss_fn(members))
+        singles = [_loss_and_grads(model, lambda: loss_fn([m])) for m in members]
+        assert abs(batched_loss - np.mean([loss for loss, _ in singles])) < 1e-5
+        assert sorted(batched) == sorted(singles[0][1])
+        for name, grad in batched.items():
+            per_member = np.mean([g[name] for _, g in singles], axis=0)
+            np.testing.assert_allclose(grad, per_member, rtol=0, atol=1e-5, err_msg=name)
+
+    @pytest.mark.parametrize("phase", ["stage1", "stage2", "stage3", "reranker", "qa"])
+    def test_one_backward_per_step(self, image_corpora, monkeypatch, phase):
+        calls = []
+        real_backward = training.backward
+
+        def counting_backward(loss):
+            calls.append(loss)
+            return real_backward(loss)
+
+        monkeypatch.setattr(training, "backward", counting_backward)
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        model = _tiny_image_model(vocab, 5)
+        if phase.startswith("stage"):
+            corpus = load_pretrain_corpus(image_corpora / f"pretrain_{phase}.jsonl")
+            stage = StageConfig(int(phase[-1]), {"stage1": "VE", "stage2": "VE+LM",
+                                                 "stage3": "LM"}[phase],
+                                4, 2, None if phase == "stage1" else 1e-3,
+                                None if phase == "stage3" else 1e-3, 0.5)
+            trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(1))
+        else:
+            fn = finetune_qa if phase == "qa" else finetune_reranker
+            trace = fn(model, vocab, load_dataset(image_corpora / "qa_train.jsonl"),
+                       FinetuneConfig(phase, 2 if phase == "qa" else 4, 2, 1e-3), Rng(1),
+                       image_loader=make_image_loader())
+        assert len(trace) > 2
+        assert len(calls) == len(trace)
 
 
 class TestDeskConfigs:
