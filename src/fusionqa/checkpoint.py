@@ -1,13 +1,16 @@
 """Binary model checkpoints: named float32 tensors plus a config snapshot.
 
-Layout: magic 'FQCK' | u32 format version | u64 header length | header JSON
-(sorted keys; config snapshot and a name -> {shape, offset, crc32} table;
-offsets in bytes into the payload, crc32 the zlib CRC-32 of the tensor's
-bytes) | payload of little-endian IEEE-754 float32 values.
+Layout (format 3): magic 'FQCK' | u32 format version | u64 header length |
+u32 CRC-32 of the header bytes | header JSON (sorted keys; config snapshot
+and a name -> {shape, offset, crc32} table; offsets in bytes into the
+payload, crc32 the zlib CRC-32 of the tensor's bytes) | payload of
+little-endian IEEE-754 float32 values.
 
-Files are written in format 2. Format 1 files still load: they carry no
-CRC-32s, and their config snapshot holds a vision ``llrd_factor`` that
-nothing reads, which the loader drops.
+Files are written in format 3. Older files still load: format 2 has the
+same header but no header CRC (a 16-byte preamble); format 1 also has no
+tensor CRC-32s, so a format-1 table that holds one is a changed version
+field and is rejected, and its config snapshot holds a vision
+``llrd_factor`` that nothing reads, which the loader drops.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -26,8 +29,9 @@ from fusionqa.model import MultimodalTransformer, parameter_shapes
 from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
-FORMAT_VERSION = 2
-_PREAMBLE = 16  # magic, u32 version, u64 header length
+FORMAT_VERSION = 3
+# magic, u32 version, u64 header length, and from format 3 a u32 header CRC-32
+_PREAMBLE = {1: 16, 2: 16, 3: 20}
 
 
 def save_checkpoint(model: MultimodalTransformer, path):
@@ -52,6 +56,7 @@ def save_checkpoint(model: MultimodalTransformer, path):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(struct.pack("<I", zlib.crc32(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
@@ -63,34 +68,45 @@ def load_checkpoint(path) -> MultimodalTransformer:
 
     Any malformed file raises ValueError naming the file and the byte offset
     or header key at fault: the tensors must tile the payload exactly, with
-    no overlap, gap or trailing byte, and in format 2 each tensor's bytes
-    must match its CRC-32.
+    no overlap, gap or trailing byte; from format 2 each tensor's bytes must
+    match its CRC-32, and from format 3 the header bytes must match theirs.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"checkpoint {path}: bad magic {raw[:4]!r}")
-    if len(raw) < _PREAMBLE:
-        raise ValueError(
-            f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {_PREAMBLE}-byte preamble"
-        )
+    if len(raw) < 8:
+        raise ValueError(f"checkpoint {path}: file is {len(raw)} bytes, too short for a format version")
     (version,) = struct.unpack_from("<I", raw, 4)
-    if version not in (1, FORMAT_VERSION):
+    if version not in _PREAMBLE:
         raise ValueError(
-            f"checkpoint {path}: format version {version} unsupported (expected 1 or {FORMAT_VERSION})"
+            f"checkpoint {path}: format version {version} unsupported (expected 1, 2 or {FORMAT_VERSION})"
+        )
+    preamble = _PREAMBLE[version]
+    if len(raw) < preamble:
+        raise ValueError(
+            f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {preamble}-byte preamble"
         )
     (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header_end = _PREAMBLE + header_len
+    header_end = preamble + header_len
     if header_end > len(raw):
         raise ValueError(
-            f"checkpoint {path}: header of {header_len} bytes at byte {_PREAMBLE} "
+            f"checkpoint {path}: header of {header_len} bytes at byte {preamble} "
             f"runs past the end of the file at byte {len(raw)}"
         )
+    header_bytes = raw[preamble:header_end]
+    if version >= 3:
+        (recorded,) = struct.unpack_from("<I", raw, 16)
+        if (crc := zlib.crc32(header_bytes)) != recorded:
+            raise ValueError(
+                f"checkpoint {path}: header at bytes {preamble}..{header_end} has CRC-32 {crc}, "
+                f"the preamble records {recorded}"
+            )
     try:
-        header = json.loads(raw[_PREAMBLE:header_end].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ValueError(
-            f"checkpoint {path}: header at byte {_PREAMBLE} is not UTF-8 JSON: {exc}"
+            f"checkpoint {path}: header at byte {preamble} is not UTF-8 JSON: {exc}"
         ) from None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint {path}: header is not a JSON object")
@@ -120,6 +136,11 @@ def load_checkpoint(path) -> MultimodalTransformer:
     spans = []
     for name, spec in table.items():
         spec = spec if isinstance(spec, dict) else {}
+        if version == 1 and "crc32" in spec:
+            raise ValueError(
+                f"checkpoint {path}: tensor {name} has a crc32, which format 1 never "
+                "wrote; the version field was changed"
+            )
         shape, offset = spec.get("shape"), spec.get("offset")
         if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise ValueError(

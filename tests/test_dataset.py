@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -27,6 +29,27 @@ from conftest import make_tiny_config
 # save_checkpoint from MultimodalTransformer.build(V1_CONFIG, Rng(7)).
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_v1.ckpt")
 V1_CONFIG = make_tiny_config(16, d=4, heads=2, image_size=8, patch=4, max_len=8)
+
+
+def _header(raw):
+    """(header, header end) of checkpoint bytes in format 3 (20-byte
+    preamble) or an older format (16 bytes)."""
+    preamble = 20 if struct.unpack_from("<I", raw, 4)[0] >= 3 else 16
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[preamble:preamble + header_len].decode()), preamble + header_len
+
+
+def _with_header(raw, header) -> bytes:
+    """Format-3 checkpoint bytes with the header replaced and its CRC-32
+    recomputed, so that the loader's later checks see the edit."""
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (raw[:8] + struct.pack("<Q", len(new)) + struct.pack("<I", zlib.crc32(new)) + new
+            + raw[_header(raw)[1]:])
+
+
+def _as_format2(raw) -> bytes:
+    """Format-3 checkpoint bytes rewritten in format 2: no header CRC."""
+    return raw[:4] + struct.pack("<I", 2) + raw[8:16] + raw[20:]
 
 
 def _write_jsonl(path, records):
@@ -226,35 +249,15 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_tampered_shape_names_tensor(self, tmp_path, tiny_vocab):
-        import struct
-
-        model = self._model(tiny_vocab)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode())
-        header["tensors"]["cls_head.b1"]["shape"] = [7]
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        rebuilt = raw[:8] + struct.pack("<Q", len(new_header)) + new_header \
-            + raw[16 + header_len:]
-        path.write_bytes(rebuilt)
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["tensors"]["cls_head.b1"].update(shape=[7]))
         with pytest.raises(ValueError, match="cls_head.b1"):
             load_checkpoint(path)
 
     def test_unknown_tensor_rejected(self, tmp_path, tiny_vocab):
-        import struct
-
-        model = self._model(tiny_vocab)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode())
-        header["tensors"]["rogue.weight"] = {"shape": [1], "offset": 0}
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header
-                         + raw[16 + header_len:])
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(
+            path, lambda h: h["tensors"].update({"rogue.weight": {"shape": [1], "offset": 0}}))
         with pytest.raises(ValueError, match="rogue.weight"):
             load_checkpoint(path)
 
@@ -265,16 +268,14 @@ class TestCheckpoint:
 
     @staticmethod
     def _edit_header(path, edit):
-        import struct
-
+        """Apply ``edit`` to the saved header, recomputing its CRC-32; returns
+        the new header end."""
         raw = path.read_bytes()
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode())
+        header, _ = _header(raw)
         edit(header)
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(new_header)) + new_header
-                         + raw[16 + header_len:])
-        return 16 + len(new_header)
+        rebuilt = _with_header(raw, header)
+        path.write_bytes(rebuilt)
+        return _header(rebuilt)[1]
 
     def test_short_file_names_size(self, tmp_path):
         p = tmp_path / "short.ckpt"
@@ -365,9 +366,8 @@ class TestCheckpoint:
     def test_flipped_payload_byte_names_tensor(self, tmp_path, tiny_vocab):
         path = self._saved(tmp_path, tiny_vocab)
         raw = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<Q", raw, 8)
-        header = json.loads(raw[16:16 + header_len].decode())
-        start = 16 + header_len + header["tensors"]["cls_head.b1"]["offset"]
+        header, header_end = _header(raw)
+        start = header_end + header["tensors"]["cls_head.b1"]["offset"]
         raw[start + 2] ^= 0x40
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=rf"m.ckpt: tensor cls_head.b1 at bytes {start}\.\."
@@ -384,8 +384,35 @@ class TestCheckpoint:
     def test_unsupported_version(self, tmp_path, tiny_vocab):
         path = self._saved(tmp_path, tiny_vocab)
         raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
-        with pytest.raises(ValueError, match=r"format version 3 unsupported \(expected 1 or 2\)"):
+        path.write_bytes(raw[:4] + struct.pack("<I", 4) + raw[8:])
+        with pytest.raises(ValueError, match=r"format version 4 unsupported \(expected 1, 2 or 3\)"):
+            load_checkpoint(path)
+
+    def test_header_edit_fails_its_crc(self, tmp_path, tiny_vocab):
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"n_heads":2', b'"n_heads":4', 1))
+        with pytest.raises(ValueError, match=r"m.ckpt: header at bytes 20\.\.\d+ has CRC-32 \d+, "
+                                             r"the preamble records \d+"):
+            load_checkpoint(path)
+
+    def test_v2_file_loads_bit_exact(self, tmp_path, tiny_vocab):
+        model = self._model(tiny_vocab)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(_as_format2(path.read_bytes()))
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_format1_table_with_crc_rejected(self, tmp_path, tiny_vocab):
+        # a format-2 file whose version field reads 1 would skip every CRC
+        path = self._saved(tmp_path, tiny_vocab)
+        raw = _as_format2(path.read_bytes())
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match=r"m.ckpt: tensor \S+ has a crc32, which format 1 "
+                                             r"never wrote"):
             load_checkpoint(path)
 
     def test_v2_rejects_vision_llrd_factor(self, tmp_path, tiny_vocab):
@@ -394,7 +421,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"unknown vision config fields \['llrd_factor'\]"):
             load_checkpoint(path)
 
-    def test_v1_file_loads_and_resaves_as_v2_bit_exact(self, tmp_path):
+    def test_v1_file_loads_and_resaves_bit_exact(self, tmp_path):
         raw = open(V1_FIXTURE, "rb").read()
         assert struct.unpack_from("<I", raw, 4) == (1,) and b'"llrd_factor":0.5' in raw
         v1 = load_checkpoint(V1_FIXTURE)
@@ -405,14 +432,14 @@ class TestCheckpoint:
             digest.update(v1.params[name].data.tobytes())
         assert digest.hexdigest() == "e3051c43a985372f94054538afb9634d"
 
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / "v3.ckpt"
         save_checkpoint(v1, path)
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
-        v2 = load_checkpoint(path)
-        assert v2.config == v1.config
-        assert sorted(v2.params) == sorted(v1.params)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+        v3 = load_checkpoint(path)
+        assert v3.config == v1.config
+        assert sorted(v3.params) == sorted(v1.params)
         for name, p in v1.params.items():
-            assert v2.params[name].data.tobytes() == p.data.tobytes()
+            assert v3.params[name].data.tobytes() == p.data.tobytes()
 
     def test_base_profile_checkpoint_config(self, tmp_path):
         # shape table only; the base profile itself is too large to allocate here
@@ -426,12 +453,12 @@ class TestCheckpoint:
 
 
 @pytest.fixture(scope="module")
-def tiny_v2_checkpoint(tmp_path_factory):
-    """(path, bytes, header end) of the v1 fixture saved in format 2."""
-    path = tmp_path_factory.mktemp("fuzz") / "v2.ckpt"
+def tiny_checkpoint(tmp_path_factory):
+    """(path, bytes, header end) of the v1 fixture saved in the current format."""
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
     save_checkpoint(load_checkpoint(V1_FIXTURE), path)
     raw = path.read_bytes()
-    return path, raw, 16 + struct.unpack_from("<Q", raw, 8)[0]
+    return path, raw, _header(raw)[1]
 
 
 class TestCheckpointFuzz:
@@ -441,8 +468,8 @@ class TestCheckpointFuzz:
     @given(st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_mutated_file_loads_or_raises_value_error(self, tiny_v2_checkpoint, data):
-        path, raw, header_end = tiny_v2_checkpoint
+    def test_mutated_file_loads_or_raises_value_error(self, tiny_checkpoint, data):
+        path, raw, header_end = tiny_checkpoint
         kind = data.draw(st.sampled_from(["truncate", "flip", "append", "digit"]))
         if kind == "truncate":
             mutated = raw[:data.draw(st.integers(0, len(raw) - 1))]
@@ -452,7 +479,7 @@ class TestCheckpointFuzz:
             mutated = bytearray(raw)
             mutated[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
         else:
-            digits = [i for i in range(16, header_end) if raw[i:i + 1].isdigit()]
+            digits = [i for i in range(20, header_end) if raw[i:i + 1].isdigit()]
             mutated = bytearray(raw)
             mutated[data.draw(st.sampled_from(digits))] = data.draw(st.sampled_from(b"0123456789"))
         mutated_path = path.with_name("mutated.ckpt")
@@ -465,14 +492,61 @@ class TestCheckpointFuzz:
     @given(st.data())
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_payload_flip_raises(self, tiny_v2_checkpoint, data):
-        path, raw, header_end = tiny_v2_checkpoint
+    def test_payload_flip_raises(self, tiny_checkpoint, data):
+        path, raw, header_end = tiny_checkpoint
         mutated = bytearray(raw)
         mutated[data.draw(st.integers(header_end, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
         mutated_path = path.with_name("flipped.ckpt")
         mutated_path.write_bytes(bytes(mutated))
         with pytest.raises(ValueError, match=r"has CRC-32 \d+, the header records \d+"):
             load_checkpoint(mutated_path)
+
+    @staticmethod
+    def _loader_of(monkeypatch, path):
+        """``load`` of checkpoint bytes from memory: the loader's ``open``
+        serves them, so no file is written per mutation."""
+        import fusionqa.checkpoint as checkpoint_module
+
+        served = []
+        monkeypatch.setattr(checkpoint_module, "open", lambda *args: io.BytesIO(served[-1]),
+                            raising=False)
+
+        def load(raw):
+            served.append(raw)
+            return load_checkpoint(path)
+
+        return load
+
+    def test_every_header_digit_edit_raises(self, tiny_checkpoint, monkeypatch):
+        # every digit of the header replaced by each other digit in turn
+        path, raw, header_end = tiny_checkpoint
+        load = self._loader_of(monkeypatch, path)
+        loaded = []
+        for i in range(20, header_end):
+            if not raw[i:i + 1].isdigit():
+                continue
+            for digit in b"0123456789":
+                if digit == raw[i]:
+                    continue
+                try:
+                    load(raw[:i] + bytes([digit]) + raw[i + 1:])
+                    loaded.append((i, chr(digit)))
+                except ValueError:
+                    pass
+        assert not loaded, f"{len(loaded)} one-digit header edits loaded, e.g. {loaded[:5]}"
+
+    def test_every_preamble_byte_flip_raises(self, tiny_checkpoint, monkeypatch):
+        path, raw, _ = tiny_checkpoint
+        load = self._loader_of(monkeypatch, path)
+        loaded = []
+        for i in range(20):
+            for mask in range(1, 256):
+                try:
+                    load(raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:])
+                    loaded.append((i, mask))
+                except ValueError:
+                    pass
+        assert not loaded, f"{len(loaded)} preamble byte flips loaded, e.g. {loaded[:5]}"
 
 
 class TestMetrics:
