@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -250,11 +251,8 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
     opt = _stage_optimizer(model, stage)
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
-    def step_loss(samples, step_rng):
-        return _pretrain_loss(model, vocab, samples, step_rng)
-
     return _train(model, opt, corpus, max(1, stage.global_batch), stage.epochs, rng,
-                  f"stage{stage.stage}", primary_lr, step_loss)
+                  f"stage{stage.stage}", primary_lr, partial(_pretrain_loss, model, vocab))
 
 
 def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
@@ -316,9 +314,8 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
     model.set_trainable(("lm.",))
     opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay)])
 
-    def step_loss(insts, step_rng):
-        return _answer_loss(model, vocab, insts, step_rng, image_loader, extra_distractors)
-
+    step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
+                        extra_distractors=extra_distractors)
     return _train(model, opt, dataset, max(1, cfg.global_batch), cfg.epochs, rng, "qa",
                   cfg.lr, step_loss)
 
