@@ -312,13 +312,13 @@ def _key_mask(batch, length, rng):
 # (q shape, k shape, mask kind): 2-D, 3-D and 4-D operands; no mask, a
 # causal (Lq, Lk) mask, and a (B, 1, 1, Lk) key mask
 ATTENTION_CASES = [
-    ((4, 3), (6, 3), None),
-    ((5, 3), (5, 3), "causal"),
-    ((2, 4, 3), (2, 6, 3), None),
-    ((2, 5, 3), (2, 5, 3), "causal"),
-    ((3, 2, 4, 3), (3, 2, 6, 3), None),
-    ((3, 2, 5, 3), (3, 2, 5, 3), "causal"),
-    ((3, 2, 4, 3), (3, 2, 6, 3), "key"),
+    pytest.param((4, 3), (6, 3), None, id="2d"),
+    pytest.param((5, 3), (5, 3), "causal", id="2d_causal"),
+    pytest.param((2, 4, 3), (2, 6, 3), None, id="3d"),
+    pytest.param((2, 5, 3), (2, 5, 3), "causal", id="3d_causal"),
+    pytest.param((3, 2, 4, 3), (3, 2, 6, 3), None, id="4d"),
+    pytest.param((3, 2, 5, 3), (3, 2, 5, 3), "causal", id="4d_causal"),
+    pytest.param((3, 2, 4, 3), (3, 2, 6, 3), "key", id="4d_key_mask"),
 ]
 
 
