@@ -1,9 +1,7 @@
 """Command-line surface.
 
 Subcommands: gen-synthetic, pretrain, finetune-reranker, finetune-qa,
-rerank, answer, eval. The seed can be overridden globally through the
-FUSIONQA_SEED environment variable. Exit code is 0 only when every input
-validates.
+rerank, answer, eval. Exit code is 0 only when every input validates.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from fusionqa.config import (
     model_profile,
     pretrain_stage_defaults,
 )
-from fusionqa.dataset import doc_from_json, instance_from_json, load_dataset
+from fusionqa.dataset import doc_from_json, load_dataset
 from fusionqa.generator import generate
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, rerank
@@ -36,11 +34,6 @@ from fusionqa.training import (
     run_pretrain_stage,
     write_trace_csv,
 )
-
-
-def _seed(args) -> int:
-    env = os.environ.get("FUSIONQA_SEED")
-    return int(env) if env is not None else args.seed
 
 
 def _load_model_and_vocab(model_path, vocab_path):
@@ -56,7 +49,7 @@ def _load_model_and_vocab(model_path, vocab_path):
 
 def _cmd_gen_synthetic(args):
     manifest = generate_corpora(
-        args.out, seed=_seed(args), n_entities=args.entities,
+        args.out, seed=args.seed, n_entities=args.entities,
         n_captions=args.captions, n_vqa=args.vqa,
         n_train=args.train_questions, n_heldout=args.heldout_questions,
         vocab_size=args.vocab_size, answer_style=args.style,
@@ -72,14 +65,14 @@ def _cmd_pretrain(args):
         model = load_checkpoint(args.init)
     else:
         config = model_profile(args.profile, vocab_size=vocab.size)
-        model = MultimodalTransformer.build(config, Rng(_seed(args)).child("init"))
+        model = MultimodalTransformer.build(config, Rng(args.seed).child("init"))
     stage = desk_stage_config(args.stage) if args.profile == "desk" \
         else pretrain_stage_defaults(args.stage)
     if args.epochs is not None:
         stage.epochs = args.epochs
     if args.batch is not None:
         stage.global_batch = args.batch
-    trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(_seed(args)))
+    trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(args.seed))
     save_checkpoint(model, args.out)
     if args.trace:
         write_trace_csv(trace, args.trace)
@@ -100,10 +93,10 @@ def _cmd_finetune(args, task):
         cfg.lr = args.lr
     loader = make_image_loader()
     if task == "reranker":
-        trace = finetune_reranker(model, vocab, dataset, cfg, Rng(_seed(args)),
+        trace = finetune_reranker(model, vocab, dataset, cfg, Rng(args.seed),
                                   image_loader=loader)
     else:
-        trace = finetune_qa(model, vocab, dataset, cfg, Rng(_seed(args)),
+        trace = finetune_qa(model, vocab, dataset, cfg, Rng(args.seed),
                             image_loader=loader,
                             extra_distractors=args.extra_distractors)
     save_checkpoint(model, args.out)
@@ -116,20 +109,11 @@ def _cmd_finetune(args, task):
 
 def _cmd_rerank(args):
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
+    dataset = load_dataset(args.input)
     sel = SelectionConfig(tau=args.tau, k=args.top_k)
     loader = make_image_loader()
-    base = os.path.dirname(os.path.abspath(args.input))
-    with open(args.input, "r", encoding="utf-8") as fin, \
-         open(args.output, "w", encoding="utf-8", newline="\n") as fout:
-        for lineno, line in enumerate(fin, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                inst = instance_from_json(json.loads(line), base)
-                inst.validate()
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fout:
+        for inst in dataset:
             retrieved = rerank(inst, model, vocab, sel, loader)
             fout.write(json.dumps({
                 "qid": inst.qid,

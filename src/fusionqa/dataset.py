@@ -8,22 +8,42 @@ import os
 from fusionqa.documents import Document, QaInstance, TableDoc
 
 
+def _string(rec: dict, key: str, required=True):
+    """rec[key] as a string; an optional key may be absent or null (None)."""
+    value = rec[key] if required else rec.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _strings(value, key: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"field {key!r} must be a list of strings")
+    return list(value)
+
+
 def doc_from_json(rec: dict, base_dir: str) -> Document:
     table = None
     if "table" in rec:
         t = rec["table"]
-        table = TableDoc(header=list(t["header"]), rows=[list(r) for r in t["rows"]])
+        rows = t["rows"]
+        if not isinstance(rows, list):
+            raise ValueError("field 'rows' must be a list of rows")
+        table = TableDoc(header=_strings(t["header"], "header"),
+                         rows=[_strings(r, f"rows[{i}]") for i, r in enumerate(rows)])
     image_path = rec.get("image")
     if image_path is not None:
         image_path = os.path.join(base_dir, image_path)
     return Document(
-        id=rec["id"],
-        modality=rec["modality"],
-        text=rec.get("text"),
+        id=_string(rec, "id"),
+        modality=_string(rec, "modality"),
+        text=_string(rec, "text", required=False),
         table=table,
         image_path=image_path,
-        snippet=rec.get("snippet"),
-        label=rec.get("label"),
+        snippet=_string(rec, "snippet", required=False),
+        label=_string(rec, "label", required=False),
     )
 
 
@@ -54,11 +74,11 @@ def instance_to_json(inst: QaInstance) -> dict:
 
 def instance_from_json(rec: dict, base_dir: str = "") -> QaInstance:
     return QaInstance(
-        qid=rec["qid"],
-        question=rec["question"],
+        qid=_string(rec, "qid"),
+        question=_string(rec, "question"),
         pool=[doc_from_json(d, base_dir) for d in rec["pool"]],
-        answers=list(rec.get("answers", [])),
-        gold_ids=list(rec.get("gold_ids", [])),
+        answers=_strings(rec.get("answers", []), "answers"),
+        gold_ids=_strings(rec.get("gold_ids", []), "gold_ids"),
     )
 
 

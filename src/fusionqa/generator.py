@@ -22,13 +22,14 @@ def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Ten
     token); pad positions in the target are excluded from the average.
 
     (B, T) targets, right-padded with ``<pad>`` and decoded against a
-    batched ``enc``, give the mean over rows of each row's mean NLL.
+    batched ``enc``, give the mean over rows of each row's mean NLL. A lone
+    (T,) target is a batch of one.
     """
-    target_ids = np.asarray(target_ids, dtype=np.int64)
+    target_ids = np.atleast_2d(np.asarray(target_ids, dtype=np.int64))
     if target_ids.size == 0:
         raise ValueError("qa_loss: empty target")
-    start = np.full(target_ids.shape[:-1] + (1,), PAD_ID)
-    dec_input = np.concatenate([start, target_ids[..., :-1]], axis=-1)
+    start = np.full((len(target_ids), 1), PAD_ID)
+    dec_input = np.concatenate([start, target_ids[:, :-1]], axis=1)
     logits = decoder_logits(model, enc, dec_input, train=train, rng=rng)
     mask = (target_ids != PAD_ID).astype(np.float64)
     return cross_entropy_logits(logits, target_ids, mask)

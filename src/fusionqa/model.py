@@ -33,20 +33,21 @@ from fusionqa.tensor import (
     take_rows,
     transpose,
 )
+from fusionqa.tokenizer import TokenSequence, pad_sequences
 
 
 @dataclass
 class EncoderStates:
-    states: Tensor  # (L, d) or (B, L, d)
-    attention_mask: np.ndarray
+    states: Tensor  # (B, L, d)
+    attention_mask: np.ndarray  # (B, L)
 
 
 @dataclass
 class DecoderCache:
-    """Incremental-decoding state for one question (one encoder output).
+    """Incremental-decoding state for one encoder output.
 
     ``kv`` maps each decoder attention prefix to its (keys, values), each
-    (heads, L, dh): self-attention grows by the positions of every call,
+    (B, heads, L, dh): self-attention grows by the positions of every call,
     cross-attention is projected from the encoder states once. ``length``
     counts the decoder positions run so far.
     """
@@ -223,22 +224,17 @@ def transformer_block(model, prefix, x, n_heads, mask=None, train=False, rng=Non
 
 
 def key_padding_mask(attention_mask, dtype) -> Tensor | None:
-    """Additive (-inf at padded keys) mask, or None when nothing is padded.
-
-    An (L,) attention mask gives an (L,) row; a (B, L) mask gives
-    (B, 1, 1, L), one row per sequence. A sequence with every key padded
-    raises: its softmax would be all NaN.
+    """Additive (B, 1, 1, L) mask (-inf at padded keys) for a (B, L)
+    attention mask, or None when nothing is padded. A sequence with every
+    key padded raises: its softmax would be all NaN.
     """
     m = np.asarray(attention_mask) != 0
     if m.all():
         return None
-    empty = np.flatnonzero(~m.reshape(-1, m.shape[-1]).any(axis=-1))
+    empty = np.flatnonzero(~m.any(axis=-1))
     if empty.size:
         raise ValueError(f"key_padding_mask: row {int(empty[0])} has every key masked")
-    row = np.where(m, 0.0, -np.inf).astype(dtype)
-    if row.ndim == 2:
-        row = row[:, None, None, :]
-    return Tensor._wrap(row)
+    return Tensor._wrap(np.where(m, 0.0, -np.inf).astype(dtype)[:, None, None, :])
 
 
 def causal_mask(length, dtype, offset=0) -> Tensor | None:
@@ -251,8 +247,7 @@ def causal_mask(length, dtype, offset=0) -> Tensor | None:
 
 
 def embed_tokens(model, seq) -> Tensor:
-    """Embedding rows for a TokenSequence, a TokenBatch or a raw id array;
-    (L, d) or (B, L, d)."""
+    """Embedding rows (B, L, d) for a TokenBatch or a (B, L) id array."""
     ids = np.asarray(getattr(seq, "ids", seq), dtype=np.int64)
     return embedding_lookup(model.params["lm.embed"], ids)
 
@@ -260,16 +255,15 @@ def embed_tokens(model, seq) -> Tensor:
 def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
     """Replace placeholder rows with image embedding rows (no projection).
 
-    ``text_emb`` is (L, d) with ``spans`` a list of (start, length), or
-    (B, L, d) with one such list per sequence; ``image_embs`` follow the
-    spans in order. Position i of a sequence is image_embs[j][i - start_j]
-    inside span j and its text row everywhere else; inputs are left
-    untouched. The text and image rows are concatenated once and the fused
-    matrix is one gather from them; no row is gathered twice.
+    ``text_emb`` is (B, L, d) and ``spans`` holds one list of (start,
+    length) per sequence; ``image_embs`` follow the spans in order.
+    Position i of a sequence is image_embs[j][i - start_j] inside span j
+    and its text row everywhere else; inputs are left untouched. The text
+    and image rows are concatenated once and the fused matrix is one gather
+    from them; no row is gathered twice.
     """
     image_embs = list(image_embs)
-    per_row = spans if text_emb.ndim == 3 else [spans]
-    n_spans = sum(len(row) for row in per_row)
+    n_spans = sum(map(len, spans))
     if len(image_embs) != n_spans:
         raise ValueError(
             f"inject: {len(image_embs)} image matrices for {n_spans} spans"
@@ -279,7 +273,7 @@ def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
     index = np.arange(n_text).reshape(-1, length)
     j = 0
     offset = n_text
-    for row, row_spans in zip(index, per_row):
+    for row, row_spans in zip(index, spans):
         prev_end = 0
         for start, span_len in row_spans:
             emb = image_embs[j]
@@ -297,21 +291,23 @@ def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
             j += 1
     if not image_embs:
         return text_emb
-    text_rows = text_emb if text_emb.ndim == 2 else reshape(text_emb, (n_text, d))
-    return take_rows(concat([text_rows] + image_embs, axis=0),
+    return take_rows(concat([reshape(text_emb, (n_text, d))] + image_embs, axis=0),
                      index.reshape(text_emb.shape[:-1]))
 
 
 def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderStates:
-    """Embed a TokenSequence, or a padded TokenBatch in one pass, encode and
-    inject its images (in span order, row by row), and run the language-model
-    encoder over the fused (L, d) or (B, L, d) sequence."""
+    """Embed a padded TokenBatch in one pass, encode and inject its images
+    (in span order, row by row), and run the language-model encoder over the
+    fused (B, L, d) sequence. A lone TokenSequence runs as a batch of one.
+    """
     # vision imports this module, so the name is looked up at call time
     from fusionqa.vision import image_rows
 
+    if isinstance(seq, TokenSequence):
+        seq = pad_sequences([seq])
     images = list(images)
     spans = seq.image_spans
-    n_spans = sum(map(len, spans)) if seq.ids.ndim == 2 else len(spans)
+    n_spans = sum(map(len, spans))
     if len(images) != n_spans:
         raise ValueError(
             f"sequence has {n_spans} image spans but {len(images)} images given"
@@ -335,22 +331,20 @@ def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderSt
 
 def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None,
                    cache: DecoderCache | None = None) -> Tensor:
-    """Decoder states (T, d) for (T,) ``dec_input_ids``, or (B, T, d) for
-    (B, T) ids over a batched encoder output, one row per sequence.
+    """Decoder states (B, T, d) for (B, T) ``dec_input_ids`` over a batched
+    encoder output, one row per sequence.
 
     Self-attention is causal only: right padding of the ids comes after
     every real position, so no real position sees it. Cross-attention skips
-    the encoder's padded keys. With a cache (unbatched only) the ids are the
-    T positions after the ``cache.length`` already run, and their
-    self-attention K/V are appended to the cache."""
+    the encoder's padded keys. With a cache the ids are the T positions
+    after the ``cache.length`` already run, and their self-attention K/V are
+    appended to the cache."""
     cfg = model.config.lm
     ids = np.asarray(dec_input_ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or enc.states.shape[:-2] != ids.shape[:-1]:
+    if ids.shape[:-1] != enc.states.shape[:-2]:
         raise ValueError(
             f"decoder: ids {ids.shape} do not match encoder states {enc.states.shape}"
         )
-    if ids.ndim == 2 and cache is not None:
-        raise ValueError("decoder: the decoding cache serves one sequence, not a batch")
     if enc.states.shape[-2] == 0:
         raise ValueError("decoder: empty encoder states")
     t_len = ids.shape[-1]
@@ -390,13 +384,13 @@ def _lm_head(model, hidden: Tensor) -> Tensor:
 
 
 def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
-    """(T, V) pre-softmax logits under teacher forcing, or (B, T, V) for
-    (B, T) ids."""
+    """(B, T, V) pre-softmax logits under teacher forcing for (B, T) ids."""
     return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
 
 
 def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | None = None) -> Tensor:
-    """Pre-softmax logits (V,) for the position after the given prefix.
+    """Pre-softmax logits (V,) for the position after the given prefix, a
+    (T,) id list decoded against a one-row ``enc``.
 
     The cache holds the first ``cache.length`` prefix positions of earlier
     steps for this ``enc``; only the rest of the prefix runs, and only its
@@ -415,5 +409,5 @@ def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | Non
             f"decode_step: cache holds {cache.length} positions, "
             f"the prefix has only {len(prefix_ids)}"
         )
-    hidden = decoder_hidden(model, enc, prefix_ids[cache.length:], train=False, cache=cache)
-    return reshape(_lm_head(model, slice_(hidden, (slice(-1, None),))), (-1,))
+    hidden = decoder_hidden(model, enc, prefix_ids[None, cache.length:], train=False, cache=cache)
+    return reshape(_lm_head(model, slice_(hidden, (0, slice(-1, None)))), (-1,))

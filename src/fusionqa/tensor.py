@@ -495,17 +495,17 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, targets, mask=None) -> Tensor:
-    """Token-level cross-entropy from (T, V) logits, averaged over mask; from
-    (B, T, V) logits, the mean over the B rows of each row's masked average.
+    """Token-level cross-entropy from (B, T, V) logits: the mean over the B
+    rows of each row's masked average.
 
-    ``targets`` are integer ids shaped like the logits without their last
-    axis; ``mask`` weights positions (defaults to all ones), and a row with
-    no unmasked position raises. Stable via log-sum-exp; the vjp recomputes
-    the probabilities from the logits rather than keep them.
+    ``targets`` are (B, T) integer ids; ``mask`` weights positions (defaults
+    to all ones), and a row with no unmasked position raises. Stable via
+    log-sum-exp; the vjp recomputes the probabilities from the logits rather
+    than keep them.
     """
     x = logits.data
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"cross_entropy_logits: logits must be (T, V) or (B, T, V), got {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"cross_entropy_logits: logits must be (B, T, V), got {x.shape}")
     vocab = x.shape[-1]
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != x.shape[:-1]:
@@ -515,11 +515,11 @@ def cross_entropy_logits(logits: Tensor, targets, mask=None) -> Tensor:
     m = np.ones(targets.shape, dtype=x.dtype) if mask is None else np.asarray(mask, dtype=x.dtype)
     if m.shape != targets.shape:
         raise ShapeError(f"cross_entropy_logits: {m.shape} mask vs {targets.shape} targets")
-    total = m.sum(axis=-1, keepdims=True)  # (1,) or (B, 1)
+    total = m.sum(axis=-1, keepdims=True)  # (B, 1)
     empty = np.flatnonzero(total <= 0)
     if empty.size:
-        where = f" in row {int(empty[0])}" if x.ndim == 3 else ""
-        raise ValueError(f"cross_entropy_logits: no unmasked target positions{where}")
+        raise ValueError(
+            f"cross_entropy_logits: no unmasked target positions in row {int(empty[0])}")
     rows = total.size
     mx = x.max(axis=-1, keepdims=True)
     lse = mx + np.log(np.exp(x - mx).sum(axis=-1, keepdims=True))

@@ -33,25 +33,19 @@ N_SPECIALS = len(_SPECIAL_RENDER)
 
 @dataclass
 class TokenSequence:
-    """Token ids plus the placeholder runs where image embeddings go."""
+    """Token ids plus the placeholder runs where image embeddings go; only a
+    padded ``TokenBatch`` has an attention mask."""
 
     ids: np.ndarray
     image_spans: list[tuple[int, int]] = field(default_factory=list)
-    attention_mask: np.ndarray = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.attention_mask is None:
-            self.attention_mask = np.ones(len(self.ids), dtype=np.int64)
-        else:
-            self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
 
     def __len__(self):
         return len(self.ids)
 
     def validate(self, max_len=None):
-        if len(self.attention_mask) != len(self.ids):
-            raise ValueError("attention mask length differs from ids length")
         prev_end = 0
         for start, length in self.image_spans:
             if start < prev_end:
@@ -86,7 +80,7 @@ def pad_sequences(seqs) -> TokenBatch:
     mask = np.zeros((len(seqs), length), dtype=np.int64)
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s.ids
-        mask[row, :len(s)] = s.attention_mask
+        mask[row, :len(s)] = 1
     return TokenBatch(ids, mask, [list(s.image_spans) for s in seqs])
 
 

@@ -141,8 +141,8 @@ class TestLoadDataset:
         assert loaded[0].pool[0].text == "x"
         assert loaded[0].answers == ["opal"]
 
-    @given(field=st.integers(0, 5))
-    @settings(max_examples=20, deadline=None)
+    @given(field=st.integers(0, 14))
+    @settings(max_examples=60, deadline=None)
     def test_fuzz_mutated_records(self, field, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("fuzz")
         rec = _valid_record()
@@ -156,6 +156,25 @@ class TestLoadDataset:
             rec["gold_ids"] = ["ghost"]
         elif field == 4:
             rec["pool"][1]["id"] = rec["pool"][0]["id"]
+        # wrong field types that would otherwise load
+        elif field == 6:
+            rec["question"] = 5
+        elif field == 7:
+            rec["qid"] = 7
+        elif field == 8:
+            rec["pool"][0]["text"] = 123
+        elif field == 9:
+            rec["pool"][1]["id"] = 1
+        elif field == 10:
+            rec["pool"][0]["snippet"] = 3
+        elif field == 11:
+            rec["answers"] = "opal"
+        elif field == 12:
+            rec["gold_ids"] = "s"
+        elif field == 13:
+            rec["pool"][1]["table"]["header"] = "ns"
+        elif field == 14:
+            rec["pool"][1]["table"]["rows"] = [["rimek", 5]]
         p = tmp / "f.jsonl"
         _write_jsonl(p, [rec])
         if field == 5:
@@ -166,8 +185,9 @@ class TestLoadDataset:
 
 
 def test_dataset_import_leaves_model_and_training_unloaded():
-    # loading data must not pull in the training stack
-    code = ("import sys, fusionqa.dataset; "
+    # loading data or the tokenizer must not pull in the model or training
+    # stack (model imports tokenizer, so the reverse would be a cycle)
+    code = ("import sys, fusionqa.dataset, fusionqa.tokenizer; "
             "print(sorted(m for m in ('fusionqa.model', 'fusionqa.training') "
             "if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(fusionqa.__file__)))

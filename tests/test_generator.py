@@ -48,6 +48,7 @@ class TestQaLoss:
                    np.array([12, EOS_ID])]
         enc = encode_multimodal(tiny_model, pad_sequences(TokenSequence(x) for x in inputs))
         batch = pad_sequences(TokenSequence(t) for t in targets).ids
+        # each row against a batch of one
         rows = [qa_loss(tiny_model, _enc(tiny_model, x), t).item()
                 for x, t in zip(inputs, targets)]
         assert abs(qa_loss(tiny_model, enc, batch).item() - np.mean(rows)) < 1e-5
@@ -55,8 +56,8 @@ class TestQaLoss:
         logits = decoder_logits(tiny_model, enc, np.concatenate([start, batch[:, :-1]], axis=1))
         for row, (x, t) in enumerate(zip(inputs, targets)):
             alone = decoder_logits(tiny_model, _enc(tiny_model, x),
-                                   np.concatenate([[PAD_ID], t[:-1]]))
-            np.testing.assert_allclose(logits.data[row, :len(t)], alone.data, atol=1e-5)
+                                   [np.concatenate([[PAD_ID], t[:-1]])])
+            np.testing.assert_allclose(logits.data[row, :len(t)], alone.data[0], atol=1e-5)
 
     def test_batched_gradient_check(self, tiny_vocab):
         cfg = make_tiny_config(tiny_vocab.size, d=16, heads=2, layers=1)
@@ -145,7 +146,7 @@ class TestGenerate:
         cap = 16
         prefix, expected = [PAD_ID], []
         for _ in range(cap):
-            nxt = int(np.argmax(decoder_logits(model, enc, prefix).data[-1]))
+            nxt = int(np.argmax(decoder_logits(model, enc, [prefix]).data[0, -1]))
             if nxt == EOS_ID:
                 break
             expected.append(nxt)

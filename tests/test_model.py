@@ -59,45 +59,45 @@ class TestEmbedTokens:
 
 class TestInject:
     def test_single_span(self):
-        text = Tensor(np.arange(4 * 3, dtype=np.float32).reshape(4, 3))
+        text = Tensor(np.arange(4 * 3, dtype=np.float32).reshape(1, 4, 3))
         img = Tensor(np.full((2, 3), -1.0, dtype=np.float32))
-        fused = inject(text, [img], [(1, 2)])
-        np.testing.assert_array_equal(fused.data[0], text.data[0])
-        np.testing.assert_array_equal(fused.data[1:3], img.data)
-        np.testing.assert_array_equal(fused.data[3], text.data[3])
+        fused = inject(text, [img], [[(1, 2)]])
+        np.testing.assert_array_equal(fused.data[0, 0], text.data[0, 0])
+        np.testing.assert_array_equal(fused.data[0, 1:3], img.data)
+        np.testing.assert_array_equal(fused.data[0, 3], text.data[0, 3])
 
     def test_zero_spans_identity(self):
-        text = Tensor(np.random.default_rng(0).normal(size=(5, 4)).astype(np.float32))
-        fused = inject(text, [], [])
+        text = Tensor(np.random.default_rng(0).normal(size=(1, 5, 4)).astype(np.float32))
+        fused = inject(text, [], [[]])
         assert fused is text
 
     def test_two_spans_rows(self):
         rng = np.random.default_rng(2)
-        text = Tensor(rng.normal(size=(8, 2)).astype(np.float32))
+        text = Tensor(rng.normal(size=(1, 8, 2)).astype(np.float32))
         a = Tensor(np.ones((2, 2), dtype=np.float32))
         b = Tensor(np.full((2, 2), 2.0, dtype=np.float32))
-        fused = inject(text, [a, b], [(1, 2), (5, 2)]).data
+        fused = inject(text, [a, b], [[(1, 2), (5, 2)]]).data[0]
         np.testing.assert_array_equal(fused[1:3], a.data)
         np.testing.assert_array_equal(fused[5:7], b.data)
         outside = [0, 3, 4, 7]
-        np.testing.assert_array_equal(fused[outside], text.data[outside])
+        np.testing.assert_array_equal(fused[outside], text.data[0, outside])
 
     def test_mismatched_span_count_rejected(self):
-        text = Tensor(np.zeros((4, 2), dtype=np.float32))
+        text = Tensor(np.zeros((1, 4, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="1 image matrices for 2 spans"):
-            inject(text, [Tensor(np.zeros((2, 2), dtype=np.float32))], [(0, 2), (2, 2)])
+            inject(text, [Tensor(np.zeros((2, 2), dtype=np.float32))], [[(0, 2), (2, 2)]])
 
     def test_mismatched_span_length_rejected(self):
-        text = Tensor(np.zeros((4, 2), dtype=np.float32))
+        text = Tensor(np.zeros((1, 4, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="span 0"):
-            inject(text, [Tensor(np.zeros((3, 2), dtype=np.float32))], [(0, 2)])
+            inject(text, [Tensor(np.zeros((3, 2), dtype=np.float32))], [[(0, 2)]])
 
     def test_inputs_unmodified(self):
         rng = np.random.default_rng(1)
-        text_arr = rng.normal(size=(6, 3)).astype(np.float32)
+        text_arr = rng.normal(size=(1, 6, 3)).astype(np.float32)
         img_arr = rng.normal(size=(2, 3)).astype(np.float32)
         text, img = Tensor(text_arr.copy()), Tensor(img_arr.copy())
-        inject(text, [img], [(2, 2)])
+        inject(text, [img], [[(2, 2)]])
         np.testing.assert_array_equal(text.data, text_arr)
         np.testing.assert_array_equal(img.data, img_arr)
 
@@ -120,12 +120,12 @@ class TestInject:
             else:
                 cursor = start + 1
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        text = Tensor(rng.normal(size=(length, d)).astype(np.float32))
+        text = Tensor(rng.normal(size=(1, length, d)).astype(np.float32))
         imgs = [Tensor(rng.normal(size=(l, d)).astype(np.float32)) for _, l in spans]
-        fused = inject(text, imgs, spans)
+        fused = inject(text, imgs, [spans])
         expected = text.data.copy()
         for (start, l), img in zip(spans, imgs):
-            expected[start:start + l] = img.data
+            expected[0, start:start + l] = img.data
         np.testing.assert_array_equal(fused.data, expected)
 
     def test_batched_rows_equal_per_row_injection(self):
@@ -137,8 +137,8 @@ class TestInject:
         assert fused.shape == (3, 6, 2)
         rows = [imgs[:1], [], imgs[1:]]
         for b in range(3):
-            alone = inject(Tensor(text.data[b]), rows[b], spans[b]).data
-            np.testing.assert_array_equal(fused[b], alone)
+            alone = inject(Tensor(text.data[b:b + 1]), rows[b], spans[b:b + 1]).data
+            np.testing.assert_array_equal(fused[b], alone[0])
 
     def test_batched_injection_gradient(self):
         rng = np.random.default_rng(4)
@@ -151,15 +151,15 @@ class TestInject:
 
         assert grad_check(f, [text, img]) < 1e-8
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
-    def test_gather_bit_identical_to_embedding_lookup(self, monkeypatch, batched):
+    @pytest.mark.parametrize("spans", [[[(1, 3), (5, 2)]], [[(1, 3)], [(0, 2), (4, 3)]]],
+                             ids=["one_row", "batched"])
+    def test_gather_bit_identical_to_embedding_lookup(self, monkeypatch, spans):
         # the injection index never repeats, so scattering its gradient by
         # assignment gives embedding_lookup's np.add.at result bit for bit
         rng = np.random.default_rng(5)
-        shape = (2, 7, 4) if batched else (7, 4)
-        spans = [[(1, 3)], [(0, 2), (4, 3)]] if batched else [(1, 3), (5, 2)]
+        shape = (len(spans), 7, 4)
         text_arr = rng.normal(size=shape).astype(np.float32)
-        lengths = [n for row in (spans if batched else [spans]) for _, n in row]
+        lengths = [n for row in spans for _, n in row]
         img_arrs = [rng.normal(size=(n, 4)).astype(np.float32) for n in lengths]
         weight = Tensor(rng.normal(size=shape).astype(np.float32))
 
@@ -180,19 +180,20 @@ class TestEncoder:
         seq = TokenSequence(np.array([3, 5, 6, 7, 1]))
         enc1 = encode_multimodal(tiny_model, seq)
         enc2 = encode_multimodal(tiny_model, seq)
-        assert enc1.states.shape == (5, tiny_model.config.lm.hidden_size)
+        # a lone sequence encodes as a batch of one
+        assert enc1.states.shape == (1, 5, tiny_model.config.lm.hidden_size)
         np.testing.assert_array_equal(enc1.states.data, enc2.states.data)
 
     def test_masked_pads_do_not_influence_unmasked(self, tiny_vocab):
         cfg = make_tiny_config(tiny_vocab.size)
         model = MultimodalTransformer.build(cfg, Rng(11))
-        ids = np.array([3, 5, 6, PAD_ID, PAD_ID])
-        mask = np.array([1, 1, 1, 0, 0])
-        seq = TokenSequence(ids, attention_mask=mask)
-        base = encode_multimodal(model, seq).states.data[:3].copy()
+        ids = np.array([[3, 5, 6, PAD_ID, PAD_ID]])
+        mask = np.array([[1, 1, 1, 0, 0]])
+        seq = TokenBatch(ids, mask, [[]])
+        base = encode_multimodal(model, seq).states.data[:, :3].copy()
         # changing the pad embedding must not leak into unmasked outputs
         model.params["lm.embed"].data[PAD_ID] += 7.5
-        perturbed = encode_multimodal(model, seq).states.data[:3]
+        perturbed = encode_multimodal(model, seq).states.data[:, :3]
         np.testing.assert_allclose(base, perturbed, atol=1e-6)
 
     def test_gradients_reach_embeddings_and_vision(self, fresh_tiny_model, scene_image_16, tiny_vocab):
@@ -208,7 +209,7 @@ class TestEncoder:
 
     def test_batch_matches_each_sequence_alone(self, tiny_vocab, scene_image_16):
         # a padded batch of ragged text and image sequences encodes each row
-        # as that sequence encodes alone, at its own length
+        # as that sequence encodes in a batch of one, at its own length
         model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(4))
         n_img = model.config.n_img_tokens
         docs = [Document(id="i", modality="image", image_path="<m>", snippet="a photo"),
@@ -221,7 +222,7 @@ class TestEncoder:
         assert states.shape == (4, max(map(len, seqs)), model.config.lm.hidden_size)
         for row, (seq, imgs) in enumerate(zip(seqs, images)):
             alone = encode_multimodal(model, seq, imgs).states.data
-            np.testing.assert_allclose(states.data[row, :len(seq)], alone, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(states.data[row, :len(seq)], alone[0], rtol=0, atol=1e-5)
 
     def test_batch_image_count_checked_before_encoding(self, tiny_model):
         batch = pad_sequences([TokenSequence([3, IMG_ID, IMG_ID, 1], image_spans=[(1, 2)]),
@@ -230,8 +231,7 @@ class TestEncoder:
             encode_multimodal(tiny_model, batch, [])
 
     def test_mask_length_checked(self, tiny_model):
-        seq = TokenSequence(np.array([3, 5, 1]))
-        seq.attention_mask = np.ones(4, dtype=np.int64)
+        seq = TokenBatch(np.array([[3, 5, 1]]), np.ones((1, 4), dtype=np.int64), [[]])
         with pytest.raises(ValueError, match="attention mask length differs from sequence length"):
             encode_multimodal(tiny_model, seq)
 
@@ -286,22 +286,22 @@ class TestDecoder:
 
     def test_causality(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 7, 1])))
-        short = decoder_logits(tiny_model, enc, [PAD_ID, 5, 6]).data
-        extended = decoder_logits(tiny_model, enc, [PAD_ID, 5, 6, 7, 8]).data
-        np.testing.assert_allclose(short, extended[:3], atol=1e-5)
+        short = decoder_logits(tiny_model, enc, [[PAD_ID, 5, 6]]).data
+        extended = decoder_logits(tiny_model, enc, [[PAD_ID, 5, 6, 7, 8]]).data
+        np.testing.assert_allclose(short, extended[:, :3], atol=1e-5)
 
     def test_batched_ids_must_match_encoder_rows(self, tiny_model):
         enc = encode_multimodal(tiny_model, pad_sequences([TokenSequence(np.array([5, 1]))] * 2))
         with pytest.raises(ValueError, match=r"ids \(3, 2\) do not match encoder states"):
             decoder_logits(tiny_model, enc, np.zeros((3, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match="cache serves one sequence"):
-            model_module.decoder_hidden(tiny_model, enc, np.zeros((2, 2), dtype=np.int64),
-                                        cache=DecoderCache())
+        # a lone (T,) id list has no batch axis to match
+        with pytest.raises(ValueError, match=r"ids \(2,\) do not match encoder states"):
+            decoder_logits(tiny_model, enc, np.zeros(2, dtype=np.int64))
 
     def test_empty_encoder_states_rejected(self, tiny_model):
         empty = EncoderStates(
-            Tensor(np.zeros((0, tiny_model.config.lm.hidden_size), dtype=np.float32)),
-            np.zeros(0, dtype=np.int64),
+            Tensor(np.zeros((1, 0, tiny_model.config.lm.hidden_size), dtype=np.float32)),
+            np.zeros((1, 0), dtype=np.int64),
         )
         with pytest.raises(ValueError, match="empty encoder states"):
             decode_step(tiny_model, empty, [PAD_ID])
@@ -328,10 +328,11 @@ class TestDecoderCache:
     def test_cached_steps_match_teacher_forcing(self, tiny_vocab, dtype, tol):
         cfg = make_tiny_config(tiny_vocab.size, layers=2)
         model = MultimodalTransformer.build(cfg, Rng(5), dtype=dtype)
-        seq = TokenSequence(np.array([5, 6, 7, PAD_ID]), attention_mask=np.array([1, 1, 1, 0]))
-        enc = encode_multimodal(model, seq)
         ids = [PAD_ID, 5, 9, 12, 7, 30, 8]
-        full = decoder_logits(model, enc, ids).data
+        # a padded one-row batch through decode_step
+        enc = encode_multimodal(model, TokenBatch(np.array([[5, 6, 7, PAD_ID]]),
+                                                  np.array([[1, 1, 1, 0]]), [[]]))
+        full = decoder_logits(model, enc, [ids]).data[0]
         cache = DecoderCache()
         for t in range(1, 4):  # one position per step
             step = decode_step(model, enc, ids[:t], cache).data
@@ -340,6 +341,16 @@ class TestDecoderCache:
         step = decode_step(model, enc, ids, cache).data
         np.testing.assert_allclose(step, full[-1], rtol=0, atol=tol)
         assert cache.length == len(ids)
+        # a ragged two-row batch, right-padded on both sides, through one cache
+        enc = encode_multimodal(model, pad_sequences([TokenSequence([5, 6, 7, 1]),
+                                                      TokenSequence([8, 1])]))
+        batch = np.array([ids, [PAD_ID, 11, 4, EOS_ID, PAD_ID, PAD_ID, PAD_ID]])
+        full = decoder_logits(model, enc, batch).data
+        cache = DecoderCache()
+        for t in (1, 2, 3, batch.shape[1]):
+            hidden = model_module.decoder_hidden(model, enc, batch[:, cache.length:t], cache=cache)
+            step = model_module._lm_head(model, hidden).data[:, -1]
+            np.testing.assert_allclose(step, full[:, t - 1], rtol=0, atol=tol)
 
     def test_cross_attention_projected_once(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 7, 1])))
@@ -350,7 +361,7 @@ class TestDecoderCache:
         decode_step(tiny_model, enc, [PAD_ID, 5, 6], cache)
         assert cache.kv["lm.decoder.layer0.cross_attn"] is cross
         keys, values = cache.kv["lm.decoder.layer0.self_attn"]
-        assert keys.shape[1] == values.shape[1] == 3
+        assert keys.shape[-2] == values.shape[-2] == 3
 
     def test_cache_longer_than_prefix_rejected(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 1])))

@@ -348,16 +348,17 @@ class TestCli:
                    "--input", str(bad), "--output", str(tmp_path / "o.jsonl")])
         assert rc == 1
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("FUSIONQA_SEED", "21")
-        assert main(["gen-synthetic", "--out", str(a), "--seed", "4",
-                     "--entities", "8", "--captions", "4", "--vqa", "4",
-                     "--train-questions", "4", "--heldout-questions", "2",
-                     "--vocab-size", "400"]) == 0
-        monkeypatch.setenv("FUSIONQA_SEED", "22")
-        assert main(["gen-synthetic", "--out", str(b), "--seed", "4",
-                     "--entities", "8", "--captions", "4", "--vqa", "4",
-                     "--train-questions", "4", "--heldout-questions", "2",
-                     "--vocab-size", "400"]) == 0
-        assert (a / "qa_train.jsonl").read_bytes() != (b / "qa_train.jsonl").read_bytes()
+    def test_rerank_non_string_question_exits_one(self, tmp_path, corpora_dir, capsys):
+        vocab = Vocab.load(corpora_dir / "vocab.txt")
+        ckpt = tmp_path / "rr.ckpt"
+        save_checkpoint(MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size),
+                                                    Rng(0)), ckpt)
+        rec = json.loads((corpora_dir / "qa_heldout.jsonl").read_text().splitlines()[0])
+        rec["question"] = 5
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(rec) + "\n")
+        rc = main(["rerank", "--model", str(ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(data), "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert f"error: {data}:1: field 'question' must be a string, got int" \
+            in capsys.readouterr().err

@@ -163,22 +163,22 @@ class TestLosses:
 
     def test_cross_entropy_uniform_logits_is_ln_v(self):
         v = 37
-        loss = cross_entropy_logits(t64(np.zeros((5, v))), np.arange(5))
+        loss = cross_entropy_logits(t64(np.zeros((1, 5, v))), [np.arange(5)])
         assert abs(loss.item() - math.log(v)) < 1e-9
 
     def test_cross_entropy_mask_excludes_positions(self):
         rng = Rng(2)
-        logits = rng.normal((6, 9))
-        targets = rng.integers(0, 9, size=6)
-        base = cross_entropy_logits(t64(logits[:4]), targets[:4]).item()
+        logits = rng.normal((1, 6, 9))
+        targets = rng.integers(0, 9, size=(1, 6))
+        base = cross_entropy_logits(t64(logits[:, :4]), targets[:, :4]).item()
         masked = cross_entropy_logits(
-            t64(logits), targets, mask=[1, 1, 1, 1, 0, 0]
+            t64(logits), targets, mask=[[1, 1, 1, 1, 0, 0]]
         ).item()
         assert abs(base - masked) < 1e-12
 
     def test_cross_entropy_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="unmasked"):
-            cross_entropy_logits(t64(np.zeros((2, 3))), [0, 1], mask=[0, 0])
+        with pytest.raises(ValueError, match="no unmasked target positions in row 0"):
+            cross_entropy_logits(t64(np.zeros((1, 2, 3))), [[0, 1]], mask=[[0, 0]])
 
 
 class TestGradCheck:
@@ -249,8 +249,8 @@ class TestGradCheck:
             labels = (rng.uniform((8,)) > 0.5).astype(np.float64)
             fn = lambda ps: bce_with_logits(ps[0], labels)
         else:
-            params = [t64(rng.normal((4, 9)))]
-            targets = rng.integers(0, 9, size=4)
+            params = [t64(rng.normal((1, 4, 9)))]
+            targets = rng.integers(0, 9, size=(1, 4))
             fn = lambda ps: cross_entropy_logits(ps[0], targets)
         assert grad_check(fn, params, eps=1e-4) < 1e-7
 
