@@ -21,7 +21,7 @@ from fusionqa.config import (
     model_profile,
     pretrain_stage_defaults,
 )
-from fusionqa.dataset import doc_from_json, load_dataset
+from fusionqa.dataset import _string, doc_from_json, load_dataset
 from fusionqa.generator import generate
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, rerank
@@ -136,15 +136,15 @@ def _cmd_answer(args):
                 continue
             try:
                 rec = json.loads(line)
+                question = _string(rec, "question")  # a non-object record fails here
+                qid = _string(rec, "qid", required=False)
                 contexts = [doc_from_json(d, base) for d in rec["contexts"]]
                 for d in contexts:
                     d.validate()
-                question = rec["question"]
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
             answer = generate(model, vocab, question, contexts, gen, image_loader=loader)
-            fout.write(json.dumps(
-                {"qid": rec.get("qid"), "answer": answer}, sort_keys=True) + "\n")
+            fout.write(json.dumps({"qid": qid, "answer": answer}, sort_keys=True) + "\n")
     return 0
 
 

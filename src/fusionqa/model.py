@@ -20,14 +20,15 @@ from fusionqa.tensor import (
     Rng,
     Tensor,
     add,
-    attention_probs,
+    attention,
     concat,
     dropout,
     embedding_lookup,
     gelu,
+    grad_enabled,
     layer_norm,
     linear,
-    matmul,
+    no_grad,
     reshape,
     slice_,
     take_rows,
@@ -44,16 +45,32 @@ class EncoderStates:
 
 @dataclass
 class DecoderCache:
-    """Incremental-decoding state for one encoder output.
+    """Incremental-decoding state for one encoder output; inference only.
 
-    ``kv`` maps each decoder attention prefix to its (keys, values), each
-    (B, heads, L, dh): self-attention grows by the positions of every call,
-    cross-attention is projected from the encoder states once. ``length``
-    counts the decoder positions run so far.
+    ``kv`` maps each decoder attention prefix to its (keys, values).
+    Self-attention keeps two (B, max_len, d) buffers that each call writes
+    at its positions and attends over as a view of the first ``length``
+    plus its own; cross-attention keeps the (B, L, d) projections of the
+    encoder states, made once. ``length`` counts the decoder positions run
+    so far.
     """
 
     length: int = 0
     kv: dict = field(default_factory=dict)
+
+    def write(self, prefix, k: Tensor, v: Tensor, max_len: int):
+        """(keys, values) of every position so far: the cached ones, then
+        the (B, T, d) ``k`` and ``v`` of the positions after ``length``,
+        which are written in place into ``prefix``'s buffers."""
+        if prefix not in self.kv:
+            shape = k.shape[:-2] + (max_len, k.shape[-1])
+            self.kv[prefix] = (np.empty(shape, k.dtype), np.empty(shape, v.dtype))
+        end = self.length + k.shape[-2]
+        out = []
+        for buf, new in zip(self.kv[prefix], (k, v)):
+            buf[..., self.length:end, :] = new.data
+            out.append(Tensor._wrap(buf[..., :end, :]))
+        return tuple(out)
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -165,41 +182,29 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
                          train=False, rng=None, cache=None, static_kv=False):
     """Scaled dot-product attention over h heads; additive pre-softmax mask.
 
-    Inputs are (..., L, d): heads are split and merged on the trailing axes,
-    so a leading batch axis passes through. A mask is a suffix of the
-    (..., h, Lq, Lk) scores, or a (B, 1, 1, Lk) per-row key mask.
+    Inputs are (..., L, d), so a leading batch axis passes through. A mask
+    is a suffix of the (..., h, Lq, Lk) scores, or a (B, 1, 1, Lk) per-row
+    key mask.
 
-    With a ``cache`` dict the keys and values are kept under ``prefix``: the
-    K/V of ``x_kv`` are appended to the cached ones, or, with ``static_kv``,
+    With a ``cache`` (a DecoderCache, inference only) the keys and values
+    are kept under ``prefix``: the K/V of ``x_kv`` are written into the
+    cache's buffers after its ``length`` positions, or, with ``static_kv``,
     projected on the first call only and reused by every later call.
     """
     p = model.params
-    d = x_q.shape[-1]
-    dh = d // n_heads
-    rate = model.config.lm.dropout_rate
-    lead = tuple(range(x_q.ndim - 2))
-    # (..., L, h, dh) <-> (..., h, L, dh); the swap is its own inverse
-    swap = lead + (len(lead) + 1, len(lead), len(lead) + 2)
-
-    def split_heads(t):
-        return transpose(reshape(t, t.shape[:-1] + (n_heads, dh)), swap)
-
-    q = split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-    cached = None if cache is None else cache.get(prefix)
-    if static_kv and cached is not None:
-        k, v = cached
+    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    if cache is not None and static_kv and prefix in cache.kv:
+        k, v = cache.kv[prefix]
     else:
-        k = split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-        v = split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
-        if cached is not None:
-            k = concat([cached[0], k], axis=-2)
-            v = concat([cached[1], v], axis=-2)
-        if cache is not None:
-            cache[prefix] = (k, v)
-
-    probs = attention_probs(q, k, 1.0 / math.sqrt(dh), mask)
-    probs = dropout(probs, rate, rng=rng, train=train)
-    ctx = reshape(transpose(matmul(probs, v), swap), x_q.shape)
+        k = linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        if cache is not None and static_kv:
+            cache.kv[prefix] = (k, v)
+        elif cache is not None:
+            k, v = cache.write(prefix, k, v, model.config.lm.max_len)
+    dh = x_q.shape[-1] // n_heads
+    ctx = attention(q, k, v, n_heads, 1.0 / math.sqrt(dh), mask,
+                    rate=model.config.lm.dropout_rate, rng=rng, train=train)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -338,7 +343,8 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
     every real position, so no real position sees it. Cross-attention skips
     the encoder's padded keys. With a cache the ids are the T positions
     after the ``cache.length`` already run, and their self-attention K/V are
-    appended to the cache."""
+    written into the cache. A cache serves inference only: its buffers are
+    not on the tape, so it raises while grad recording is on."""
     cfg = model.config.lm
     ids = np.asarray(dec_input_ids, dtype=np.int64)
     if ids.shape[:-1] != enc.states.shape[:-2]:
@@ -350,10 +356,11 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
     t_len = ids.shape[-1]
     if t_len == 0:
         raise ValueError("decoder: empty input")
+    if cache is not None and grad_enabled():
+        raise ValueError("decoder: a cache serves inference only; run it under no_grad")
     start = 0 if cache is None else cache.length
     if start + t_len > cfg.max_len:
         raise ValueError(f"decoder: input length {start + t_len} exceeds max_len {cfg.max_len}")
-    kv = None if cache is None else cache.kv
     x = embedding_lookup(model.params["lm.embed"], ids)
     x = add(x, slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)))
     x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
@@ -364,12 +371,12 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
         prefix = f"lm.decoder.layer{i}"
         normed = _layer_norm_named(model, f"{prefix}.norm1", x)
         attn = multi_head_attention(model, f"{prefix}.self_attn", normed, normed,
-                                    cfg.n_heads, mask=cmask, train=train, rng=rng, cache=kv)
+                                    cfg.n_heads, mask=cmask, train=train, rng=rng, cache=cache)
         x = add(x, dropout(attn, rate, rng=rng, train=train))
         normed = _layer_norm_named(model, f"{prefix}.norm2", x)
         cross = multi_head_attention(model, f"{prefix}.cross_attn", normed, enc.states,
                                      cfg.n_heads, mask=kmask, train=train, rng=rng,
-                                     cache=kv, static_kv=True)
+                                     cache=cache, static_kv=True)
         x = add(x, dropout(cross, rate, rng=rng, train=train))
         normed = _layer_norm_named(model, f"{prefix}.norm3", x)
         x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, train, rng), rate, rng=rng, train=train))
@@ -395,7 +402,7 @@ def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | Non
     The cache holds the first ``cache.length`` prefix positions of earlier
     steps for this ``enc``; only the rest of the prefix runs, and only its
     last position is projected to the vocabulary. Without a cache a fresh one
-    is filled from the whole prefix.
+    is filled from the whole prefix. Runs under ``no_grad``.
     """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
     if len(prefix_ids) >= model.config.lm.max_len:
@@ -409,5 +416,6 @@ def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | Non
             f"decode_step: cache holds {cache.length} positions, "
             f"the prefix has only {len(prefix_ids)}"
         )
-    hidden = decoder_hidden(model, enc, prefix_ids[None, cache.length:], train=False, cache=cache)
-    return reshape(_lm_head(model, slice_(hidden, (0, slice(-1, None)))), (-1,))
+    with no_grad():
+        hidden = decoder_hidden(model, enc, prefix_ids[None, cache.length:], cache=cache)
+        return reshape(_lm_head(model, slice_(hidden, (0, slice(-1, None)))), (-1,))

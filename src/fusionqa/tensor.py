@@ -35,7 +35,7 @@ __all__ = [
     "mul",
     "tanh",
     "gelu",
-    "attention_probs",
+    "attention",
     "layer_norm",
     "dropout",
     "embedding_lookup",
@@ -291,43 +291,78 @@ def gelu(a: Tensor) -> Tensor:
     return _out(out, (a,), vjp)
 
 
-def attention_probs(q: Tensor, k: Tensor, c, mask: Tensor = None) -> Tensor:
-    """Attention weights softmax(q @ kᵀ * c + mask) over the last axis, as
-    one taped op.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor = None,
+              rate: float = 0.0, rng: Rng = None, train: bool = False) -> Tensor:
+    """Multi-head scaled dot-product attention as one taped op.
 
-    ``q`` is (..., Lq, d) and ``k`` (..., Lk, d) with equal leading axes.
-    ``mask`` is an additive constant: a suffix of the (..., Lq, Lk) scores,
-    or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk) key
-    mask). The softmax is max-subtracted. Only the probabilities are kept,
-    and values and gradients are bit-identical to matmul, scale, add and a
-    last-axis softmax run one after another.
+    ``q`` is (..., Lq, d) and ``k``, ``v`` are (..., Lk, d) with the same
+    leading axes; d splits into ``n_heads`` heads on the trailing axis. Per
+    head the weights are softmax(q @ kᵀ * scale + mask) over the keys,
+    max-subtracted; with ``train`` and a nonzero ``rate`` they take inverted
+    dropout (one uniform draw of their (..., h, Lq, Lk) shape). The result is
+    the weighted sum of values with the heads merged back, (..., Lq, d).
+    ``mask`` is an additive constant: a suffix of the (..., h, Lq, Lk) scores,
+    or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk) key mask).
+
+    Only the weights (and the dropout scale) are kept for the vjp. Values
+    and gradients are bit-identical to splitting heads with reshape and
+    transpose, the softmax, dropout, a batched matmul and the merge run as
+    separate ops.
     """
-    qd, kd = q.data, k.data
-    if qd.ndim < 2 or qd.shape[:-2] != kd.shape[:-2] or qd.shape[-1] != kd.shape[-1]:
-        raise ShapeError(f"attention_probs: need (..., Lq, d) and (..., Lk, d), got {qd.shape} and {kd.shape}")
-    c = float(c)
-    swap = tuple(range(kd.ndim - 2)) + (kd.ndim - 1, kd.ndim - 2)  # its own inverse
-    k_t = np.transpose(kd, swap)
-    s = qd @ k_t
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim < 2 or kd.shape != vd.shape or qd.shape[:-2] != kd.shape[:-2]
+            or qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % n_heads):
+        raise ShapeError(
+            f"attention: need (..., Lq, d) and two (..., Lk, d) with d divisible by "
+            f"{n_heads} heads, got {qd.shape}, {kd.shape} and {vd.shape}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
+    if train and rate != 0.0 and rng is None:
+        raise ValueError("attention: training-mode dropout requires an Rng")
+    c = float(scale)
+    n = qd.ndim - 2
+    lead = tuple(range(n))
+    heads = (n_heads, qd.shape[-1] // n_heads)
+    # (..., L, h, dh) <-> (..., h, L, dh), and the last two axes of a head:
+    # both are their own inverse
+    swap = lead + (n + 1, n, n + 2)
+    swap_last = lead + (n, n + 2, n + 1)
+    qh, kh, vh = (np.transpose(a.reshape(a.shape[:-1] + heads), swap) for a in (qd, kd, vd))
+    k_t = np.transpose(kh, swap_last)
+    s = qh @ k_t
     s *= c
     if mask is not None:
         md = mask.data
-        per_axis = md.ndim == s.ndim and all(m in (1, n) for m, n in zip(md.shape, s.shape))
+        per_axis = md.ndim == s.ndim and all(a in (1, b) for a, b in zip(md.shape, s.shape))
         if not (per_axis or _suffix_ok(s, md)):
-            raise ShapeError(f"attention_probs: mask {md.shape} does not fit scores {s.shape}")
+            raise ShapeError(f"attention: mask {md.shape} does not fit scores {s.shape}")
         s += md
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
+    keep = None
+    p = s
+    if train and rate != 0.0:
+        keep = (rng.uniform(s.shape) >= rate).astype(s.dtype) / (1.0 - rate)
+        p = s * keep
+    ctx = np.transpose(p @ vh, swap)
+    merged = ctx.shape
+    out = ctx.reshape(qd.shape)
 
     def vjp(g):
-        gs = s * (g - (g * s).sum(axis=-1, keepdims=True))
+        g = np.transpose(g.reshape(merged), swap)
+        gp = g @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ g
+        if keep is not None:
+            gp = gp * keep
+        gs = s * (gp - (gp * s).sum(axis=-1, keepdims=True))
         gs = gs * c
         gq = gs @ np.swapaxes(k_t, -1, -2)
-        gk = np.transpose(np.swapaxes(qd, -1, -2) @ gs, swap)
-        return gq, gk
+        gk = np.transpose(np.swapaxes(qh, -1, -2) @ gs, swap_last)
+        return tuple(np.transpose(ga, swap).reshape(qd.shape[:-2] + a.shape[-2:])
+                     for ga, a in ((gq, qd), (gk, kd), (gv, vd)))
 
-    return _out(s, (q, k), vjp)
+    return _out(out, (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
@@ -449,7 +484,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _out(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 

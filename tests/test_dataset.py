@@ -248,6 +248,46 @@ class TestPpm:
         assert img.pixels.shape == (1, 2, 3)
 
 
+@pytest.fixture(scope="module")
+def valid_ppm(tmp_path_factory):
+    """(path, bytes) of a small valid P6 file with a header comment."""
+    path = tmp_path_factory.mktemp("ppm") / "valid.ppm"
+    save_image_ppm(Image(Rng(3).uniform((3, 5, 3)).astype(np.float32)), path)
+    raw = path.read_bytes()
+    raw = raw[:3] + b"# made for fuzzing\n" + raw[3:]
+    path.write_bytes(raw)
+    load_image_ppm(path)
+    return path, raw
+
+
+class TestPpmFuzz:
+    """Mutated PPM files either load or raise ValueError, never anything else."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_loads_or_raises_value_error(self, valid_ppm, data):
+        path, raw = valid_ppm
+        kind = data.draw(st.sampled_from(["truncate", "flip", "digit"]))
+        mutated = bytearray(raw)
+        if kind == "truncate":
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            mutated[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        else:
+            payload_start = len(raw) - 3 * 5 * 3
+            digits = [i for i in range(payload_start) if raw[i:i + 1].isdigit()]
+            mutated[data.draw(st.sampled_from(digits))] = data.draw(st.sampled_from(b"0123456789"))
+        mutated_path = path.with_name("mutated.ppm")
+        mutated_path.write_bytes(bytes(mutated))
+        try:
+            img = load_image_ppm(mutated_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"ppm {mutated_path}: ")
+        else:
+            assert img.pixels.dtype == np.float32 and img.pixels.shape[2] == 3
+
+
 class TestCheckpoint:
     def _model(self, tiny_vocab):
         return MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(13))

@@ -25,6 +25,7 @@ from fusionqa.tensor import (
     embedding_lookup,
     grad_check,
     mul,
+    no_grad,
     tsum,
 )
 from fusionqa.tokenizer import (
@@ -347,10 +348,12 @@ class TestDecoderCache:
         batch = np.array([ids, [PAD_ID, 11, 4, EOS_ID, PAD_ID, PAD_ID, PAD_ID]])
         full = decoder_logits(model, enc, batch).data
         cache = DecoderCache()
-        for t in (1, 2, 3, batch.shape[1]):
-            hidden = model_module.decoder_hidden(model, enc, batch[:, cache.length:t], cache=cache)
-            step = model_module._lm_head(model, hidden).data[:, -1]
-            np.testing.assert_allclose(step, full[:, t - 1], rtol=0, atol=tol)
+        with no_grad():
+            for t in (1, 2, 3, batch.shape[1]):
+                hidden = model_module.decoder_hidden(model, enc, batch[:, cache.length:t],
+                                                     cache=cache)
+                step = model_module._lm_head(model, hidden).data[:, -1]
+                np.testing.assert_allclose(step, full[:, t - 1], rtol=0, atol=tol)
 
     def test_cross_attention_projected_once(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 7, 1])))
@@ -360,8 +363,37 @@ class TestDecoderCache:
         decode_step(tiny_model, enc, [PAD_ID, 5], cache)
         decode_step(tiny_model, enc, [PAD_ID, 5, 6], cache)
         assert cache.kv["lm.decoder.layer0.cross_attn"] is cross
-        keys, values = cache.kv["lm.decoder.layer0.self_attn"]
-        assert keys.shape[-2] == values.shape[-2] == 3
+        keys, values = cross
+        assert keys.shape == values.shape == enc.states.shape
+
+    def test_self_attention_buffers_hold_cache_length_positions(self, tiny_model):
+        # one position per step writes the rows one call over the whole
+        # prefix writes; the buffers are max_len long and written in place
+        enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 7, 1])))
+        prefix = [PAD_ID, 5, 6, 9]
+        stepped = DecoderCache()
+        for t in range(1, len(prefix) + 1):
+            decode_step(tiny_model, enc, prefix[:t], stepped)
+        whole = DecoderCache()
+        decode_step(tiny_model, enc, prefix, whole)
+        assert stepped.length == whole.length == len(prefix)
+        d = tiny_model.config.lm.hidden_size
+        max_len = tiny_model.config.lm.max_len
+        name = "lm.decoder.layer0.self_attn"
+        for got, want in zip(stepped.kv[name], whole.kv[name]):
+            assert got.shape == (1, max_len, d)
+            np.testing.assert_allclose(got[:, :len(prefix)], want[:, :len(prefix)],
+                                       rtol=0, atol=1e-6)
+
+    def test_cache_under_grad_recording_raises(self, tiny_model):
+        # the buffers are not on the tape, so a cached pass would lose gradients
+        enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 1])))
+        cache = DecoderCache()
+        with pytest.raises(ValueError, match="cache serves inference only"):
+            model_module.decoder_hidden(tiny_model, enc, [[PAD_ID]], cache=cache)
+        assert cache.length == 0 and not cache.kv
+        decode_step(tiny_model, enc, [PAD_ID], cache)  # runs under no_grad
+        assert cache.length == 1
 
     def test_cache_longer_than_prefix_rejected(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 1])))

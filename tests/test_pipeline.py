@@ -303,6 +303,26 @@ class TestCli:
         assert f"max_new_tokens 300 must stay below the decoder's max_len {cfg.lm.max_len}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("question", 5), ("qid", 7)])
+    def test_answer_non_string_field_exits_one(self, tmp_path, corpora_dir, capsys,
+                                               field, value):
+        vocab = Vocab.load(corpora_dir / "vocab.txt")
+        qa_ckpt = tmp_path / "qa.ckpt"
+        save_checkpoint(MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size),
+                                                    Rng(0)), qa_ckpt)
+        rec = {"qid": "x", "question": "what is the capital of balor?",
+               "contexts": [{"id": "t", "modality": "text", "text": "the capital is venta"}]}
+        rec[field] = value
+        infile = tmp_path / "ans_in.jsonl"
+        infile.write_text(json.dumps(rec) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(infile), "--output", str(outfile), "--max-new-tokens", "2"])
+        assert rc == 1
+        assert f"error: {infile}:1: field {field!r} must be a string, got int" \
+            in capsys.readouterr().err
+        assert outfile.read_text() == ""
+
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")
         model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))

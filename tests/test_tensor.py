@@ -12,7 +12,7 @@ from fusionqa.tensor import (
     ShapeError,
     Tensor,
     add,
-    attention_probs,
+    attention,
     backward,
     bce_with_logits,
     concat,
@@ -41,7 +41,9 @@ def t64(data, requires_grad=True):
 
 class TestForward:
     def test_softmax_symmetry(self):
-        out = attention_probs(Tensor(np.zeros((1, 3))), Tensor(np.ones((2, 3))), 1.0)
+        # identity values: the output rows are the attention weights
+        out = attention(Tensor(np.zeros((1, 2))), Tensor(np.ones((2, 2))),
+                        Tensor(np.eye(2)), 1, 1.0)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_matmul_identity(self):
@@ -222,9 +224,9 @@ class TestGradCheck:
             params = [t64(rng.normal((6,)))]
             fn = lambda ps: tsum(gelu(ps[0]))
         elif name == "softmax":
-            params = [t64(rng.normal((2, 3))), t64(rng.normal((5, 3)))]
-            fn = lambda ps: tsum(mul(attention_probs(ps[0], ps[1], 0.7),
-                                     attention_probs(ps[0], ps[1], 0.7)))
+            params = [t64(rng.normal((2, 4))), t64(rng.normal((5, 4))), t64(rng.normal((5, 4)))]
+            fn = lambda ps: tsum(mul(attention(ps[0], ps[1], ps[2], 2, 0.7),
+                                     attention(ps[0], ps[1], ps[2], 2, 0.7)))
         elif name == "layer_norm":
             x, g, b = t64(rng.normal((3, 7))), t64(rng.normal((7,))), t64(rng.normal((7,)))
             fn = lambda ps: tsum(tanh(layer_norm(ps[0], ps[1], ps[2])))
@@ -292,7 +294,8 @@ def _softmax_reference(a):
 
 
 def _attention_reference(q, k, c, mask):
-    """attention_probs as the model composed it before the fused op."""
+    """The attention weights softmax(q @ kᵀ * c + mask) composed of separate
+    ops, as the model ran them before they were fused."""
     lead = tuple(range(k.ndim - 2))
     scores = _scale_reference(matmul(q, transpose(k, lead + (k.ndim - 1, k.ndim - 2))), c)
     if mask is not None:
@@ -302,6 +305,21 @@ def _attention_reference(q, k, c, mask):
     return _softmax_reference(scores)
 
 
+def _composed_attention(q, k, v, n_heads, c, mask, rate=0.0, rng=None, train=False):
+    """``attention`` as separate ops: heads split by reshape and transpose,
+    the weights, dropout, the weighted sum of values and the merge."""
+    n = q.ndim - 2
+    swap = tuple(range(n)) + (n + 1, n, n + 2)  # (..., L, h, dh) <-> (..., h, L, dh)
+    dh = q.shape[-1] // n_heads
+
+    def split_heads(t):
+        return transpose(reshape(t, t.shape[:-1] + (n_heads, dh)), swap)
+
+    probs = _attention_reference(split_heads(q), split_heads(k), c, mask)
+    probs = dropout(probs, rate, rng=rng, train=train)
+    return reshape(transpose(matmul(probs, split_heads(v)), swap), q.shape)
+
+
 def _key_mask(batch, length, rng):
     """A (B, 1, 1, L) additive key mask hiding a random tail of each row."""
     keep = rng.integers(1, length + 1, size=batch)
@@ -309,30 +327,38 @@ def _key_mask(batch, length, rng):
     return row[:, None, None, :]
 
 
-# (q shape, k shape, mask kind): 2-D, 3-D and 4-D operands; no mask, a
-# causal (Lq, Lk) mask, and a (B, 1, 1, Lk) key mask
+# (q shape, k/v shape, heads, mask kind, dropout rate): 2-D, 3-D and 4-D
+# operands; no mask, a causal (Lq, Lk) mask, a per-axis key mask, a ragged
+# (B, 1, 1, Lk) key mask as padding makes it, the causal mask of three
+# positions after four cached ones, and dropout on the weights
 ATTENTION_CASES = [
-    pytest.param((4, 3), (6, 3), None, id="2d"),
-    pytest.param((5, 3), (5, 3), "causal", id="2d_causal"),
-    pytest.param((2, 4, 3), (2, 6, 3), None, id="3d"),
-    pytest.param((2, 5, 3), (2, 5, 3), "causal", id="3d_causal"),
-    pytest.param((3, 2, 4, 3), (3, 2, 6, 3), None, id="4d"),
-    pytest.param((3, 2, 5, 3), (3, 2, 5, 3), "causal", id="4d_causal"),
-    pytest.param((3, 2, 4, 3), (3, 2, 6, 3), "key", id="4d_key_mask"),
+    pytest.param((4, 6), (5, 6), 2, None, 0.0, id="2d"),
+    pytest.param((5, 6), (5, 6), 3, "causal", 0.0, id="2d_causal"),
+    pytest.param((2, 4, 6), (2, 5, 6), 2, None, 0.0, id="3d"),
+    pytest.param((2, 5, 6), (2, 5, 6), 2, "causal", 0.0, id="3d_causal"),
+    pytest.param((3, 2, 4, 6), (3, 2, 5, 6), 3, None, 0.0, id="4d"),
+    pytest.param((3, 2, 5, 6), (3, 2, 5, 6), 3, "causal", 0.0, id="4d_causal"),
+    pytest.param((3, 2, 4, 6), (3, 2, 5, 6), 2, "key", 0.0, id="4d_key_mask"),
+    pytest.param((3, 4, 6), (3, 7, 6), 2, "key", 0.0, id="ragged_key_mask"),
+    pytest.param((2, 3, 6), (2, 7, 6), 3, "causal", 0.0, id="causal_cache_offset"),
+    pytest.param((2, 4, 6), (2, 5, 6), 2, "key", 0.25, id="dropout"),
 ]
 
 
-def _attention_inputs(q_shape, k_shape, kind, dtype, seed=0):
+def _attention_inputs(q_shape, kv_shape, kind, dtype, seed=0):
     rng = Rng(seed)
-    q = Tensor(rng.normal(q_shape), requires_grad=True, dtype=dtype)
-    k = Tensor(rng.normal(k_shape), requires_grad=True, dtype=dtype)
-    lq, lk = q_shape[-2], k_shape[-2]
+    q, k, v = (Tensor(rng.normal(s), requires_grad=True, dtype=dtype)
+               for s in (q_shape, kv_shape, kv_shape))
+    lq, lk = q_shape[-2], kv_shape[-2]
     mask = None
     if kind == "causal":
-        mask = Tensor(np.triu(np.full((lq, lk), -np.inf), k=1), dtype=dtype)
+        # query i sits at position lk - lq + i and sees keys up to it
+        mask = Tensor(np.triu(np.full((lq, lk), -np.inf), k=lk - lq + 1), dtype=dtype)
     elif kind == "key":
-        mask = Tensor(_key_mask(q_shape[0], lk, rng), dtype=dtype)
-    return q, k, mask
+        # one row per leading index: (B, 1, 1, Lk), or (B, C, 1, 1, Lk) for 4-D operands
+        rows = _key_mask(int(np.prod(q_shape[:-2])), lk, rng)
+        mask = Tensor(rows.reshape(q_shape[:-2] + (1, 1, lk)), dtype=dtype)
+    return q, k, v, mask
 
 
 def _grads(out_fn, params, upstream):
@@ -376,24 +402,43 @@ class TestFusedOps:
         for got, want in zip(fused[1], composed[1]):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("q_shape, k_shape, kind", ATTENTION_CASES)
-    def test_attention_probs_matches_composed_ops(self, q_shape, k_shape, kind):
-        q, k, mask = _attention_inputs(q_shape, k_shape, kind, np.float32)
-        upstream = Rng(1).normal(q_shape[:-1] + (k_shape[-2],))
-        c = 1.0 / math.sqrt(q_shape[-1])
-        fused = _grads(lambda: attention_probs(q, k, c, mask), [q, k], upstream)
-        composed = _grads(lambda: _attention_reference(q, k, c, mask), [q, k], upstream)
-        assert fused[0].dtype == np.float32
+    @pytest.mark.parametrize("q_shape, kv_shape, heads, kind, rate", ATTENTION_CASES)
+    def test_attention_probs_matches_composed_ops(self, q_shape, kv_shape, heads, kind, rate):
+        # the weights, their dropout and the context they make, bit for bit
+        q, k, v, mask = _attention_inputs(q_shape, kv_shape, kind, np.float32)
+        upstream = Rng(1).normal(q_shape)
+        c = 1.0 / math.sqrt(q_shape[-1] // heads)
+        fused = _grads(lambda: attention(q, k, v, heads, c, mask, rate=rate, rng=Rng(4),
+                                         train=True), [q, k, v], upstream)
+        composed = _grads(lambda: _composed_attention(q, k, v, heads, c, mask, rate=rate,
+                                                      rng=Rng(4), train=True),
+                          [q, k, v], upstream)
+        assert fused[0].dtype == np.float32 and fused[0].shape == q_shape
         assert np.array_equal(fused[0], composed[0])
         for got, want in zip(fused[1], composed[1]):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("q_shape, k_shape, kind", ATTENTION_CASES)
-    def test_attention_probs_grad_check(self, q_shape, k_shape, kind):
-        q, k, mask = _attention_inputs(q_shape, k_shape, kind, np.float64, seed=2)
-        weights = Tensor(Rng(3).normal(q_shape[:-1] + (k_shape[-2],)), dtype=np.float64)
-        fn = lambda ps: tsum(mul(attention_probs(ps[0], ps[1], 0.6, mask), weights))
-        assert grad_check(fn, [q, k], eps=1e-5) < 1e-7
+    @pytest.mark.parametrize("q_shape, kv_shape, heads, kind, rate", ATTENTION_CASES)
+    def test_attention_probs_grad_check(self, q_shape, kv_shape, heads, kind, rate):
+        # a fresh Rng per call keeps the dropout keep mask fixed across probes
+        q, k, v, mask = _attention_inputs(q_shape, kv_shape, kind, np.float64, seed=2)
+        weights = Tensor(Rng(3).normal(q_shape), dtype=np.float64)
+        fn = lambda ps: tsum(mul(attention(ps[0], ps[1], ps[2], heads, 0.6, mask, rate=rate,
+                                           rng=Rng(5), train=True), weights))
+        assert grad_check(fn, [q, k, v], eps=1e-5) < 1e-7
+
+    def test_attention_dropout_draws_the_weights_shape(self):
+        # one uniform draw of (..., h, Lq, Lk) from the stream, as the
+        # separate dropout op drew it; eval mode draws nothing
+        q, k, v, _ = _attention_inputs((2, 4, 6), (2, 5, 6), None, np.float32)
+        rng = Rng(8)
+        attention(q, k, v, 3, 0.5, rate=0.1, rng=rng, train=True)
+        want = Rng(8)
+        want.uniform((2, 3, 4, 5))
+        assert rng.uniform() == want.uniform()
+        rng = Rng(8)
+        attention(q, k, v, 3, 0.5, rate=0.1, rng=rng, train=False)
+        assert rng.uniform() == Rng(8).uniform()
 
     def test_linear_grad_check(self):
         rng = Rng(6)
@@ -406,25 +451,33 @@ class TestFusedOps:
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
         with pytest.raises(ShapeError, match="linear"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
-        with pytest.raises(ShapeError, match="attention_probs"):
-            attention_probs(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), 1.0)
-        with pytest.raises(ShapeError, match=r"attention_probs: mask \(3,\)"):
-            attention_probs(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), 1.0,
-                            Tensor(np.zeros(3)))
+        ones = lambda *shape: Tensor(np.ones(shape))
+        with pytest.raises(ShapeError, match="attention"):
+            attention(ones(2, 3), ones(4, 2), ones(4, 2), 1, 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            attention(ones(2, 3), ones(4, 3), ones(5, 3), 1, 1.0)
+        with pytest.raises(ShapeError, match="divisible by 2 heads"):
+            attention(ones(2, 3), ones(4, 3), ones(4, 3), 2, 1.0)
+        with pytest.raises(ShapeError, match=r"attention: mask \(3,\)"):
+            attention(ones(2, 3), ones(4, 3), ones(4, 3), 1, 1.0, Tensor(np.zeros(3)))
 
 
 class TestProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-30, 30))
     @settings(max_examples=100, deadline=None)
     def test_softmax_rows_sum_to_one_and_shift_invariant(self, row, c):
-        # with a one-dimensional unit query the scores are the keys themselves,
-        # and a constant mask row shifts every score by c
-        one = Tensor(np.ones((1, 1)), dtype=np.float64)
-        keys = Tensor(np.array(row)[:, None], dtype=np.float64)
-        s = attention_probs(one, keys, 1.0).data
+        # a unit query on the first axis makes the scores the keys' first
+        # column, identity values make the output the weights, and a constant
+        # mask row shifts every score by c
+        n = len(row)
+        one = Tensor(np.eye(1, n), dtype=np.float64)
+        keys = np.zeros((n, n))
+        keys[:, 0] = row
+        keys, values = Tensor(keys, dtype=np.float64), Tensor(np.eye(n), dtype=np.float64)
+        s = attention(one, keys, values, 1, 1.0).data
         assert abs(s.sum() - 1.0) < 1e-6
-        shift = Tensor(np.full((1, len(row)), c), dtype=np.float64)
-        shifted = attention_probs(one, keys, 1.0, shift).data
+        shift = Tensor(np.full((1, n), c), dtype=np.float64)
+        shifted = attention(one, keys, values, 1, 1.0, shift).data
         assert np.max(np.abs(s - shifted)) < 1e-6
 
     @given(st.integers(0, 2**63 - 1))
