@@ -304,10 +304,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
     ``mask`` is an additive constant: a suffix of the (..., h, Lq, Lk) scores,
     or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk) key mask).
 
-    Only the weights (and the dropout scale) are kept for the vjp. Values
-    and gradients are bit-identical to splitting heads with reshape and
-    transpose, the softmax, dropout, a batched matmul and the merge run as
-    separate ops.
+    The vjp keeps the weights and, under dropout, the keep scale and the
+    dropped weights, as the separate ops did; the unmerged context is not
+    kept. Values and gradients are bit-identical to splitting heads with
+    reshape and transpose, the softmax, dropout, a batched matmul and the
+    merge run as separate ops.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim < 2 or kd.shape != vd.shape or qd.shape[:-2] != kd.shape[:-2]
@@ -345,12 +346,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
     if train and rate != 0.0:
         keep = (rng.uniform(s.shape) >= rate).astype(s.dtype) / (1.0 - rate)
         p = s * keep
-    ctx = np.transpose(p @ vh, swap)
-    merged = ctx.shape
-    out = ctx.reshape(qd.shape)
+    out = np.transpose(p @ vh, swap).reshape(qd.shape)
 
     def vjp(g):
-        g = np.transpose(g.reshape(merged), swap)
+        g = np.transpose(g.reshape(qd.shape[:-1] + heads), swap)
         gp = g @ np.swapaxes(vh, -1, -2)
         gv = np.swapaxes(p, -1, -2) @ g
         if keep is not None:
@@ -359,7 +358,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
         gs = gs * c
         gq = gs @ np.swapaxes(k_t, -1, -2)
         gk = np.transpose(np.swapaxes(qh, -1, -2) @ gs, swap_last)
-        return tuple(np.transpose(ga, swap).reshape(qd.shape[:-2] + a.shape[-2:])
+        return tuple(np.transpose(ga, swap).reshape(a.shape)
                      for ga, a in ((gq, qd), (gk, kd), (gv, vd)))
 
     return _out(out, (q, k, v), vjp)
