@@ -6,7 +6,8 @@ held-out split.
 
 Every artifact (corpora, checkpoints, loss traces, metrics) lands in the
 workdir, and every one but ``timings.json`` is a pure function of the seed.
-``timings.json`` records, for each of the five training phases and the
+``timings.json`` records the wall time of writing the corpora and the
+vocabulary (``corpora``), and, for each of the five training phases and the
 eval, its wall time, optimizer steps (questions, for the eval), examples and
 examples per second.
 """
@@ -66,10 +67,12 @@ def main(argv=None):
         timings[phase] = {"wall_s": wall, "steps": steps, "examples": examples,
                           "examples_per_s": examples / wall}
 
+    start = time.perf_counter()
     generate_corpora(corpora, seed=args.seed, n_entities=args.entities,
                      n_captions=args.captions, n_vqa=args.vqa,
                      n_train=args.train_questions,
                      n_heldout=args.heldout_questions, vocab_size=1400)
+    timings["corpora"] = {"wall_s": time.perf_counter() - start}
     vocab = Vocab.load(os.path.join(corpora, "vocab.txt"))
     log(f"corpora ready (vocab {vocab.size})")
 

@@ -25,6 +25,8 @@ def _strings(value, key: str) -> list[str]:
 
 
 def doc_from_json(rec: dict, base_dir: str) -> Document:
+    if not isinstance(rec, dict):
+        raise ValueError(f"document record must be a JSON object, got {type(rec).__name__}")
     table = None
     if "table" in rec:
         t = rec["table"]

@@ -1,19 +1,31 @@
 """Subword vocabulary, token sequences, and model-input assembly.
 
-The vocabulary is built by greedy byte-pair merging over a whitespace
-normalized corpus (words after the first in a line carry their leading
-space, so merges never cross word boundaries). Encoding is greedy
-longest-match against the final token inventory, which makes the one-token-
-per-line vocab file a complete description of the tokenizer. Bytes outside
-the build alphabet map to ``<unk>``.
+The vocabulary is built by greedy byte-pair merging (Sennrich et al., 2016)
+over a whitespace normalized corpus. Each line is cut into chunks at
+whitespace and where a run of ASCII letters and digits meets a run of other
+characters; the first chunk of every word but the line's first carries its
+leading space, and merges never cross a chunk boundary. The inventory
+starts as the corpus's byte alphabet. Each merge joins the adjacent pair of
+pieces with the highest count over the corpus, ties going to the
+lexicographically smallest pair of byte strings, and appends the joined
+bytes as a new token unless an earlier merge already made them. Building
+stops at the target size or when no chunk has two pieces left, whichever
+comes first: the seed-0 desk world asks for 1400 entries and stops at 843.
+
+Encoding is greedy longest-match against the final token inventory, which
+makes the one-token-per-line vocab file a complete description of the
+tokenizer. Bytes outside the build alphabet map to ``<unk>``. Loading a
+vocab file rejects a wrong header and any token line that is empty, badly
+escaped, not UTF-8 or a repeat of an earlier token.
 
 Reserved ids: 0 ``<pad>``, 1 ``</s>``, 2 ``<unk>``, 3 ``<cls>``, 4 ``<img>``.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +103,21 @@ def _normalize_ws(text: str) -> str:
 _WORD_RUNS = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9]+")
 
 
+def _merge_pair(parts: list[bytes], pair, merged: bytes) -> list[bytes]:
+    """``parts`` with each occurrence of ``pair``, scanned left to right,
+    replaced by ``merged``."""
+    out = []
+    i = 0
+    while i < len(parts):
+        if i + 1 < len(parts) and parts[i] == pair[0] and parts[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(parts[i])
+            i += 1
+    return out
+
+
 def _pretokenize(text: str) -> list[bytes]:
     """Whitespace words, split again at punctuation boundaries, with words
     after the first carrying their leading space. Merges never cross chunk
@@ -111,7 +138,13 @@ class Vocab:
     def __init__(self, tokens: list[bytes]):
         self.tokens = list(tokens)  # merged byte-string per non-special id
         self._lookup = {tok: N_SPECIALS + i for i, tok in enumerate(self.tokens)}
-        self._max_token_len = max((len(t) for t in self.tokens), default=1)
+        # lengths of the tokens of two bytes or more, longest first, by their
+        # first two bytes: the only lengths a longest match there can have
+        lengths = defaultdict(set)
+        for tok in self.tokens:
+            if len(tok) >= 2:
+                lengths[tok[:2]].add(len(tok))
+        self._lengths = {k: sorted(v, reverse=True) for k, v in lengths.items()}
 
     @property
     def size(self) -> int:
@@ -121,9 +154,12 @@ class Vocab:
     def build(cls, corpus, target_size: int) -> "Vocab":
         """Greedy byte-pair vocabulary over the corpus lines.
 
-        Merges are picked by descending pair frequency, ties broken by the
-        lexicographically smallest pair, so identical corpora always yield
-        identical vocabularies.
+        Each merge joins the most frequent adjacent pair of pieces, ties
+        broken by the lexicographically smallest pair, so identical corpora
+        always yield identical vocabularies. Pair counts are kept up to date
+        across merges: a merge rewrites only the chunks indexed under its
+        pair, and the next pair comes off a heap keyed ``(-count, pair)``
+        whose out-of-date entries are skipped.
         """
         chunk_counts = Counter()
         for line in corpus:
@@ -141,57 +177,68 @@ class Vocab:
         tokens = [bytes([b]) for b in alphabet]
         known = set(tokens)
 
-        pieces = {
-            chunk: tuple(bytes([b]) for b in chunk) for chunk in chunk_counts
-        }
+        freqs = list(chunk_counts.values())
+        pieces = [[bytes([b]) for b in chunk] for chunk in chunk_counts]
+        pair_counts = Counter()
+        # pair -> indices of the chunks that have held it; a chunk that has
+        # since lost the pair comes out of its merge unchanged
+        holders = defaultdict(set)
+        for i, parts in enumerate(pieces):
+            for pair in zip(parts, parts[1:]):
+                pair_counts[pair] += freqs[i]
+                holders[pair].add(i)
+        heap = [(-n, pair) for pair, n in pair_counts.items()]
+        heapq.heapify(heap)
+
         while N_SPECIALS + len(tokens) < target_size:
-            pair_counts = Counter()
-            for chunk, parts in pieces.items():
-                freq = chunk_counts[chunk]
-                for a, b in zip(parts, parts[1:]):
-                    pair_counts[(a, b)] += freq
-            if not pair_counts:
+            while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+                heapq.heappop(heap)  # the pair's count has changed since
+            if not heap:
                 break
-            best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+            best = heapq.heappop(heap)[1]
             merged = best[0] + best[1]
             if merged not in known:
                 tokens.append(merged)
                 known.add(merged)
-            new_pieces = {}
-            for chunk, parts in pieces.items():
-                out = []
-                i = 0
-                while i < len(parts):
-                    if i + 1 < len(parts) and (parts[i], parts[i + 1]) == best:
-                        out.append(merged)
-                        i += 2
+            delta = Counter()
+            for i in holders.pop(best):
+                old = pieces[i]
+                new = pieces[i] = _merge_pair(old, best, merged)
+                for pair in zip(old, old[1:]):
+                    delta[pair] -= freqs[i]
+                for pair in zip(new, new[1:]):
+                    delta[pair] += freqs[i]
+                    holders[pair].add(i)
+            for pair, change in delta.items():
+                if change:
+                    n = pair_counts[pair] + change
+                    if n:
+                        pair_counts[pair] = n
+                        heapq.heappush(heap, (-n, pair))
                     else:
-                        out.append(parts[i])
-                        i += 1
-                new_pieces[chunk] = tuple(out)
-            pieces = new_pieces
+                        del pair_counts[pair]
         return cls(tokens)
 
     def token_ids(self, text: str) -> list[int]:
-        """Greedy longest-match tokenization; no specials appended."""
+        """Greedy longest-match tokenization; no specials appended. At each
+        position only the lengths of the tokens that start with its next two
+        bytes are tried, longest first, and then its one byte."""
         data = _normalize_ws(text).encode("utf-8")
+        lookup = self._lookup
         ids = []
         pos = 0
         n = len(data)
         while pos < n:
-            match = None
-            top = min(self._max_token_len, n - pos)
-            for length in range(top, 0, -1):
-                tid = self._lookup.get(data[pos:pos + length])
-                if tid is not None:
-                    match = (tid, length)
-                    break
-            if match is None:
-                ids.append(UNK_ID)
-                pos += 1
+            for length in self._lengths.get(data[pos:pos + 2], ()):
+                if length <= n - pos:
+                    tid = lookup.get(data[pos:pos + length])
+                    if tid is not None:
+                        break
             else:
-                ids.append(match[0])
-                pos += match[1]
+                length = 1
+                tid = lookup.get(data[pos:pos + 1], UNK_ID)
+            ids.append(tid)
+            pos += length
         return ids
 
     def encode(self, text: str) -> TokenSequence:
@@ -222,18 +269,36 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        """Read a vocab file written by ``save``. A header other than the
+        five specials, or a token line that is empty, badly escaped, not
+        UTF-8 or a repeat of an earlier token, raises ``ValueError`` naming
+        the file and the line."""
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().split(b"\n")
+        if raw_lines[-1] == b"":
+            raw_lines.pop()
+        lines = []
+        for lineno, raw in enumerate(raw_lines, start=1):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"vocab file {path}: line {lineno}: not UTF-8: {exc}") from None
         if lines[:N_SPECIALS] != _SPECIAL_RENDER:
             raise ValueError(f"vocab file {path}: reserved token header mismatch")
         tokens = []
+        first_seen = {}  # token -> the line it first appeared on
         for lineno, line in enumerate(lines[N_SPECIALS:], start=N_SPECIALS + 1):
+            where = f"vocab file {path}: line {lineno}"
+            if not line:
+                raise ValueError(f"{where}: empty token")
             try:
-                tokens.append(_unescape(line))
+                token = _unescape(line)
             except ValueError as exc:
-                raise ValueError(f"vocab file {path}: line {lineno}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
+            if token in first_seen:
+                raise ValueError(f"{where}: token {line!r} repeats line {first_seen[token]}")
+            first_seen[token] = lineno
+            tokens.append(token)
         return cls(tokens)
 
 

@@ -123,6 +123,17 @@ class TestLoadDataset:
         img_doc = [d for d in inst.pool if d.modality == "image"][0]
         assert img_doc.image_path == str(tmp_path / "pic.ppm")
 
+    @pytest.mark.parametrize("doc", ["abc", ["x"], 5, None],
+                             ids=["string", "list", "number", "null"])
+    def test_non_object_document_reports_line(self, tmp_path, doc):
+        rec = _valid_record()
+        rec["pool"].append(doc)
+        p = tmp_path / "bad.jsonl"
+        _write_jsonl(p, [_valid_record("ok"), rec])
+        with pytest.raises(ValueError, match=r"bad.jsonl:2: document record must be a JSON "
+                                             rf"object, got {type(doc).__name__}$"):
+            load_dataset(p)
+
     def test_invalid_json_reports_line(self, tmp_path):
         p = tmp_path / "broken.jsonl"
         p.write_text(json.dumps(_valid_record()) + "\nnot json\n")

@@ -177,6 +177,16 @@ class TestGenSynthetic:
         assert all(len(i.answers[0].split()) >= 4 for i in data)
 
 
+@pytest.fixture(scope="module")
+def qa_ckpt(tmp_path_factory, corpora_dir):
+    """A random-init desk checkpoint that matches ``corpora_dir``'s vocab."""
+    vocab = Vocab.load(corpora_dir / "vocab.txt")
+    path = tmp_path_factory.mktemp("qa") / "qa.ckpt"
+    save_checkpoint(MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size),
+                                                Rng(0)), path)
+    return path
+
+
 class TestCli:
     def test_full_command_chain(self, tmp_path):
         out = tmp_path / "work"
@@ -322,6 +332,36 @@ class TestCli:
         assert f"error: {infile}:1: field {field!r} must be a string, got int" \
             in capsys.readouterr().err
         assert outfile.read_text() == ""
+
+    @pytest.mark.parametrize("context", ["abc", ["x"]], ids=["string", "list"])
+    def test_answer_non_object_context_exits_one(self, tmp_path, corpora_dir, qa_ckpt,
+                                                 capsys, context):
+        infile = tmp_path / "ans_in.jsonl"
+        infile.write_text(json.dumps({"qid": "x", "question": "what is the capital of balor?",
+                                      "contexts": [context]}) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(infile), "--output", str(outfile), "--max-new-tokens", "2"])
+        assert rc == 1
+        assert (f"error: {infile}:1: document record must be a JSON object, "
+                f"got {type(context).__name__}") in capsys.readouterr().err
+        assert outfile.read_text() == ""
+
+    @pytest.mark.parametrize("edit,line_error", [
+        (lambda lines: lines[:7] + [b""] + lines[7:], "line 8: empty token"),
+        (lambda lines: lines[:7] + [lines[6]] + lines[7:], "line 8: token"),
+        (lambda lines: lines[:7] + [b"caf\xe9"] + lines[7:], "line 8: not UTF-8"),
+    ], ids=["blank", "repeat", "latin1"])
+    def test_answer_bad_vocab_exits_one(self, tmp_path, corpora_dir, qa_ckpt, capsys,
+                                        edit, line_error):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"\n".join(edit((corpora_dir / "vocab.txt").read_bytes().split(b"\n"))))
+        infile = tmp_path / "ans_in.jsonl"
+        infile.write_text(json.dumps({"qid": "x", "question": "q", "contexts": []}) + "\n")
+        rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(vocab),
+                   "--input", str(infile), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        assert f"error: vocab file {vocab}: {line_error}" in capsys.readouterr().err
 
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")

@@ -1,22 +1,98 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fusionqa.documents import Document, TableDoc
+from fusionqa.synthetic import generate_corpora
 from fusionqa.tokenizer import (
     CLS_ID,
     EOS_ID,
     IMG_ID,
+    N_SPECIALS,
     PAD_ID,
     UNK_ID,
     TokenSequence,
     Vocab,
+    _normalize_ws,
+    _pretokenize,
     assemble_qa_input,
     assemble_reranker_input,
     pad_sequences,
     serialize_table,
 )
+
+
+def reference_build(corpus, target_size):
+    """The tokens of ``Vocab.build`` computed the direct way: every pair
+    counted over every chunk, and every chunk rewritten, once per merge."""
+    chunk_counts = Counter()
+    for line in corpus:
+        for chunk in _pretokenize(line):
+            chunk_counts[chunk] += 1
+    if not chunk_counts:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    alphabet = sorted({b for chunk in chunk_counts for b in chunk})
+    if target_size < N_SPECIALS + len(alphabet):
+        raise ValueError("target_size below reserved + alphabet size")
+    tokens = [bytes([b]) for b in alphabet]
+    known = set(tokens)
+    pieces = {chunk: tuple(bytes([b]) for b in chunk) for chunk in chunk_counts}
+    while N_SPECIALS + len(tokens) < target_size:
+        pair_counts = Counter()
+        for chunk, parts in pieces.items():
+            for a, b in zip(parts, parts[1:]):
+                pair_counts[(a, b)] += chunk_counts[chunk]
+        if not pair_counts:
+            break
+        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+        merged = best[0] + best[1]
+        if merged not in known:
+            tokens.append(merged)
+            known.add(merged)
+        new_pieces = {}
+        for chunk, parts in pieces.items():
+            out = []
+            i = 0
+            while i < len(parts):
+                if i + 1 < len(parts) and (parts[i], parts[i + 1]) == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(parts[i])
+                    i += 1
+            new_pieces[chunk] = tuple(out)
+        pieces = new_pieces
+    return tokens
+
+
+def reference_token_ids(vocab, text):
+    """``Vocab.token_ids`` computed the direct way: at each position every
+    length from the longest token's down to one is tried."""
+    lookup = {tok: N_SPECIALS + i for i, tok in enumerate(vocab.tokens)}
+    max_len = max((len(t) for t in vocab.tokens), default=1)
+    data = _normalize_ws(text).encode("utf-8")
+    ids = []
+    pos = 0
+    while pos < len(data):
+        for length in range(min(max_len, len(data) - pos), 0, -1):
+            tid = lookup.get(data[pos:pos + length])
+            if tid is not None:
+                ids.append(tid)
+                pos += length
+                break
+        else:
+            ids.append(UNK_ID)
+            pos += 1
+    return ids
+
+
+# the seed-0 desk world's vocab.txt (150 entities, target 1400), as the
+# direct builder wrote it
+DESK_SEED0_VOCAB_SHA256 = "ada4d8049fab010b303badda87064afb3270e508726c78ceaca491b3d4cbf69c"
 
 
 class TestBuildVocab:
@@ -60,16 +136,134 @@ class TestBuildVocab:
         loaded.save(tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("bad", ["ab\\", "\\x4", "\\x", "\\xg1", "\\q", "a b"],
-                             ids=["dangling", "short_hex", "empty_hex", "non_hex", "unknown", "space"])
-    def test_malformed_token_line_names_line(self, tmp_path, tiny_vocab, bad):
+    @pytest.mark.parametrize("bad,reason", [
+        (b"ab\\", "bad escape"), (b"\\x4", "bad escape"), (b"\\x", "bad escape"),
+        (b"\\xg1", "bad escape"), (b"\\q", "bad escape"), (b"a b", "unescaped character"),
+        (b"", "empty token"), (b"\xff", "not UTF-8"), (b"a\xc3", "not UTF-8"),
+    ], ids=["dangling", "short_hex", "empty_hex", "non_hex", "unknown", "space",
+            "empty", "invalid_utf8", "truncated_utf8"])
+    def test_malformed_token_line_names_line(self, tmp_path, tiny_vocab, bad, reason):
+        path = tmp_path / "vocab.txt"
+        tiny_vocab.save(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[7] = bad
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=rf"^vocab file \S*vocab.txt: line 8: {reason}"):
+            Vocab.load(path)
+
+    def test_non_utf8_header_names_line(self, tmp_path, tiny_vocab):
+        path = tmp_path / "vocab.txt"
+        tiny_vocab.save(path)
+        path.write_bytes(path.read_bytes().replace(b"<unk>", b"<unk\xe9>"))
+        with pytest.raises(ValueError, match=r"vocab.txt: line 3: not UTF-8"):
+            Vocab.load(path)
+
+    @pytest.mark.parametrize("spelling", ["same", "hex"])
+    def test_repeated_token_names_both_lines(self, tmp_path, tiny_vocab, spelling):
+        # the same bytes spelt the same way or as \xHH escapes: either way
+        # encode could only ever emit the later id
         path = tmp_path / "vocab.txt"
         tiny_vocab.save(path)
         lines = path.read_text().split("\n")
-        lines[7] = bad
+        token = tiny_vocab.tokens[1]  # id 6, on line 7
+        lines[7] = lines[6] if spelling == "same" else "".join(f"\\x{b:02x}" for b in token)
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match=r"vocab.txt: line 8: "):
+        with pytest.raises(ValueError, match=r"vocab.txt: line 8: token .* repeats line 7"):
             Vocab.load(path)
+
+    def test_blank_line_before_end_rejected(self, tmp_path, tiny_vocab):
+        # one trailing newline ends the last line; a second one is an empty token
+        path = tmp_path / "vocab.txt"
+        tiny_vocab.save(path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(ValueError, match=rf"line {tiny_vocab.size + 1}: empty token"):
+            Vocab.load(path)
+
+
+class TestVocabFileFuzz:
+    """Mutated vocab files either load, and then survive a save/load round
+    trip, or raise ValueError naming the file; never anything else."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_round_trips_or_raises_value_error(self, tmp_path, tiny_vocab, data):
+        good = tmp_path / "vocab.txt"
+        tiny_vocab.save(good)
+        raw = good.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "insert", "delete", "repeat"]))
+        mutated = bytearray(raw)
+        if kind == "truncate":
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            mutated[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        elif kind == "insert":
+            at = data.draw(st.integers(0, len(raw)))
+            mutated[at:at] = data.draw(st.binary(min_size=1, max_size=4)
+                                       | st.sampled_from([b"\n", b"\\", b"\\x", b"\\s"]))
+        else:
+            lines = raw.split(b"\n")
+            at = data.draw(st.integers(0, len(lines) - 2))
+            if kind == "delete":
+                del lines[at]
+            else:
+                lines.insert(at, lines[data.draw(st.integers(0, len(lines) - 2))])
+            mutated = b"\n".join(lines)
+        path = tmp_path / "mutated.txt"
+        path.write_bytes(bytes(mutated))
+        try:
+            vocab = Vocab.load(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"vocab file {path}: ")
+            return
+        again = tmp_path / "again.txt"
+        vocab.save(again)
+        assert Vocab.load(again).tokens == vocab.tokens
+        assert len(set(vocab.tokens)) == len(vocab.tokens) and b"" not in vocab.tokens
+
+
+# words over a few small alphabets: two letters force count ties, and the
+# others bring multibyte UTF-8 and punctuation runs
+_ALPHABETS = ["ab", "abc d", "aé中ß", "ab?!.,:-'", "xy😀z"]
+
+
+@st.composite
+def corpora(draw):
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    word = st.text(alphabet=alphabet.replace(" ", ""), min_size=1, max_size=9)
+    lines = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                          min_size=1, max_size=12))
+    return lines
+
+
+def _reserved_and_alphabet(lines):
+    return N_SPECIALS + len({b for line in lines for chunk in _pretokenize(line)
+                             for b in chunk})
+
+
+class TestBuildMatchesReference:
+    @given(lines=corpora(), extra=st.one_of(st.integers(0, 12), st.integers(13, 400)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_tokens_as_direct_build(self, lines, extra):
+        # small extras stop at the target; large ones run out of pairs first
+        target = _reserved_and_alphabet(lines) + extra
+        assert Vocab.build(lines, target).tokens == reference_build(lines, target)
+
+    @given(lines=corpora(), extra=st.integers(0, 60),
+           texts=st.lists(st.text(alphabet="abcdé中?! zq😀\t\\", max_size=30), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_ids_as_direct_encoder(self, lines, extra, texts):
+        # texts draw on bytes the corpus may not have, which become <unk>
+        vocab = Vocab.build(lines, _reserved_and_alphabet(lines) + extra)
+        for text in lines + texts:
+            assert vocab.token_ids(text) == reference_token_ids(vocab, text)
+
+    def test_desk_seed0_vocab_file_pinned(self, tmp_path):
+        generate_corpora(tmp_path, seed=0, n_entities=150, n_captions=0, n_vqa=0,
+                         n_train=0, n_heldout=0, vocab_size=1400)
+        raw = (tmp_path / "vocab.txt").read_bytes()
+        assert raw.count(b"\n") == 843  # the world runs out of pairs below 1400
+        assert hashlib.sha256(raw).hexdigest() == DESK_SEED0_VOCAB_SHA256
 
 
 class TestEncodeDecode:
