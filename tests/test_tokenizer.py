@@ -231,9 +231,8 @@ _ALPHABETS = ["ab", "abc d", "aé中ß", "ab?!.,:-'", "xy😀z"]
 def corpora(draw):
     alphabet = draw(st.sampled_from(_ALPHABETS))
     word = st.text(alphabet=alphabet.replace(" ", ""), min_size=1, max_size=9)
-    lines = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
-                          min_size=1, max_size=12))
-    return lines
+    return draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                         min_size=1, max_size=12))
 
 
 def _reserved_and_alphabet(lines):
