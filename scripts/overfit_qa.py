@@ -31,7 +31,7 @@ def run_overfit(pairs=32, epochs=5, seed=0, outdir=None, lr=2e-3, batch=2):
 
     model = MultimodalTransformer.build(
         model_profile("desk", vocab_size=vocab.size), Rng(seed).child("init"))
-    cfg = FinetuneConfig("qa", batch, epochs, lr)
+    cfg = FinetuneConfig(batch, epochs, lr)
     trace = finetune_qa(model, vocab, data, cfg, Rng(seed).child("ft"),
                         image_loader=loader, extra_distractors=0)
 

@@ -6,11 +6,7 @@ and a name -> {shape, offset, crc32} table; offsets in bytes into the
 payload, crc32 the zlib CRC-32 of the tensor's bytes) | payload of
 little-endian IEEE-754 float32 values.
 
-Files are written in format 3. Older files still load: format 2 has the
-same header but no header CRC (a 16-byte preamble); format 1 also has no
-tensor CRC-32s, so a format-1 table that holds one is a changed version
-field and is rejected, and its config snapshot holds a vision
-``llrd_factor`` that nothing reads, which the loader drops.
+Only format 3 is read or written; a file in any other version is rejected.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -30,8 +26,8 @@ from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
 FORMAT_VERSION = 3
-# magic, u32 version, u64 header length, and from format 3 a u32 header CRC-32
-_PREAMBLE = {1: 16, 2: 16, 3: 20}
+# magic, u32 version, u64 header length, u32 header CRC-32
+_PREAMBLE = 20
 
 
 def save_checkpoint(model: MultimodalTransformer, path):
@@ -68,8 +64,8 @@ def load_checkpoint(path) -> MultimodalTransformer:
 
     Any malformed file raises ValueError naming the file and the byte offset
     or header key at fault: the tensors must tile the payload exactly, with
-    no overlap, gap or trailing byte; from format 2 each tensor's bytes must
-    match its CRC-32, and from format 3 the header bytes must match theirs.
+    no overlap, gap or trailing byte, and the header and each tensor's bytes
+    must match their CRC-32s.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -78,45 +74,39 @@ def load_checkpoint(path) -> MultimodalTransformer:
     if len(raw) < 8:
         raise ValueError(f"checkpoint {path}: file is {len(raw)} bytes, too short for a format version")
     (version,) = struct.unpack_from("<I", raw, 4)
-    if version not in _PREAMBLE:
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"checkpoint {path}: format version {version} unsupported (expected 1, 2 or {FORMAT_VERSION})"
+            f"checkpoint {path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    preamble = _PREAMBLE[version]
-    if len(raw) < preamble:
+    if len(raw) < _PREAMBLE:
         raise ValueError(
-            f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {preamble}-byte preamble"
+            f"checkpoint {path}: file is {len(raw)} bytes, shorter than the {_PREAMBLE}-byte preamble"
         )
     (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header_end = preamble + header_len
+    header_end = _PREAMBLE + header_len
     if header_end > len(raw):
         raise ValueError(
-            f"checkpoint {path}: header of {header_len} bytes at byte {preamble} "
+            f"checkpoint {path}: header of {header_len} bytes at byte {_PREAMBLE} "
             f"runs past the end of the file at byte {len(raw)}"
         )
-    header_bytes = raw[preamble:header_end]
-    if version >= 3:
-        (recorded,) = struct.unpack_from("<I", raw, 16)
-        if (crc := zlib.crc32(header_bytes)) != recorded:
-            raise ValueError(
-                f"checkpoint {path}: header at bytes {preamble}..{header_end} has CRC-32 {crc}, "
-                f"the preamble records {recorded}"
-            )
+    header_bytes = raw[_PREAMBLE:header_end]
+    (recorded,) = struct.unpack_from("<I", raw, 16)
+    if (crc := zlib.crc32(header_bytes)) != recorded:
+        raise ValueError(
+            f"checkpoint {path}: header at bytes {_PREAMBLE}..{header_end} has CRC-32 {crc}, "
+            f"the preamble records {recorded}"
+        )
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ValueError(
-            f"checkpoint {path}: header at byte {preamble} is not UTF-8 JSON: {exc}"
+            f"checkpoint {path}: header at byte {_PREAMBLE} is not UTF-8 JSON: {exc}"
         ) from None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint {path}: header is not a JSON object")
     for key in ("config", "tensors"):
         if key not in header:
             raise ValueError(f"checkpoint {path}: header has no {key!r} key")
-    # format 1 stored VisionConfig.llrd_factor, which nothing read
-    vision = header["config"].get("vision") if isinstance(header["config"], dict) else None
-    if version == 1 and isinstance(vision, dict):
-        vision.pop("llrd_factor", None)
     try:
         config = config_from_dict(header["config"])
     except ValueError as exc:
@@ -136,11 +126,6 @@ def load_checkpoint(path) -> MultimodalTransformer:
     spans = []
     for name, spec in table.items():
         spec = spec if isinstance(spec, dict) else {}
-        if version == 1 and "crc32" in spec:
-            raise ValueError(
-                f"checkpoint {path}: tensor {name} has a crc32, which format 1 never "
-                "wrote; the version field was changed"
-            )
         shape, offset = spec.get("shape"), spec.get("offset")
         if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise ValueError(
@@ -177,7 +162,7 @@ def load_checkpoint(path) -> MultimodalTransformer:
     params = {}
     for start, end, name in spans:
         data = payload[start:end]
-        if version > 1 and (crc := zlib.crc32(data)) != table[name].get("crc32"):
+        if (crc := zlib.crc32(data)) != table[name].get("crc32"):
             raise ValueError(
                 f"checkpoint {path}: tensor {name} at bytes {header_end + start}..{header_end + end} "
                 f"has CRC-32 {crc}, the header records {table[name].get('crc32')!r}"

@@ -108,29 +108,27 @@ QA_PROMPT = "answer the question using the given contexts:"
 
 @dataclass
 class StageConfig:
-    """One pretraining stage: which components train and with what schedule."""
+    """One pretraining stage's schedule. The stage trains the vision encoder
+    iff ``ve_lr`` is set and the language model iff ``lm_lr`` is set."""
 
     stage: int
-    trainable: str  # "VE" | "VE+LM" | "LM"
     global_batch: int
     epochs: int
     lm_lr: float | None
     ve_lr: float | None
-    ve_llrd_factor: float | None
-    weight_decay: float = 0.05
 
     def __post_init__(self):
-        if self.trainable not in ("VE", "VE+LM", "LM"):
-            raise ValueError(f"unknown trainable set {self.trainable!r}")
+        if self.lm_lr is None and self.ve_lr is None:
+            raise ValueError(f"stage {self.stage} sets neither lm_lr nor ve_lr, so nothing trains")
 
 
 def pretrain_stage_defaults(stage: int) -> StageConfig:
     """Published per-stage schedule: stage 1 trains the vision encoder alone,
     stage 2 trains both components jointly, stage 3 the language model alone."""
     table = {
-        1: StageConfig(1, "VE", 256, 1, None, 1e-3, 0.5),
-        2: StageConfig(2, "VE+LM", 128, 1, 1e-4, 5e-4, 0.5),
-        3: StageConfig(3, "LM", 128, 1, 1e-4, None, None),
+        1: StageConfig(1, 256, 1, None, 1e-3),
+        2: StageConfig(2, 128, 1, 1e-4, 5e-4),
+        3: StageConfig(3, 128, 1, 1e-4, None),
     }
     if stage not in table:
         raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
@@ -161,21 +159,15 @@ def desk_stage_config(stage: int) -> StageConfig:
 class FinetuneConfig:
     """Fine-tuning schedule for one head; vision encoder frozen in both."""
 
-    task: str  # "reranker" | "qa"
     global_batch: int
     epochs: int
     lr: float
-    weight_decay: float = 0.05
-
-    def __post_init__(self):
-        if self.task not in ("reranker", "qa"):
-            raise ValueError(f"unknown finetune task {self.task!r}")
 
 
 def finetune_defaults(task: str) -> FinetuneConfig:
     table = {
-        "reranker": FinetuneConfig("reranker", 256, 3, 2e-4),
-        "qa": FinetuneConfig("qa", 16, 5, 5e-5),
+        "reranker": FinetuneConfig(256, 3, 2e-4),
+        "qa": FinetuneConfig(16, 5, 5e-5),
     }
     if task not in table:
         raise ValueError(f"task must be 'reranker' or 'qa', got {task}")

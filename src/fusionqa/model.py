@@ -395,13 +395,13 @@ def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
     return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
 
 
-def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | None = None) -> Tensor:
+def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache) -> Tensor:
     """Pre-softmax logits (V,) for the position after the given prefix, a
     (T,) id list decoded against a one-row ``enc``.
 
     The cache holds the first ``cache.length`` prefix positions of earlier
     steps for this ``enc``; only the rest of the prefix runs, and only its
-    last position is projected to the vocabulary. Without a cache a fresh one
+    last position is projected to the vocabulary; a fresh ``DecoderCache()``
     is filled from the whole prefix. Runs under ``no_grad``.
     """
     prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
@@ -410,7 +410,6 @@ def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache | Non
             f"decode_step: prefix length {len(prefix_ids)} must stay below max_len "
             f"{model.config.lm.max_len}"
         )
-    cache = DecoderCache() if cache is None else cache
     if cache.length >= len(prefix_ids):
         raise ValueError(
             f"decode_step: cache holds {cache.length} positions, "

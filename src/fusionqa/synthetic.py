@@ -51,11 +51,10 @@ class SceneSpec:
     size: str = "large"
 
 
-def all_scene_specs() -> list[SceneSpec]:
-    return [
-        SceneSpec(c, s, p, z)
-        for c in COLORS for s in SHAPES for p in POSITIONS for z in SIZES
-    ]
+SCENE_SPECS = tuple(
+    SceneSpec(c, s, p, z)
+    for c in COLORS for s in SHAPES for p in POSITIONS for z in SIZES
+)
 
 
 def _shape_mask(shape: str, n: int) -> np.ndarray:
@@ -152,7 +151,7 @@ def _make_names(n: int, rng: Rng, syllables: int = 3) -> list[str]:
 class World:
     entities: list[str]
     facts: dict  # entity -> {relation: value}
-    scenes_of: dict  # entity -> two scene indices into all_scene_specs()
+    scenes_of: dict  # entity -> two scene indices into SCENE_SPECS
 
 
 def generate_world(rng: Rng, n_entities: int = 100) -> World:
@@ -163,15 +162,14 @@ def generate_world(rng: Rng, n_entities: int = 100) -> World:
     facts = {}
     scenes_of = {}
     pick = rng.child("facts")
-    specs = all_scene_specs()
-    primary = pick.permutation(len(specs))  # distinct first scene per entity
+    primary = pick.permutation(len(SCENE_SPECS))  # distinct first scene per entity
     for i, e in enumerate(entities):
         facts[e] = {
             rel: pool[int(pick.integers(0, len(pool)))]
             for rel, pool in _VALUE_POOLS.items()
         }
-        first = int(primary[i % len(specs)])
-        second = int(pick.integers(0, len(specs) - 1))
+        first = int(primary[i % len(SCENE_SPECS)])
+        second = int(pick.integers(0, len(SCENE_SPECS) - 1))
         if second >= first:
             second += 1
         scenes_of[e] = (first, second)
@@ -205,24 +203,23 @@ def photo_document(world: World, entity: str, which: int) -> Document:
     )
 
 
-def entity_documents(world: World, entity: str, which: int = 0) -> list[Document]:
-    """The per-entity document set: a text or table doc per relation plus one
-    of the entity's photos."""
-    docs = []
-    for rel in ENTITY_RELATIONS:
-        value = world.facts[entity][rel]
-        if fact_is_table(entity, rel):
-            docs.append(Document(
-                id=f"tab_{entity}_{rel}", modality="table",
-                table=fact_table(entity, rel, value), label=None,
-            ))
-        else:
-            docs.append(Document(
-                id=f"txt_{entity}_{rel}", modality="text",
-                text=fact_sentence(entity, rel, value), label=None,
-            ))
-    docs.append(photo_document(world, entity, which))
-    return docs
+# an entity's document slots: one text or table doc per relation, then a photo
+_ENTITY_SLOTS = len(ENTITY_RELATIONS) + 1
+
+
+def entity_document(world: World, entity: str, slot: int, which: int) -> Document:
+    """Slot ``slot`` of the entity's document set: the text or table doc of
+    ``ENTITY_RELATIONS[slot]``, or for the last slot the entity's photo
+    ``which``."""
+    if slot == len(ENTITY_RELATIONS):
+        return photo_document(world, entity, which)
+    rel = ENTITY_RELATIONS[slot]
+    value = world.facts[entity][rel]
+    if fact_is_table(entity, rel):
+        return Document(id=f"tab_{entity}_{rel}", modality="table",
+                        table=fact_table(entity, rel, value), label=None)
+    return Document(id=f"txt_{entity}_{rel}", modality="text",
+                    text=fact_sentence(entity, rel, value), label=None)
 
 
 IMAGE_RELATIONS = ("photo_color", "photo_shape")
@@ -251,19 +248,17 @@ def build_instance(world: World, qid: str, entity: str, relation: str,
     drawn from other entities only. Photo questions attach one of the
     entity's photos, chosen by the rng; the answer is read from that photo's
     scene."""
-    specs = all_scene_specs()
     if relation in IMAGE_RELATIONS:
         which = int(rng.child("photo").integers(0, 2))
         support = photo_document(world, entity, which)
-        spec = specs[world.scenes_of[entity][which]]
+        spec = SCENE_SPECS[world.scenes_of[entity][which]]
         attr = relation.split("_")[1]
         question = f"what {attr} is the thing in the photo of {entity}?"
         value = spec.color if attr == "color" else spec.shape
     else:
-        own_docs = entity_documents(world, entity)
         question = f"what is the {relation} of {entity}?"
         value = world.facts[entity][relation]
-        support = own_docs[ENTITY_RELATIONS.index(relation)]
+        support = entity_document(world, entity, ENTITY_RELATIONS.index(relation), 0)
     if answer_style == "sentence":
         answer = (f"the {relation.split('_')[1]} in the photo of {entity} is {value}"
                   if relation in IMAGE_RELATIONS
@@ -276,9 +271,8 @@ def build_instance(world: World, qid: str, entity: str, relation: str,
     pool = [_copy_doc(support, "supporting")]
     chosen_entities = pick.sample_indices(len(others), min(n_distractors, len(others)))
     for j in np.asarray(chosen_entities).tolist():
-        other = others[int(j)]
-        other_docs = entity_documents(world, other, which=int(pick.integers(0, 2)))
-        doc = other_docs[int(pick.integers(0, len(other_docs)))]
+        photo = int(pick.integers(0, 2))  # drawn before the slot
+        doc = entity_document(world, others[int(j)], int(pick.integers(0, _ENTITY_SLOTS)), photo)
         pool.append(_copy_doc(doc, "distractor"))
     order = rng.child("order").permutation(len(pool))
     pool = [pool[int(i)] for i in order]
@@ -292,7 +286,7 @@ def corpus_text_lines(world: World) -> list[str]:
     """Every sentence the synthetic world can produce; vocabulary fodder."""
     lines = [QA_PROMPT]
     lines.extend(_CAPTION_PROMPTS)
-    for spec in all_scene_specs():
+    for spec in SCENE_SPECS:
         lines.append(brief_caption(spec))
         lines.append(rich_caption(spec))
         lines.append(f"what color is the {spec.shape}?")
@@ -315,22 +309,20 @@ def corpus_text_lines(world: World) -> list[str]:
 
 def caption_samples(n: int, rng: Rng, rich: bool) -> list[tuple[int, str, str]]:
     """(scene index, prompt, target) triples for stages 1 and 2."""
-    specs = all_scene_specs()
     out = []
     for i in range(n):
-        idx = int(rng.integers(0, len(specs)))
+        idx = int(rng.integers(0, len(SCENE_SPECS)))
         prompt = _CAPTION_PROMPTS[int(rng.integers(0, len(_CAPTION_PROMPTS)))]
-        target = rich_caption(specs[idx]) if rich else brief_caption(specs[idx])
+        target = rich_caption(SCENE_SPECS[idx]) if rich else brief_caption(SCENE_SPECS[idx])
         out.append((idx, prompt, target))
     return out
 
 
 def vqa_samples(n: int, rng: Rng) -> list[tuple[int, str, str]]:
-    specs = all_scene_specs()
     out = []
     for i in range(n):
-        idx = int(rng.integers(0, len(specs)))
-        q, a = vqa_pair(specs[idx], rng.child(f"q{i}"))
+        idx = int(rng.integers(0, len(SCENE_SPECS)))
+        q, a = vqa_pair(SCENE_SPECS[idx], rng.child(f"q{i}"))
         out.append((idx, q, a))
     return out
 
@@ -348,8 +340,7 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     rng = Rng(seed)
     os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
 
-    specs = all_scene_specs()
-    for idx, spec in enumerate(specs):
+    for idx, spec in enumerate(SCENE_SPECS):
         save_image_ppm(render_scene(spec), os.path.join(outdir, _scene_path(idx)))
 
     world = generate_world(rng.child("world"), n_entities=n_entities)
@@ -398,7 +389,7 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
 
     return {
         "outdir": str(outdir),
-        "n_scenes": len(specs),
+        "n_scenes": len(SCENE_SPECS),
         "n_captions": n_captions,
         "n_vqa": n_vqa,
         "n_train": n_train,

@@ -9,9 +9,10 @@ allows a shared leading batch axis, add allows a trailing-suffix bias, and
 nothing else. Every other op requires exact shape agreement so that shape
 bugs fail loudly at the op that caused them.
 
-Every op here serves the package, with one exception kept for the tests:
-``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses and random
-inputs that the gradient checks probe with ``grad_check``.
+Every op here serves the package, with two exceptions kept for the tests:
+``matmul`` is the reference that ``linear`` and ``attention`` are checked
+against, and ``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses
+and random inputs that the gradient checks probe with ``grad_check``.
 """
 
 from __future__ import annotations

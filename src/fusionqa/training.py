@@ -1,14 +1,16 @@
 """Optimization and the staged training procedures.
 
-AdamW with decoupled weight decay and a no-warmup cosine schedule drives
-every procedure. The vision encoder gets layer-wise learning-rate decay
+AdamW with decoupled weight decay (``WEIGHT_DECAY`` on weight matrices)
+and a no-warmup cosine schedule drives every procedure. The vision encoder
+gets layer-wise learning-rate decay by ``VISION_LLRD_FACTOR`` per layer
 (top layer fastest; patch projection and positional embeddings join the
 bottom group). Freezing is total: a frozen tensor receives no gradient,
 holds no optimizer state, and is bit-identical after training.
 
 Stages: (1) vision encoder alone on caption pairs, (2) vision encoder and
 language model jointly on richer captions, (3) language model alone on
-visual question-answer triples. Fine-tuning (reranker head or answer
+visual question-answer triples. A stage trains exactly the components its
+config gives a learning rate. Fine-tuning (reranker head or answer
 generator) always keeps the vision encoder frozen.
 """
 
@@ -29,6 +31,9 @@ from fusionqa.tensor import Rng, Tensor, backward
 from fusionqa.tokenizer import assemble_qa_input, pad_sequences
 
 
+VISION_LLRD_FACTOR = 0.5
+
+
 def llrd_rates(base_lr: float, factor: float, n_layers: int) -> list[float]:
     """Per-layer learning rates, bottom (index 0) to top: base * factor^depth."""
     if not 0.0 < factor <= 1.0:
@@ -47,6 +52,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+WEIGHT_DECAY = 0.05
 _NO_DECAY_LEAVES = ("gamma", "beta")
 
 
@@ -66,13 +72,12 @@ class ParamGroup:
     names: list[str]
     tensors: list[Tensor]
     base_lr: float
-    weight_decay: float
 
 
-def vision_param_groups(model, base_lr: float, factor: float, weight_decay: float) -> list[ParamGroup]:
+def vision_param_groups(model, base_lr: float) -> list[ParamGroup]:
     """LLRD groups partitioning the vision encoder exactly once."""
     n_layers = model.config.vision.n_layers
-    rates = llrd_rates(base_lr, factor, n_layers)
+    rates = llrd_rates(base_lr, VISION_LLRD_FACTOR, n_layers)
     buckets = {i: [] for i in range(n_layers)}
     for name in model.params:
         if not name.startswith("vision."):
@@ -87,17 +92,16 @@ def vision_param_groups(model, base_lr: float, factor: float, weight_decay: floa
     groups = []
     for i in range(n_layers):
         names = sorted(buckets[i])
-        groups.append(ParamGroup(names, [model.params[n] for n in names], rates[i], weight_decay))
+        groups.append(ParamGroup(names, [model.params[n] for n in names], rates[i]))
     return groups
 
 
-def lm_param_group(model, base_lr: float, weight_decay: float,
-                   include_cls_head=False) -> ParamGroup:
+def lm_param_group(model, base_lr: float, include_cls_head=False) -> ParamGroup:
     names = sorted(
         n for n in model.params
         if n.startswith("lm.") or (include_cls_head and n.startswith("cls_head."))
     )
-    return ParamGroup(names, [model.params[n] for n in names], base_lr, weight_decay)
+    return ParamGroup(names, [model.params[n] for n in names], base_lr)
 
 
 class AdamW:
@@ -131,8 +135,8 @@ class AdamW:
                     continue
                 grad = p.grad.astype(p.data.dtype, copy=False)
                 m, v = self.moments[name]
-                if g.weight_decay and decay_allowed(name):
-                    p.data *= 1.0 - lr * g.weight_decay
+                if decay_allowed(name):
+                    p.data *= 1.0 - lr * WEIGHT_DECAY
                 m *= self.beta1
                 m += (1.0 - self.beta1) * grad
                 v *= self.beta2
@@ -163,7 +167,6 @@ def clone_model(model) -> MultimodalTransformer:
 
 
 _STAGE_KIND = {1: "caption", 2: "caption", 3: "vqa"}
-_STAGE_PREFIXES = {"VE": ("vision.",), "VE+LM": ("vision.", "lm."), "LM": ("lm.",)}
 
 
 def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss):
@@ -221,13 +224,17 @@ def _pretrain_loss(model, vocab, samples: list[PretrainSample], rng):
 
 
 def _stage_optimizer(model, stage: StageConfig) -> AdamW:
-    groups = []
+    """Freeze all but the components the stage has a rate for and return
+    their optimizer: ``vision.*`` trains iff ``ve_lr`` is set (its LLRD
+    groups first), ``lm.*`` iff ``lm_lr`` is set."""
+    prefixes, groups = [], []
     if stage.ve_lr is not None:
-        groups.extend(
-            vision_param_groups(model, stage.ve_lr, stage.ve_llrd_factor, stage.weight_decay)
-        )
+        prefixes.append("vision.")
+        groups.extend(vision_param_groups(model, stage.ve_lr))
     if stage.lm_lr is not None:
-        groups.append(lm_param_group(model, stage.lm_lr, stage.weight_decay))
+        prefixes.append("lm.")
+        groups.append(lm_param_group(model, stage.lm_lr))
+    model.set_trainable(prefixes)
     return AdamW(groups)
 
 
@@ -247,7 +254,6 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
     if not corpus:
         raise ValueError("pretraining corpus is empty")
 
-    model.set_trainable(_STAGE_PREFIXES[stage.trainable])
     opt = _stage_optimizer(model, stage)
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
@@ -260,10 +266,8 @@ def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConf
     """Fine-tune the relevance scorer, one question per step; ``global_batch``
     is the number of pool documents scored per question, all in one encoder
     pass. The vision encoder stays frozen."""
-    if cfg.task != "reranker":
-        raise ValueError(f"expected a reranker config, got task {cfg.task!r}")
     model.set_trainable(("lm.", "cls_head."))
-    opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay, include_cls_head=True)])
+    opt = AdamW([lm_param_group(model, cfg.lr, include_cls_head=True)])
 
     def step_loss(insts, step_rng):
         (inst,) = insts
@@ -309,10 +313,8 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
                 ) -> list[tuple[int, float, float, float]]:
     """Fine-tune the generator on gold contexts; vision encoder stays frozen."""
-    if cfg.task != "qa":
-        raise ValueError(f"expected a qa config, got task {cfg.task!r}")
     model.set_trainable(("lm.",))
-    opt = AdamW([lm_param_group(model, cfg.lr, cfg.weight_decay)])
+    opt = AdamW([lm_param_group(model, cfg.lr)])
 
     step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
                         extra_distractors=extra_distractors)

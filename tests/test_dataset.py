@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import os
@@ -25,18 +24,11 @@ from fusionqa.tensor import Rng
 
 from conftest import make_tiny_config
 
-# A format-1 checkpoint, written before format 2 existed by the format-1
-# save_checkpoint from MultimodalTransformer.build(V1_CONFIG, Rng(7)).
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_v1.ckpt")
-V1_CONFIG = make_tiny_config(16, d=4, heads=2, image_size=8, patch=4, max_len=8)
-
 
 def _header(raw):
-    """(header, header end) of checkpoint bytes in format 3 (20-byte
-    preamble) or an older format (16 bytes)."""
-    preamble = 20 if struct.unpack_from("<I", raw, 4)[0] >= 3 else 16
+    """(header, header end) of format-3 checkpoint bytes (20-byte preamble)."""
     (header_len,) = struct.unpack_from("<Q", raw, 8)
-    return json.loads(raw[preamble:preamble + header_len].decode()), preamble + header_len
+    return json.loads(raw[20:20 + header_len].decode()), 20 + header_len
 
 
 def _with_header(raw, header) -> bytes:
@@ -45,11 +37,6 @@ def _with_header(raw, header) -> bytes:
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return (raw[:8] + struct.pack("<Q", len(new)) + struct.pack("<I", zlib.crc32(new)) + new
             + raw[_header(raw)[1]:])
-
-
-def _as_format2(raw) -> bytes:
-    """Format-3 checkpoint bytes rewritten in format 2: no header CRC."""
-    return raw[:4] + struct.pack("<I", 2) + raw[8:16] + raw[20:]
 
 
 def _write_jsonl(path, records):
@@ -350,8 +337,8 @@ class TestCheckpoint:
 
     def test_short_file_names_size(self, tmp_path):
         p = tmp_path / "short.ckpt"
-        p.write_bytes(b"FQCK" + b"\x01\x00\x00\x00\x00\x00")
-        with pytest.raises(ValueError, match=r"short.ckpt: file is 10 bytes, shorter than the 16-byte"):
+        p.write_bytes(b"FQCK" + struct.pack("<I", 3) + b"\x00\x00")
+        with pytest.raises(ValueError, match=r"short.ckpt: file is 10 bytes, shorter than the 20-byte"):
             load_checkpoint(p)
 
     def test_header_past_end_of_file(self, tmp_path, tiny_vocab):
@@ -453,11 +440,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path, tiny_vocab):
+        # the formats 1 and 2 of earlier releases are rejected like any other
         path = self._saved(tmp_path, tiny_vocab)
         raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 4) + raw[8:])
-        with pytest.raises(ValueError, match=r"format version 4 unsupported \(expected 1, 2 or 3\)"):
-            load_checkpoint(path)
+        for version in (1, 2, 4):
+            path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(ValueError, match=rf"m.ckpt: format version {version} "
+                                                 r"unsupported \(expected 3\)"):
+                load_checkpoint(path)
 
     def test_header_edit_fails_its_crc(self, tmp_path, tiny_vocab):
         path = self._saved(tmp_path, tiny_vocab)
@@ -466,51 +456,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m.ckpt: header at bytes 20\.\.\d+ has CRC-32 \d+, "
                                              r"the preamble records \d+"):
             load_checkpoint(path)
-
-    def test_v2_file_loads_bit_exact(self, tmp_path, tiny_vocab):
-        model = self._model(tiny_vocab)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        path.write_bytes(_as_format2(path.read_bytes()))
-        loaded = load_checkpoint(path)
-        assert loaded.config == model.config
-        for name, p in model.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-
-    def test_format1_table_with_crc_rejected(self, tmp_path, tiny_vocab):
-        # a format-2 file whose version field reads 1 would skip every CRC
-        path = self._saved(tmp_path, tiny_vocab)
-        raw = _as_format2(path.read_bytes())
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(ValueError, match=r"m.ckpt: tensor \S+ has a crc32, which format 1 "
-                                             r"never wrote"):
-            load_checkpoint(path)
-
-    def test_v2_rejects_vision_llrd_factor(self, tmp_path, tiny_vocab):
-        path = self._saved(tmp_path, tiny_vocab)
-        self._edit_header(path, lambda h: h["config"]["vision"].update(llrd_factor=0.5))
-        with pytest.raises(ValueError, match=r"unknown vision config fields \['llrd_factor'\]"):
-            load_checkpoint(path)
-
-    def test_v1_file_loads_and_resaves_bit_exact(self, tmp_path):
-        raw = open(V1_FIXTURE, "rb").read()
-        assert struct.unpack_from("<I", raw, 4) == (1,) and b'"llrd_factor":0.5' in raw
-        v1 = load_checkpoint(V1_FIXTURE)
-        assert v1.config == V1_CONFIG
-        digest = hashlib.blake2b(digest_size=16)
-        for name in sorted(v1.params):
-            digest.update(name.encode())
-            digest.update(v1.params[name].data.tobytes())
-        assert digest.hexdigest() == "e3051c43a985372f94054538afb9634d"
-
-        path = tmp_path / "v3.ckpt"
-        save_checkpoint(v1, path)
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
-        v3 = load_checkpoint(path)
-        assert v3.config == v1.config
-        assert sorted(v3.params) == sorted(v1.params)
-        for name, p in v1.params.items():
-            assert v3.params[name].data.tobytes() == p.data.tobytes()
 
     def test_base_profile_checkpoint_config(self, tmp_path):
         # shape table only; the base profile itself is too large to allocate here
@@ -525,9 +470,10 @@ class TestCheckpoint:
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
-    """(path, bytes, header end) of the v1 fixture saved in the current format."""
+    """(path, bytes, header end) of a very small model's checkpoint."""
     path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
-    save_checkpoint(load_checkpoint(V1_FIXTURE), path)
+    config = make_tiny_config(16, d=4, heads=2, image_size=8, patch=4, max_len=8)
+    save_checkpoint(MultimodalTransformer.build(config, Rng(7)), path)
     raw = path.read_bytes()
     return path, raw, _header(raw)[1]
 

@@ -268,7 +268,7 @@ class TestEncoder:
 class TestDecoder:
     def test_softmax_of_logits_sums_to_one(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 1])))
-        logits = decode_step(tiny_model, enc, [PAD_ID])
+        logits = decode_step(tiny_model, enc, [PAD_ID], DecoderCache())
         x = logits.data.astype(np.float64)
         probs = np.exp(x - x.max()) / np.exp(x - x.max()).sum()
         assert abs(probs.sum() - 1.0) < 1e-6
@@ -282,7 +282,7 @@ class TestDecoder:
         model.params["lm.head.b_o"].data[k] = 3.0
         enc = encode_multimodal(model, TokenSequence(np.array([5, 1])))
         for prefix in ([PAD_ID], [PAD_ID, 5], [PAD_ID, 5, 6]):
-            logits = decode_step(model, enc, prefix)
+            logits = decode_step(model, enc, prefix, DecoderCache())
             assert int(np.argmax(logits.data)) == k
 
     def test_causality(self, tiny_model):
@@ -305,22 +305,22 @@ class TestDecoder:
             np.zeros((1, 0), dtype=np.int64),
         )
         with pytest.raises(ValueError, match="empty encoder states"):
-            decode_step(tiny_model, empty, [PAD_ID])
+            decode_step(tiny_model, empty, [PAD_ID], DecoderCache())
 
     def test_prefix_length_limit(self, tiny_model):
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 1])))
         too_long = [PAD_ID] * tiny_model.config.lm.max_len
         with pytest.raises(ValueError, match="prefix length"):
-            decode_step(tiny_model, enc, too_long)
+            decode_step(tiny_model, enc, too_long, DecoderCache())
 
     def test_cross_attention_dependence(self, tiny_model):
         seq = TokenSequence(np.array([5, 6, 7, 1]))
         enc = encode_multimodal(tiny_model, seq)
-        base = decode_step(tiny_model, enc, [PAD_ID, 5]).data.copy()
+        base = decode_step(tiny_model, enc, [PAD_ID, 5], DecoderCache()).data.copy()
         bumped = EncoderStates(
             Tensor(enc.states.data + 0.25), enc.attention_mask
         )
-        changed = decode_step(tiny_model, bumped, [PAD_ID, 5]).data
+        changed = decode_step(tiny_model, bumped, [PAD_ID, 5], DecoderCache()).data
         assert not np.allclose(base, changed)
 
 

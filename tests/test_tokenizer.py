@@ -93,6 +93,13 @@ def reference_token_ids(vocab, text):
 # the seed-0 desk world's vocab.txt (150 entities, target 1400), as the
 # direct builder wrote it
 DESK_SEED0_VOCAB_SHA256 = "ada4d8049fab010b303badda87064afb3270e508726c78ceaca491b3d4cbf69c"
+# a small seed-0 world's QA splits (20 entities, 16 + 8 questions, 9
+# distractors), as written when each distractor came from the entity's
+# whole document set
+SMALL_SEED0_QA_SHA256 = {
+    "qa_train.jsonl": "e0d06c10f6d0904c27422d82d29ac9d484a94002c5b55d159a70b85c2ab9aaa9",
+    "qa_heldout.jsonl": "fe86a01c0da08d31681b3213ff8078ac8c7d637b08e8afd93a1f7b9147b615e1",
+}
 
 
 class TestBuildVocab:
@@ -263,6 +270,12 @@ class TestBuildMatchesReference:
         raw = (tmp_path / "vocab.txt").read_bytes()
         assert raw.count(b"\n") == 843  # the world runs out of pairs below 1400
         assert hashlib.sha256(raw).hexdigest() == DESK_SEED0_VOCAB_SHA256
+
+    def test_small_seed0_qa_files_pinned(self, tmp_path):
+        generate_corpora(tmp_path, seed=0, n_entities=20, n_captions=0, n_vqa=0,
+                         n_train=16, n_heldout=8, vocab_size=300)
+        for name, sha256 in SMALL_SEED0_QA_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256, name
 
 
 class TestEncodeDecode:

@@ -18,7 +18,7 @@ from fusionqa.documents import Document, PretrainSample, QaInstance
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import make_image_loader
 from fusionqa.synthetic import (
-    all_scene_specs,
+    SCENE_SPECS,
     caption_samples,
     generate_corpora,
     load_pretrain_corpus,
@@ -30,6 +30,8 @@ from fusionqa.tensor import Rng, Tensor, backward
 from fusionqa.tokenizer import Vocab
 from fusionqa import training
 from fusionqa.training import (
+    VISION_LLRD_FACTOR,
+    WEIGHT_DECAY,
     AdamW,
     ParamGroup,
     clip_global_norm,
@@ -93,13 +95,13 @@ class TestSchedules:
         # towards the 0 that step 4 would reach
         if phase == "stage1":
             vocab = _scene_vocab()
-            stage = StageConfig(1, "VE", 2, 1, None, 1e-3, 0.5)
+            stage = StageConfig(1, 2, 1, None, 1e-3)
             trace = run_pretrain_stage(_scene_model(vocab), vocab, stage,
                                        _caption_corpus(8, rich=False), Rng(0))
             base = stage.ve_lr
         else:
             model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
-            cfg = FinetuneConfig(phase, 1 if phase == "qa" else 4, 1, 2e-3)
+            cfg = FinetuneConfig(1 if phase == "qa" else 4, 1, 2e-3)
             fn = finetune_qa if phase == "qa" else finetune_reranker
             trace = fn(model, tiny_vocab, _qa_dataset(4), cfg, Rng(0))
             base = cfg.lr
@@ -116,25 +118,26 @@ class TestSchedules:
 
 
 class TestAdamW:
-    def _single(self, value, lr, wd, grad):
+    def _single(self, name, value, lr, grad):
         p = Tensor(np.array([value]), requires_grad=True, dtype=np.float64)
-        opt = AdamW([ParamGroup(["p"], [p], lr, wd)])
+        opt = AdamW([ParamGroup([name], [p], lr)])
         p.grad = np.array([grad], dtype=np.float64)
         opt.step()
         return float(p.data[0])
 
     def test_first_step_is_minus_lr(self):
-        # bias-corrected m-hat/sqrt(v-hat) equals 1 on the first step
-        out = self._single(1.0, lr=0.1, wd=0.0, grad=1.0)
+        # bias-corrected m-hat/sqrt(v-hat) equals 1 on the first step; a
+        # bias takes no weight decay
+        out = self._single("lm.head.b_o", 1.0, lr=0.1, grad=1.0)
         assert abs(out - 0.9) < 1e-6
 
     def test_decoupled_decay_with_zero_grad(self):
-        out = self._single(2.0, lr=0.1, wd=0.5, grad=0.0)
-        assert abs(out - 2.0 * (1 - 0.1 * 0.5)) < 1e-12
+        out = self._single("lm.head.w_o", 2.0, lr=0.1, grad=0.0)
+        assert abs(out - 2.0 * (1 - 0.1 * WEIGHT_DECAY)) < 1e-12
 
     def test_frozen_param_untouched(self):
         p = Tensor(np.array([1.0]), requires_grad=False, dtype=np.float64)
-        opt = AdamW([ParamGroup(["p"], [p], 0.1, 0.5)])
+        opt = AdamW([ParamGroup(["p"], [p], 0.1)])
         p.grad = np.array([1.0], dtype=np.float64)
         before = p.data.copy()
         opt.step()
@@ -143,7 +146,7 @@ class TestAdamW:
 
     def test_grad_none_skipped_entirely(self):
         p = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
-        opt = AdamW([ParamGroup(["p"], [p], 0.1, 0.5)])
+        opt = AdamW([ParamGroup(["p"], [p], 0.1)])
         opt.step()
         assert float(p.data[0]) == 3.0
 
@@ -184,7 +187,7 @@ class TestLlrdGroups:
     def test_partition_exact(self, tiny_vocab):
         cfg = make_tiny_config(tiny_vocab.size, layers=3)
         model = MultimodalTransformer.build(cfg, Rng(0))
-        groups = vision_param_groups(model, 1e-3, 0.5, 0.05)
+        groups = vision_param_groups(model, 1e-3)
         seen = [n for g in groups for n in g.names]
         vision_names = [n for n in model.params if n.startswith("vision.")]
         assert sorted(seen) == sorted(vision_names)
@@ -193,7 +196,7 @@ class TestLlrdGroups:
     def test_bottom_group_holds_patch_proj_and_positions(self, tiny_vocab):
         cfg = make_tiny_config(tiny_vocab.size, layers=3)
         model = MultimodalTransformer.build(cfg, Rng(0))
-        groups = vision_param_groups(model, 1e-3, 0.5, 0.05)
+        groups = vision_param_groups(model, 1e-3)
         assert "vision.patch_proj.weight" in groups[0].names
         assert "vision.pos_emb" in groups[0].names
         assert groups[0].base_lr == 1e-3 * 0.25
@@ -202,8 +205,7 @@ class TestLlrdGroups:
 
 
 def _caption_corpus(n, rich=True, seed=0):
-    specs = all_scene_specs()
-    imgs = {i: render_scene(specs[i]) for i in range(len(specs))}
+    imgs = {i: render_scene(spec) for i, spec in enumerate(SCENE_SPECS)}
     return [
         PretrainSample(imgs[i], p, t, "caption")
         for (i, p, t) in caption_samples(n, Rng(seed).child("cap"), rich=rich)
@@ -211,8 +213,7 @@ def _caption_corpus(n, rich=True, seed=0):
 
 
 def _vqa_corpus(n, seed=0):
-    specs = all_scene_specs()
-    imgs = {i: render_scene(specs[i]) for i in range(len(specs))}
+    imgs = {i: render_scene(spec) for i, spec in enumerate(SCENE_SPECS)}
     return [
         PretrainSample(imgs[i], q, a, "vqa")
         for (i, q, a) in vqa_samples(n, Rng(seed).child("vqa"))
@@ -223,10 +224,9 @@ def _scene_vocab():
     from fusionqa.synthetic import _CAPTION_PROMPTS, brief_caption, rich_caption
     from fusionqa.tokenizer import Vocab
 
-    specs = all_scene_specs()
-    lines = [rich_caption(s) for s in specs] + [brief_caption(s) for s in specs]
+    lines = [rich_caption(s) for s in SCENE_SPECS] + [brief_caption(s) for s in SCENE_SPECS]
     lines += list(_CAPTION_PROMPTS)
-    for s in specs:
+    for s in SCENE_SPECS:
         lines.append(f"what color is the {s.shape}?")
         lines.append("what shape is in the image?")
         lines.append(f"where is the {s.color} {s.shape}?")
@@ -241,21 +241,36 @@ def _scene_model(vocab, seed=1):
 class TestPretrainStages:
     def test_published_stage_table(self):
         s1, s2, s3 = (pretrain_stage_defaults(i) for i in (1, 2, 3))
-        assert (s1.trainable, s1.global_batch, s1.epochs) == ("VE", 256, 1)
-        assert (s1.lm_lr, s1.ve_lr, s1.ve_llrd_factor) == (None, 1e-3, 0.5)
-        assert (s2.trainable, s2.global_batch) == ("VE+LM", 128)
-        assert (s2.lm_lr, s2.ve_lr, s2.ve_llrd_factor) == (1e-4, 5e-4, 0.5)
-        assert (s3.trainable, s3.global_batch) == ("LM", 128)
-        assert (s3.lm_lr, s3.ve_lr) == (1e-4, None)
-        for s in (s1, s2, s3):
-            assert s.weight_decay == 0.05
+        assert (s1.global_batch, s1.epochs, s1.lm_lr, s1.ve_lr) == (256, 1, None, 1e-3)
+        assert (s2.global_batch, s2.lm_lr, s2.ve_lr) == (128, 1e-4, 5e-4)
+        assert (s3.global_batch, s3.lm_lr, s3.ve_lr) == (128, 1e-4, None)
+        assert (WEIGHT_DECAY, VISION_LLRD_FACTOR) == (0.05, 0.5)
+
+    def test_stage_without_rates_rejected(self):
+        with pytest.raises(ValueError, match="neither lm_lr nor ve_lr"):
+            StageConfig(2, 8, 1, None, None)
+
+    @pytest.mark.parametrize("stage_id, components", [
+        (1, ("vision",)), (2, ("vision", "lm")), (3, ("lm",)),
+    ])
+    def test_trainable_set_follows_rates(self, tiny_vocab, stage_id, components):
+        # the rates alone decide what trains: the optimizer groups hold
+        # exactly the trainable tensors, the vision LLRD groups before the LM's
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(0))
+        opt = training._stage_optimizer(model, desk_stage_config(stage_id))
+        trainable = [n for n, p in model.params.items() if p.requires_grad]
+        assert trainable == [n for n in model.params if n.split(".")[0] in components]
+        assert sorted(n for g in opt.groups for n in g.names) == sorted(trainable)
+        n_vision = model.config.vision.n_layers if "vision" in components else 0
+        assert [g.names[0].split(".")[0] for g in opt.groups] == (
+            ["vision"] * n_vision + ["lm"] * ("lm" in components))
 
     def test_stage1_freezes_lm(self):
         vocab = _scene_vocab()
         model = _scene_model(vocab)
         before = tensor_checksums(model, "lm.")
         before_cls = tensor_checksums(model, "cls_head.")
-        stage = StageConfig(1, "VE", 8, 1, None, 1e-3, 0.5)
+        stage = StageConfig(1, 8, 1, None, 1e-3)
         run_pretrain_stage(model, vocab, stage, _caption_corpus(24, rich=False), Rng(5))
         assert tensor_checksums(model, "lm.") == before
         assert tensor_checksums(model, "cls_head.") == before_cls
@@ -266,20 +281,20 @@ class TestPretrainStages:
         vocab = _scene_vocab()
         model = _scene_model(vocab)
         before = tensor_checksums(model, "vision.")
-        stage = StageConfig(3, "LM", 8, 1, 1e-3, None, None)
+        stage = StageConfig(3, 8, 1, 1e-3, None)
         run_pretrain_stage(model, vocab, stage, _vqa_corpus(24), Rng(5))
         assert tensor_checksums(model, "vision.") == before
 
     def test_corpus_kind_mismatch_rejected(self):
         vocab = _scene_vocab()
         model = _scene_model(vocab)
-        stage = StageConfig(3, "LM", 8, 1, 1e-3, None, None)
+        stage = StageConfig(3, 8, 1, 1e-3, None)
         with pytest.raises(ValueError, match="expects 'vqa'"):
             run_pretrain_stage(model, vocab, stage, _caption_corpus(4), Rng(0))
 
     def test_trace_reproducible_bit_for_bit(self):
         vocab = _scene_vocab()
-        stage = StageConfig(2, "VE+LM", 8, 1, 1e-3, 5e-3, 0.5)
+        stage = StageConfig(2, 8, 1, 1e-3, 5e-3)
         corpus = _caption_corpus(16)
         t1 = run_pretrain_stage(_scene_model(vocab), vocab, stage, corpus, Rng(9))
         t2 = run_pretrain_stage(_scene_model(vocab), vocab, stage, corpus, Rng(9))
@@ -289,7 +304,7 @@ class TestPretrainStages:
         # 500 caption pairs, batch 10, 4 epochs -> 200 optimizer steps
         vocab = _scene_vocab()
         model = _scene_model(vocab)
-        stage = StageConfig(2, "VE+LM", 10, 4, 1e-3, 5e-3, 0.5)
+        stage = StageConfig(2, 10, 4, 1e-3, 5e-3)
         trace = run_pretrain_stage(model, vocab, stage, _caption_corpus(500), Rng(2))
         assert len(trace) == 200
         first = np.mean([loss for _, _, loss, _ in trace[:10]])
@@ -329,7 +344,7 @@ class TestFinetunes:
     def test_reranker_finetune_freezes_vision(self, tiny_vocab):
         model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
         before = tensor_checksums(model, "vision.")
-        cfg = FinetuneConfig("reranker", 4, 1, 1e-3)
+        cfg = FinetuneConfig(4, 1, 1e-3)
         finetune_reranker(model, tiny_vocab, _qa_dataset(4), cfg, Rng(0))
         assert tensor_checksums(model, "vision.") == before
         assert tensor_checksums(model, "cls_head.") != {}
@@ -339,17 +354,11 @@ class TestFinetunes:
         before_v = tensor_checksums(model, "vision.")
         before_c = tensor_checksums(model, "cls_head.")
         before_lm = tensor_checksums(model, "lm.")
-        cfg = FinetuneConfig("qa", 2, 1, 1e-3)
+        cfg = FinetuneConfig(2, 1, 1e-3)
         finetune_qa(model, tiny_vocab, _qa_dataset(4), cfg, Rng(0))
         assert tensor_checksums(model, "vision.") == before_v
         assert tensor_checksums(model, "cls_head.") == before_c
         assert tensor_checksums(model, "lm.") != before_lm
-
-    def test_task_config_mismatch_rejected(self, tiny_vocab):
-        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
-        with pytest.raises(ValueError, match="reranker config"):
-            finetune_reranker(model, tiny_vocab, _qa_dataset(2),
-                              FinetuneConfig("qa", 2, 1, 1e-3), Rng(0))
 
     @pytest.mark.parametrize("task", ["reranker", "qa"])
     def test_trace_reproducible_bit_for_bit(self, tiny_vocab, task):
@@ -359,7 +368,7 @@ class TestFinetunes:
         def run():
             model = MultimodalTransformer.build(
                 make_tiny_config(tiny_vocab.size, dropout=0.1), Rng(3))
-            trace = fn(model, tiny_vocab, _qa_dataset(4), FinetuneConfig(task, 2, 2, 1e-3),
+            trace = fn(model, tiny_vocab, _qa_dataset(4), FinetuneConfig(2, 2, 1e-3),
                        Rng(9))
             return trace, tensor_checksums(model)
 
@@ -382,7 +391,7 @@ class TestFinetunes:
         monkeypatch.setattr(training, "score", counting_score)
         model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
         trace = finetune_reranker(model, tiny_vocab, _qa_dataset(3),
-                                  FinetuneConfig("reranker", 4, 1, 1e-3), Rng(0))
+                                  FinetuneConfig(4, 1, 1e-3), Rng(0))
         assert len(trace) == 3
         assert calls["backward"] == 3
         assert calls["score"] == [4, 4, 4]
@@ -399,7 +408,7 @@ class TestFinetunes:
         monkeypatch.setattr(training, "clip_global_norm", recording_clip)
         fn = finetune_reranker if task == "reranker" else finetune_qa
         model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
-        trace = fn(model, tiny_vocab, _qa_dataset(2), FinetuneConfig(task, 1, 1, 1e-3), Rng(0))
+        trace = fn(model, tiny_vocab, _qa_dataset(2), FinetuneConfig(1, 1, 1e-3), Rng(0))
         assert [t[3] for t in trace] == norms
         assert all(math.isfinite(n) and n > 0 for n in norms)
         path = tmp_path / "trace.csv"
@@ -426,8 +435,8 @@ def image_corpora(tmp_path_factory):
 
 def _stage_config(phase, batch):
     if phase == "stage2":
-        return StageConfig(2, "VE+LM", batch, 2, 1e-3, 1e-3, 0.5)
-    return StageConfig(3, "LM", batch, 2, 1e-3, None, None)
+        return StageConfig(2, batch, 2, 1e-3, 1e-3)
+    return StageConfig(3, batch, 2, 1e-3, None)
 
 
 def _tiny_image_model(vocab, seed, dropout=0.0):
@@ -446,11 +455,11 @@ def _run_phase(corpora, phase, seed):
         trace = run_pretrain_stage(model, vocab, _stage_config(phase, 4), corpus, rng)
     elif phase == "reranker":
         trace = finetune_reranker(model, vocab, load_dataset(corpora / "qa_train.jsonl"),
-                                  FinetuneConfig("reranker", 4, 2, 1e-3), rng,
+                                  FinetuneConfig(4, 2, 1e-3), rng,
                                   image_loader=make_image_loader())
     else:
         trace = finetune_qa(model, vocab, load_dataset(corpora / "qa_train.jsonl"),
-                            FinetuneConfig("qa", 2, 2, 1e-3), rng,
+                            FinetuneConfig(2, 2, 1e-3), rng,
                             image_loader=make_image_loader(), extra_distractors=1)
     return trace, tensor_checksums(model)
 
@@ -555,15 +564,13 @@ class TestOneGraphPerStep:
         model = _tiny_image_model(vocab, 5)
         if phase.startswith("stage"):
             corpus = load_pretrain_corpus(image_corpora / f"pretrain_{phase}.jsonl")
-            stage = StageConfig(int(phase[-1]), {"stage1": "VE", "stage2": "VE+LM",
-                                                 "stage3": "LM"}[phase],
-                                4, 2, None if phase == "stage1" else 1e-3,
-                                None if phase == "stage3" else 1e-3, 0.5)
+            stage = StageConfig(int(phase[-1]), 4, 2, None if phase == "stage1" else 1e-3,
+                                None if phase == "stage3" else 1e-3)
             trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(1))
         else:
             fn = finetune_qa if phase == "qa" else finetune_reranker
             trace = fn(model, vocab, load_dataset(image_corpora / "qa_train.jsonl"),
-                       FinetuneConfig(phase, 2 if phase == "qa" else 4, 2, 1e-3), Rng(1),
+                       FinetuneConfig(2 if phase == "qa" else 4, 2, 1e-3), Rng(1),
                        image_loader=make_image_loader())
         assert len(trace) > 2
         assert len(calls) == len(trace)
@@ -574,11 +581,12 @@ class TestDeskConfigs:
         for stage_id in (1, 2, 3):
             desk = desk_stage_config(stage_id)
             pub = pretrain_stage_defaults(stage_id)
-            assert desk.trainable == pub.trainable
+            assert (desk.lm_lr is None, desk.ve_lr is None) == (pub.lm_lr is None,
+                                                                pub.ve_lr is None)
         desk2 = desk_stage_config(2)
         assert desk2.ve_lr / desk2.lm_lr == pytest.approx(5.0)  # published ratio
 
     def test_desk_finetune_tasks(self):
-        assert desk_finetune_config("reranker").task == "reranker"
-        assert desk_finetune_config("qa").task == "qa"
-        assert desk_finetune_config("reranker").epochs == 3
+        rr, qa = desk_finetune_config("reranker"), desk_finetune_config("qa")
+        assert (rr.global_batch, rr.epochs, rr.lr) == (8, 3, 2e-3)
+        assert (qa.global_batch, qa.epochs, qa.lr) == (4, 12, 1.5e-3)
