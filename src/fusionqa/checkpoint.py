@@ -1,12 +1,14 @@
 """Binary model checkpoints: named float32 tensors plus a config snapshot.
 
-Layout (format 3): magic 'FQCK' | u32 format version | u64 header length |
-u32 CRC-32 of the header bytes | header JSON (sorted keys; config snapshot
-and a name -> {shape, offset, crc32} table; offsets in bytes into the
-payload, crc32 the zlib CRC-32 of the tensor's bytes) | payload of
-little-endian IEEE-754 float32 values.
+Layout (format 4): magic 'FQCK' | u32 format version | u64 header length |
+u32 CRC-32 of the header bytes | header JSON (sorted keys; the config
+snapshot and a name -> crc32 table, crc32 the zlib CRC-32 of the tensor's
+bytes) | payload of little-endian IEEE-754 float32 values.
 
-Only format 3 is read or written; a file in any other version is rejected.
+The payload holds the tensors in sorted-name order, each shaped as
+``parameter_shapes(config)`` gives it, so the config and the names fix
+every tensor's shape and place. Only format 4 is read or written; a file
+in any other version is rejected.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -25,7 +27,7 @@ from fusionqa.model import MultimodalTransformer, parameter_shapes
 from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # magic, u32 version, u64 header length, u32 header CRC-32
 _PREAMBLE = 20
 
@@ -34,18 +36,12 @@ def save_checkpoint(model: MultimodalTransformer, path):
     if model.dtype != np.float32:
         raise ValueError(f"checkpoints are float32, model is {model.dtype}")
     names = sorted(model.params)
-    table = {}
-    offset = 0
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(model.params[name].data, dtype="<f4")
-        blobs.append(arr.tobytes())
-        table[name] = {"shape": list(arr.shape), "offset": offset, "crc32": zlib.crc32(blobs[-1])}
-        offset += len(blobs[-1])
+    blobs = [np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes()
+             for name in names]
     header = {
         "format_version": FORMAT_VERSION,
         "config": config_to_dict(model.config),
-        "tensors": table,
+        "tensors": dict(zip(names, map(zlib.crc32, blobs))),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -59,13 +55,12 @@ def save_checkpoint(model: MultimodalTransformer, path):
 
 
 def load_checkpoint(path) -> MultimodalTransformer:
-    """Rebuild the model from its config snapshot; every tensor must match
-    the shapes that config implies, and no unknown names are accepted.
+    """Rebuild the model from its config snapshot; the header must name
+    exactly the tensors that config implies.
 
     Any malformed file raises ValueError naming the file and the byte offset
-    or header key at fault: the tensors must tile the payload exactly, with
-    no overlap, gap or trailing byte, and the header and each tensor's bytes
-    must match their CRC-32s.
+    or header key at fault: the tensors must fill the payload exactly, and
+    the header and each tensor's bytes must match their CRC-32s.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -112,60 +107,34 @@ def load_checkpoint(path) -> MultimodalTransformer:
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     expected = parameter_shapes(config)
-    table = header["tensors"]
-    if not isinstance(table, dict):
+    crcs = header["tensors"]
+    if not isinstance(crcs, dict):
         raise ValueError(f"checkpoint {path}: header key 'tensors' is not an object")
 
-    unknown = sorted(set(table) - set(expected))
+    unknown = sorted(set(crcs) - set(expected))
     if unknown:
         raise ValueError(f"checkpoint {path}: unknown tensor names {unknown}")
-    missing = sorted(set(expected) - set(table))
+    missing = sorted(set(expected) - set(crcs))
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {missing}")
 
-    spans = []
-    for name, spec in table.items():
-        spec = spec if isinstance(spec, dict) else {}
-        shape, offset = spec.get("shape"), spec.get("offset")
-        if not isinstance(shape, list) or tuple(shape) != expected[name]:
-            raise ValueError(
-                f"checkpoint {path}: tensor {name} has shape {shape}, "
-                f"config implies {expected[name]}"
-            )
-        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
-            raise ValueError(
-                f"checkpoint {path}: tensor {name} has offset {offset!r}, "
-                "expected a non-negative integer"
-            )
-        spans.append((offset, offset + 4 * math.prod(expected[name]), name))
-
     payload = raw[header_end:]
-    covered, prev = 0, None
-    for start, end, name in sorted(spans):
-        if start < covered:
-            raise ValueError(
-                f"checkpoint {path}: tensor {name} at byte {header_end + start} "
-                f"overlaps tensor {prev}, which ends at byte {header_end + covered}"
-            )
-        if start > covered:
-            raise ValueError(
-                f"checkpoint {path}: bytes {header_end + covered}..{header_end + start} "
-                "belong to no tensor"
-            )
-        covered, prev = end, name
-    if covered != len(payload):
+    size = 4 * sum(math.prod(shape) for shape in expected.values())
+    if size != len(payload):
         raise ValueError(
-            f"checkpoint {path}: tensors end at byte {header_end + covered}, "
+            f"checkpoint {path}: tensors end at byte {header_end + size}, "
             f"the file at byte {len(raw)}"
         )
 
     params = {}
-    for start, end, name in spans:
+    end = 0
+    for name in sorted(expected):
+        start, end = end, end + 4 * math.prod(expected[name])
         data = payload[start:end]
-        if (crc := zlib.crc32(data)) != table[name].get("crc32"):
+        if (crc := zlib.crc32(data)) != crcs[name]:
             raise ValueError(
                 f"checkpoint {path}: tensor {name} at bytes {header_end + start}..{header_end + end} "
-                f"has CRC-32 {crc}, the header records {table[name].get('crc32')!r}"
+                f"has CRC-32 {crc}, the header records {crcs[name]!r}"
             )
         arr = np.frombuffer(data, dtype="<f4").reshape(expected[name])
         params[name] = Tensor(arr.copy(), requires_grad=True, dtype=np.float32)

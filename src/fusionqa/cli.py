@@ -21,7 +21,7 @@ from fusionqa.config import (
     model_profile,
     pretrain_stage_defaults,
 )
-from fusionqa.dataset import _string, doc_from_json, load_dataset
+from fusionqa.dataset import _string, doc_from_json, load_dataset, read_jsonl
 from fusionqa.generator import generate
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, rerank
@@ -128,21 +128,17 @@ def _cmd_answer(args):
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     loader = make_image_loader()
     base = os.path.dirname(os.path.abspath(args.input))
-    with open(args.input, "r", encoding="utf-8") as fin, \
-         open(args.output, "w", encoding="utf-8", newline="\n") as fout:
-        for lineno, line in enumerate(fin, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                question = _string(rec, "question")  # a non-object record fails here
-                qid = _string(rec, "qid", required=False)
-                contexts = [doc_from_json(d, base) for d in rec["contexts"]]
-                for d in contexts:
-                    d.validate()
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{args.input}:{lineno}: {exc}") from exc
+
+    def parse(rec):
+        question = _string(rec, "question")  # a non-object record fails here
+        qid = _string(rec, "qid", required=False)
+        contexts = [doc_from_json(d, base) for d in rec["contexts"]]
+        for d in contexts:
+            d.validate()
+        return qid, question, contexts
+
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fout:
+        for qid, question, contexts in read_jsonl(args.input, parse):
             answer = generate(model, vocab, question, contexts, gen, image_loader=loader)
             fout.write(json.dumps({"qid": qid, "answer": answer}, sort_keys=True) + "\n")
     return 0

@@ -13,23 +13,21 @@ import math
 from dataclasses import dataclass, field
 
 
-def _check_rate(name: str, rate):
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"config field {name} must lie in [0, 1), got {rate!r}")
-
-
 @dataclass
 class VisionConfig:
+    """The vision encoder; its width is the language model's
+    ``lm.hidden_size``, and its dropout rate ``lm.dropout_rate``."""
+
     patch_size: int = 8
-    hidden_size: int = 64
     n_layers: int = 2
     n_heads: int = 4
     image_size: int = 32
 
     def __post_init__(self):
-        if self.hidden_size % self.n_heads:
+        if self.image_size % self.patch_size:
             raise ValueError(
-                f"vision hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
+                f"vision image_size {self.image_size} is not a multiple of "
+                f"patch_size {self.patch_size}"
             )
 
     @property
@@ -53,22 +51,23 @@ class LmConfig:
             raise ValueError(
                 f"lm hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
             )
-        _check_rate("lm.dropout_rate", self.dropout_rate)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(
+                f"config field lm.dropout_rate must lie in [0, 1), got {self.dropout_rate!r}"
+            )
 
 
 @dataclass
 class ModelConfig:
     vision: VisionConfig = field(default_factory=VisionConfig)
     lm: LmConfig = field(default_factory=LmConfig)
-    head_dropout: float = 0.0
 
     def __post_init__(self):
-        if self.vision.hidden_size != self.lm.hidden_size:
+        if self.lm.hidden_size % self.vision.n_heads:
             raise ValueError(
-                "vision and language hidden sizes must be identical for direct injection, "
-                f"got {self.vision.hidden_size} vs {self.lm.hidden_size}"
+                f"lm hidden_size {self.lm.hidden_size} not divisible by "
+                f"vision n_heads {self.vision.n_heads}"
             )
-        _check_rate("head_dropout", self.head_dropout)
 
     @property
     def n_img_tokens(self) -> int:
@@ -191,24 +190,18 @@ def model_profile(name: str, vocab_size: int = 512) -> ModelConfig:
     component table, 'desk' is the trainable small configuration."""
     if name == "base":
         return ModelConfig(
-            vision=VisionConfig(patch_size=16, hidden_size=768, n_layers=12, n_heads=12, image_size=224),
+            vision=VisionConfig(patch_size=16, n_layers=12, n_heads=12, image_size=224),
             lm=LmConfig(hidden_size=768, n_enc_layers=12, n_dec_layers=12, n_heads=12,
                         vocab_size=vocab_size, max_len=512, dropout_rate=0.05),
-            head_dropout=0.05,
         )
     if name == "large":
         return ModelConfig(
-            vision=VisionConfig(patch_size=16, hidden_size=1024, n_layers=24, n_heads=16, image_size=224),
+            vision=VisionConfig(patch_size=16, n_layers=24, n_heads=16, image_size=224),
             lm=LmConfig(hidden_size=1024, n_enc_layers=24, n_dec_layers=24, n_heads=16,
                         vocab_size=vocab_size, max_len=512, dropout_rate=0.1),
-            head_dropout=0.1,
         )
     if name == "desk":
-        return ModelConfig(
-            vision=VisionConfig(),
-            lm=LmConfig(vocab_size=vocab_size),
-            head_dropout=0.0,
-        )
+        return ModelConfig(vision=VisionConfig(), lm=LmConfig(vocab_size=vocab_size))
     raise ValueError(f"unknown profile {name!r} (expected base, large or desk)")
 
 
@@ -223,7 +216,8 @@ def _check_field(name: str, default, val):
         ok = isinstance(val, int) and not isinstance(val, bool) and val >= 1
         kind = "an integer >= 1"
     else:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+        # compared, not converted: a JSON integer can be too large for a float
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and -math.inf < val < math.inf
         kind = "a finite number"
     if not ok:
         raise ValueError(f"config field {name} must be {kind}, got {val!r}")
@@ -246,16 +240,13 @@ def config_from_dict(d: dict) -> ModelConfig:
     naming the offending section or field."""
     if not isinstance(d, dict):
         raise ValueError(f"config must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {"vision", "lm", "head_dropout"})
+    unknown = sorted(set(d) - {"vision", "lm"})
     if unknown:
         raise ValueError(f"unknown config fields {unknown}")
     for section in ("vision", "lm"):
         if section not in d:
             raise ValueError(f"config has no {section!r} section")
-    head_dropout = d.get("head_dropout", 0.0)
-    _check_field("head_dropout", 0.0, head_dropout)
     return ModelConfig(
         vision=_section_from_dict(VisionConfig, d["vision"], "vision"),
         lm=_section_from_dict(LmConfig, d["lm"], "lm"),
-        head_dropout=head_dropout,
     )

@@ -84,36 +84,44 @@ def instance_from_json(rec: dict, base_dir: str = "") -> QaInstance:
     )
 
 
-def load_dataset(path) -> list[QaInstance]:
-    """Read QA instances; any schema violation reports its line number.
+def read_jsonl(path, parse, what=""):
+    """Yield ``parse(record)`` for each non-blank line of a JSONL file.
 
-    Image paths resolve relative to the dataset file and must exist.
+    Invalid JSON, and a KeyError, TypeError, ValueError or OSError from
+    ``parse``, raise ValueError starting ``path:line: `` and ``what``.
     """
-    base = os.path.dirname(os.path.abspath(path))
-    instances = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                inst = instance_from_json(rec, base)
-                inst.validate()
-                for doc in inst.pool:
-                    if doc.modality == "image" and not os.path.isfile(doc.image_path):
-                        raise ValueError(
-                            f"document {doc.id}: image file not found: {doc.image_path}"
-                        )
+                raise ValueError(f"{path}:{lineno}: {what}invalid JSON: {exc}") from exc
             except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            instances.append(inst)
-    return instances
+                raise ValueError(f"{path}:{lineno}: {what}missing or malformed field: {exc}") from exc
+            except (ValueError, OSError) as exc:
+                raise ValueError(f"{path}:{lineno}: {what}{exc}") from exc
+            yield item
+
+
+def load_dataset(path) -> list[QaInstance]:
+    """Read QA instances; any schema violation reports its line number.
+
+    Image paths resolve relative to the dataset file and must exist.
+    """
+    base = os.path.dirname(os.path.abspath(path))
+
+    def parse(rec):
+        inst = instance_from_json(rec, base)
+        inst.validate()
+        for doc in inst.pool:
+            if doc.modality == "image" and not os.path.isfile(doc.image_path):
+                raise ValueError(f"document {doc.id}: image file not found: {doc.image_path}")
+        return inst
+
+    return list(read_jsonl(path, parse))
 
 
 def write_dataset(instances, path):

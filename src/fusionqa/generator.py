@@ -48,16 +48,14 @@ def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
             f"decoder's max_len {max_len}"
         )
     cache = DecoderCache()
-    prefix = [PAD_ID]
-    out = []
+    ids = [PAD_ID]
     for _ in range(cfg.max_new_tokens):
-        logits = decode_step(model, enc, prefix, cache)
-        nxt = int(np.argmax(logits.data))
+        logits = decode_step(model, enc, [ids[-1:]], cache)
+        nxt = int(np.argmax(logits.data[0]))
         if nxt == EOS_ID:
             break
-        out.append(nxt)
-        prefix.append(nxt)
-    return out
+        ids.append(nxt)
+    return ids[1:]
 
 
 def qa_input(model, vocab, question: str, contexts, image_loader=None):

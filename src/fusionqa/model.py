@@ -74,17 +74,20 @@ class DecoderCache:
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape for every parameter, without allocating anything."""
+    """Name -> shape for every parameter, without allocating anything, in
+    the order ``model.params`` keeps: gradient clipping sums squares in that
+    order, so reordering changes training bits."""
     d = config.lm.hidden_size
     v = config.vision
     lm = config.lm
     shapes = {}
 
-    def block(prefix, norms):
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[f"{prefix}.attn.{w}"] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[f"{prefix}.attn.{b}"] = (d,)
+    def block(prefix, attns, norms):
+        for attn in attns:
+            for w in ("wq", "wk", "wv", "wo"):
+                shapes[f"{prefix}.{attn}.{w}"] = (d, d)
+            for b in ("bq", "bk", "bv", "bo"):
+                shapes[f"{prefix}.{attn}.{b}"] = (d,)
         shapes[f"{prefix}.mlp.w1"] = (d, 4 * d)
         shapes[f"{prefix}.mlp.b1"] = (4 * d,)
         shapes[f"{prefix}.mlp.w2"] = (4 * d, d)
@@ -97,32 +100,20 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
     shapes["vision.patch_proj.bias"] = (d,)
     shapes["vision.pos_emb"] = (v.n_patches, d)
     for i in range(v.n_layers):
-        block(f"vision.layer{i}", ("norm1", "norm2"))
+        block(f"vision.layer{i}", ("attn",), ("norm1", "norm2"))
     shapes["vision.final_norm.gamma"] = (d,)
     shapes["vision.final_norm.beta"] = (d,)
 
     shapes["lm.embed"] = (lm.vocab_size, d)
     shapes["lm.encoder.pos_emb"] = (lm.max_len, d)
     for i in range(lm.n_enc_layers):
-        block(f"lm.encoder.layer{i}", ("norm1", "norm2"))
+        block(f"lm.encoder.layer{i}", ("attn",), ("norm1", "norm2"))
     shapes["lm.encoder.final_norm.gamma"] = (d,)
     shapes["lm.encoder.final_norm.beta"] = (d,)
 
     shapes["lm.decoder.pos_emb"] = (lm.max_len, d)
     for i in range(lm.n_dec_layers):
-        prefix = f"lm.decoder.layer{i}"
-        for attn in ("self_attn", "cross_attn"):
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"{prefix}.{attn}.{w}"] = (d, d)
-            for b in ("bq", "bk", "bv", "bo"):
-                shapes[f"{prefix}.{attn}.{b}"] = (d,)
-        shapes[f"{prefix}.mlp.w1"] = (d, 4 * d)
-        shapes[f"{prefix}.mlp.b1"] = (4 * d,)
-        shapes[f"{prefix}.mlp.w2"] = (4 * d, d)
-        shapes[f"{prefix}.mlp.b2"] = (d,)
-        for n in ("norm1", "norm2", "norm3"):
-            shapes[f"{prefix}.{n}.gamma"] = (d,)
-            shapes[f"{prefix}.{n}.beta"] = (d,)
+        block(f"lm.decoder.layer{i}", ("self_attn", "cross_attn"), ("norm1", "norm2", "norm3"))
     shapes["lm.decoder.final_norm.gamma"] = (d,)
     shapes["lm.decoder.final_norm.beta"] = (d,)
 
@@ -395,26 +386,12 @@ def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
     return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
 
 
-def decode_step(model, enc: EncoderStates, prefix_ids, cache: DecoderCache) -> Tensor:
-    """Pre-softmax logits (V,) for the position after the given prefix, a
-    (T,) id list decoded against a one-row ``enc``.
-
-    The cache holds the first ``cache.length`` prefix positions of earlier
-    steps for this ``enc``; only the rest of the prefix runs, and only its
-    last position is projected to the vocabulary; a fresh ``DecoderCache()``
-    is filled from the whole prefix. Runs under ``no_grad``.
+def decode_step(model, enc: EncoderStates, ids, cache: DecoderCache) -> Tensor:
+    """Pre-softmax logits (B, V) of each row's last position, for the (B, T)
+    ``ids`` that follow the ``cache.length`` positions already run against
+    ``enc``; a fresh ``DecoderCache()`` starts at the first position. Only
+    the last position is projected to the vocabulary. Runs under ``no_grad``.
     """
-    prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-    if len(prefix_ids) >= model.config.lm.max_len:
-        raise ValueError(
-            f"decode_step: prefix length {len(prefix_ids)} must stay below max_len "
-            f"{model.config.lm.max_len}"
-        )
-    if cache.length >= len(prefix_ids):
-        raise ValueError(
-            f"decode_step: cache holds {cache.length} positions, "
-            f"the prefix has only {len(prefix_ids)}"
-        )
     with no_grad():
-        hidden = decoder_hidden(model, enc, prefix_ids[None, cache.length:], cache=cache)
-        return reshape(_lm_head(model, slice_(hidden, (0, slice(-1, None)))), (-1,))
+        hidden = decoder_hidden(model, enc, ids, cache=cache)
+        return _lm_head(model, slice_(hidden, (slice(None), -1)))

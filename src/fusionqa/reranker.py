@@ -44,7 +44,7 @@ class RetrievedSet:
 def classifier_head(model, h: Tensor, train=False, rng=None) -> Tensor:
     """Relevance logits (N,) from the <cls> hidden states (N, d)."""
     p = model.params
-    rate = model.config.head_dropout
+    rate = model.config.lm.dropout_rate
     h = dropout(h, rate, rng=rng, train=train)
     z = tanh(linear(h, transpose(p["cls_head.w1"], (1, 0)), p["cls_head.b1"]))
     z = dropout(z, rate, rng=rng, train=train)

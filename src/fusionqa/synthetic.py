@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fusionqa.config import QA_PROMPT
-from fusionqa.dataset import write_dataset
+from fusionqa.dataset import read_jsonl, write_dataset
 from fusionqa.documents import Document, PretrainSample, QaInstance, TableDoc
 from fusionqa.images import Image, load_image_ppm, save_image_ppm
 from fusionqa.tensor import Rng
@@ -403,24 +403,15 @@ def load_pretrain_corpus(path) -> list[PretrainSample]:
     """Read a pretraining JSONL; image paths resolve relative to the file."""
     base = os.path.dirname(os.path.abspath(path))
     cache = {}
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                fields = [rec[k] for k in ("image", "prompt", "target", "kind")]
-                if not all(isinstance(f, str) for f in fields):
-                    raise ValueError("image, prompt, target and kind must be strings")
-                img_path = os.path.join(base, rec["image"])
-                if img_path not in cache:
-                    cache[img_path] = load_image_ppm(img_path)
-                samples.append(PretrainSample(
-                    image=cache[img_path], prompt=rec["prompt"],
-                    target=rec["target"], kind=rec["kind"],
-                ))
-            except (KeyError, TypeError, ValueError, OSError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad pretraining record: {exc}") from exc
-    return samples
+
+    def parse(rec):
+        fields = [rec[k] for k in ("image", "prompt", "target", "kind")]
+        if not all(isinstance(f, str) for f in fields):
+            raise ValueError("image, prompt, target and kind must be strings")
+        img_path = os.path.join(base, rec["image"])
+        if img_path not in cache:
+            cache[img_path] = load_image_ppm(img_path)
+        return PretrainSample(image=cache[img_path], prompt=rec["prompt"],
+                              target=rec["target"], kind=rec["kind"])
+
+    return list(read_jsonl(path, parse, "bad pretraining record: "))

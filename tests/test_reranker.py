@@ -158,7 +158,6 @@ class TestScore:
         model = MultimodalTransformer.build(
             make_tiny_config(tiny_vocab.size, dropout=0.2), Rng(5)
         )
-        model.config.head_dropout = 0.2
         doc = Document(id="a", modality="text", text="red square")
         s1 = score(model, tiny_vocab, "what?", [doc]).data
         s2 = score(model, tiny_vocab, "what?", [doc]).data

@@ -59,8 +59,8 @@ def test_patchify_shape_contract(grid_h, grid_w, p):
 class TestEncodeImage:
     def test_output_shape(self, tiny_model, scene_image_16):
         out = encode_image(tiny_model, scene_image_16)
-        cfg = tiny_model.config.vision
-        assert out.shape == (cfg.n_patches, cfg.hidden_size)
+        cfg = tiny_model.config
+        assert out.shape == (cfg.vision.n_patches, cfg.lm.hidden_size)
 
     def test_eval_determinism(self, tiny_model, scene_image_16):
         a = encode_image(tiny_model, scene_image_16).data
