@@ -15,6 +15,7 @@ Round trips are bit-exact and save(load(save(m))) is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -106,10 +107,18 @@ def load_checkpoint(path) -> MultimodalTransformer:
         config = config_from_dict(header["config"])
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    expected = parameter_shapes(config)
     crcs = header["tensors"]
     if not isinstance(crcs, dict):
         raise ValueError(f"checkpoint {path}: header key 'tensors' is not an object")
+    # the walk stops one name past the header's table, so a config implying
+    # huge layer counts costs no more than the file it came in
+    expected = dict(itertools.islice(parameter_shapes(config), len(crcs) + 1))
+    if len(expected) > len(crcs):
+        first = next(name for name in expected if name not in crcs)
+        raise ValueError(
+            f"checkpoint {path}: the config implies more than the {len(crcs)} tensors "
+            f"the header names; the first missing is {first}"
+        )
 
     unknown = sorted(set(crcs) - set(expected))
     if unknown:

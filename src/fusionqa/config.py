@@ -143,7 +143,6 @@ def desk_stage_config(stage: int) -> StageConfig:
     cfg.global_batch = 8
     if stage == 1:
         cfg.epochs = 2
-        cfg.ve_lr = 1e-3
     elif stage == 2:
         cfg.epochs = 24
         cfg.ve_lr = 1e-3

@@ -16,7 +16,7 @@ from fusionqa.tensor import Tensor, cross_entropy_logits, no_grad
 from fusionqa.tokenizer import EOS_ID, PAD_ID, assemble_qa_input
 
 
-def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Tensor:
+def qa_loss(model, enc: EncoderStates, target_ids, rng=None) -> Tensor:
     """Mean negative log-likelihood of the target sequence under teacher
     forcing (decoder input is the target shifted right behind a pad start
     token); pad positions in the target are excluded from the average.
@@ -30,7 +30,7 @@ def qa_loss(model, enc: EncoderStates, target_ids, train=False, rng=None) -> Ten
         raise ValueError("qa_loss: empty target")
     start = np.full((len(target_ids), 1), PAD_ID)
     dec_input = np.concatenate([start, target_ids[:, :-1]], axis=1)
-    logits = decoder_logits(model, enc, dec_input, train=train, rng=rng)
+    logits = decoder_logits(model, enc, dec_input, rng=rng)
     mask = (target_ids != PAD_ID).astype(np.float64)
     return cross_entropy_logits(logits, target_ids, mask)
 

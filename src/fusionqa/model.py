@@ -73,58 +73,57 @@ class DecoderCache:
         return tuple(out)
 
 
-def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape for every parameter, without allocating anything, in
-    the order ``model.params`` keeps: gradient clipping sums squares in that
-    order, so reordering changes training bits."""
+def parameter_shapes(config: ModelConfig):
+    """(name, shape) of every parameter, lazily, without allocating
+    anything, in the order ``model.params`` keeps: gradient clipping sums
+    squares in that order, so reordering changes training bits."""
     d = config.lm.hidden_size
     v = config.vision
     lm = config.lm
-    shapes = {}
 
     def block(prefix, attns, norms):
         for attn in attns:
             for w in ("wq", "wk", "wv", "wo"):
-                shapes[f"{prefix}.{attn}.{w}"] = (d, d)
+                yield f"{prefix}.{attn}.{w}", (d, d)
             for b in ("bq", "bk", "bv", "bo"):
-                shapes[f"{prefix}.{attn}.{b}"] = (d,)
-        shapes[f"{prefix}.mlp.w1"] = (d, 4 * d)
-        shapes[f"{prefix}.mlp.b1"] = (4 * d,)
-        shapes[f"{prefix}.mlp.w2"] = (4 * d, d)
-        shapes[f"{prefix}.mlp.b2"] = (d,)
+                yield f"{prefix}.{attn}.{b}", (d,)
+        yield f"{prefix}.mlp.w1", (d, 4 * d)
+        yield f"{prefix}.mlp.b1", (4 * d,)
+        yield f"{prefix}.mlp.w2", (4 * d, d)
+        yield f"{prefix}.mlp.b2", (d,)
         for n in norms:
-            shapes[f"{prefix}.{n}.gamma"] = (d,)
-            shapes[f"{prefix}.{n}.beta"] = (d,)
+            yield f"{prefix}.{n}.gamma", (d,)
+            yield f"{prefix}.{n}.beta", (d,)
 
-    shapes["vision.patch_proj.weight"] = (v.patch_size * v.patch_size * 3, d)
-    shapes["vision.patch_proj.bias"] = (d,)
-    shapes["vision.pos_emb"] = (v.n_patches, d)
+    yield "vision.patch_proj.weight", (v.patch_size * v.patch_size * 3, d)
+    yield "vision.patch_proj.bias", (d,)
+    yield "vision.pos_emb", (v.n_patches, d)
     for i in range(v.n_layers):
-        block(f"vision.layer{i}", ("attn",), ("norm1", "norm2"))
-    shapes["vision.final_norm.gamma"] = (d,)
-    shapes["vision.final_norm.beta"] = (d,)
+        yield from block(f"vision.layer{i}", ("attn",), ("norm1", "norm2"))
+    yield "vision.final_norm.gamma", (d,)
+    yield "vision.final_norm.beta", (d,)
 
-    shapes["lm.embed"] = (lm.vocab_size, d)
-    shapes["lm.encoder.pos_emb"] = (lm.max_len, d)
+    yield "lm.embed", (lm.vocab_size, d)
+    yield "lm.encoder.pos_emb", (lm.max_len, d)
     for i in range(lm.n_enc_layers):
-        block(f"lm.encoder.layer{i}", ("attn",), ("norm1", "norm2"))
-    shapes["lm.encoder.final_norm.gamma"] = (d,)
-    shapes["lm.encoder.final_norm.beta"] = (d,)
+        yield from block(f"lm.encoder.layer{i}", ("attn",), ("norm1", "norm2"))
+    yield "lm.encoder.final_norm.gamma", (d,)
+    yield "lm.encoder.final_norm.beta", (d,)
 
-    shapes["lm.decoder.pos_emb"] = (lm.max_len, d)
+    yield "lm.decoder.pos_emb", (lm.max_len, d)
     for i in range(lm.n_dec_layers):
-        block(f"lm.decoder.layer{i}", ("self_attn", "cross_attn"), ("norm1", "norm2", "norm3"))
-    shapes["lm.decoder.final_norm.gamma"] = (d,)
-    shapes["lm.decoder.final_norm.beta"] = (d,)
+        yield from block(f"lm.decoder.layer{i}", ("self_attn", "cross_attn"),
+                         ("norm1", "norm2", "norm3"))
+    yield "lm.decoder.final_norm.gamma", (d,)
+    yield "lm.decoder.final_norm.beta", (d,)
 
-    shapes["lm.head.w_o"] = (lm.vocab_size, d)
-    shapes["lm.head.b_o"] = (lm.vocab_size,)
+    yield "lm.head.w_o", (lm.vocab_size, d)
+    yield "lm.head.b_o", (lm.vocab_size,)
 
-    shapes["cls_head.w1"] = (d, d)
-    shapes["cls_head.b1"] = (d,)
-    shapes["cls_head.w2"] = (1, d)
-    shapes["cls_head.b2"] = (1,)
-    return shapes
+    yield "cls_head.w1", (d, d)
+    yield "cls_head.b1", (d,)
+    yield "cls_head.w2", (1, d)
+    yield "cls_head.b2", (1,)
 
 
 def _init_value(name: str, shape, rng: Rng, dtype):
@@ -150,15 +149,9 @@ class MultimodalTransformer:
     def build(cls, config: ModelConfig, rng: Rng, dtype=np.float32) -> "MultimodalTransformer":
         params = {
             name: Tensor(_init_value(name, shape, rng, dtype), requires_grad=True, dtype=dtype)
-            for name, shape in parameter_shapes(config).items()
+            for name, shape in parameter_shapes(config)
         }
         return cls(config, params)
-
-    def set_trainable(self, prefixes):
-        """Mark parameters trainable iff their name starts with any prefix."""
-        prefixes = tuple(prefixes)
-        for name, p in self.params.items():
-            p.requires_grad = name.startswith(prefixes)
 
     def zero_grads(self):
         for p in self.params.values():
@@ -169,8 +162,8 @@ def _layer_norm_named(model, prefix, x):
     return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
 
 
-def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
-                         train=False, rng=None, cache=None, static_kv=False):
+def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None, rng=None,
+                         cache=None, static_kv=False):
     """Scaled dot-product attention over h heads; additive pre-softmax mask.
 
     Inputs are (..., L, d), so a leading batch axis passes through. A mask
@@ -195,27 +188,27 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None,
             k, v = cache.write(prefix, k, v, model.config.lm.max_len)
     dh = x_q.shape[-1] // n_heads
     ctx = attention(q, k, v, n_heads, 1.0 / math.sqrt(dh), mask,
-                    rate=model.config.lm.dropout_rate, rng=rng, train=train)
+                    rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def _mlp(model, prefix, x, train, rng):
+def _mlp(model, prefix, x, rng):
     p = model.params
     rate = model.config.lm.dropout_rate
     h = gelu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    h = dropout(h, rate, rng=rng, train=train)
+    h = dropout(h, rate, rng=rng)
     return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def transformer_block(model, prefix, x, n_heads, mask=None, train=False, rng=None):
+def transformer_block(model, prefix, x, n_heads, mask=None, rng=None):
     """Pre-norm residual block: self-attention then MLP."""
     rate = model.config.lm.dropout_rate
     normed = _layer_norm_named(model, f"{prefix}.norm1", x)
     attn = multi_head_attention(model, f"{prefix}.attn", normed, normed, n_heads,
-                                mask=mask, train=train, rng=rng)
-    x = add(x, dropout(attn, rate, rng=rng, train=train))
+                                mask=mask, rng=rng)
+    x = add(x, dropout(attn, rate, rng=rng))
     normed = _layer_norm_named(model, f"{prefix}.norm2", x)
-    x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, train, rng), rate, rng=rng, train=train))
+    x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
     return x
 
 
@@ -291,7 +284,7 @@ def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
                      index.reshape(text_emb.shape[:-1]))
 
 
-def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderStates:
+def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
     """Embed a padded TokenBatch in one pass, encode and inject its images
     (in span order, row by row), and run the language-model encoder over the
     fused (B, L, d) sequence. A lone TokenSequence runs as a batch of one.
@@ -315,17 +308,16 @@ def encode_multimodal(model, seq, images=(), train=False, rng=None) -> EncoderSt
     if length > cfg.max_len:
         raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
     mask = key_padding_mask(seq.attention_mask, model.dtype)
-    x = inject(embed_tokens(model, seq), image_rows(model, images, train=train, rng=rng), spans)
+    x = inject(embed_tokens(model, seq), image_rows(model, images, rng=rng), spans)
     x = add(x, slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)))
-    x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
+    x = dropout(x, cfg.dropout_rate, rng=rng)
     for i in range(cfg.n_enc_layers):
-        x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads,
-                              mask=mask, train=train, rng=rng)
+        x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads, mask=mask, rng=rng)
     x = _layer_norm_named(model, "lm.encoder.final_norm", x)
     return EncoderStates(x, np.asarray(seq.attention_mask))
 
 
-def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=None,
+def decoder_hidden(model, enc: EncoderStates, dec_input_ids, rng=None,
                    cache: DecoderCache | None = None) -> Tensor:
     """Decoder states (B, T, d) for (B, T) ``dec_input_ids`` over a batched
     encoder output, one row per sequence.
@@ -354,7 +346,7 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
         raise ValueError(f"decoder: input length {start + t_len} exceeds max_len {cfg.max_len}")
     x = embedding_lookup(model.params["lm.embed"], ids)
     x = add(x, slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)))
-    x = dropout(x, cfg.dropout_rate, rng=rng, train=train)
+    x = dropout(x, cfg.dropout_rate, rng=rng)
     cmask = causal_mask(t_len, model.dtype, offset=start)
     kmask = key_padding_mask(enc.attention_mask, model.dtype)
     rate = cfg.dropout_rate
@@ -362,15 +354,14 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, train=False, rng=No
         prefix = f"lm.decoder.layer{i}"
         normed = _layer_norm_named(model, f"{prefix}.norm1", x)
         attn = multi_head_attention(model, f"{prefix}.self_attn", normed, normed,
-                                    cfg.n_heads, mask=cmask, train=train, rng=rng, cache=cache)
-        x = add(x, dropout(attn, rate, rng=rng, train=train))
+                                    cfg.n_heads, mask=cmask, rng=rng, cache=cache)
+        x = add(x, dropout(attn, rate, rng=rng))
         normed = _layer_norm_named(model, f"{prefix}.norm2", x)
         cross = multi_head_attention(model, f"{prefix}.cross_attn", normed, enc.states,
-                                     cfg.n_heads, mask=kmask, train=train, rng=rng,
-                                     cache=cache, static_kv=True)
-        x = add(x, dropout(cross, rate, rng=rng, train=train))
+                                     cfg.n_heads, mask=kmask, rng=rng, cache=cache, static_kv=True)
+        x = add(x, dropout(cross, rate, rng=rng))
         normed = _layer_norm_named(model, f"{prefix}.norm3", x)
-        x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, train, rng), rate, rng=rng, train=train))
+        x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
     if cache is not None:
         cache.length = start + t_len
     return _layer_norm_named(model, "lm.decoder.final_norm", x)
@@ -381,9 +372,9 @@ def _lm_head(model, hidden: Tensor) -> Tensor:
     return linear(hidden, transpose(w_o, (1, 0)), model.params["lm.head.b_o"])
 
 
-def decoder_logits(model, enc: EncoderStates, dec_input_ids, train=False, rng=None) -> Tensor:
+def decoder_logits(model, enc: EncoderStates, dec_input_ids, rng=None) -> Tensor:
     """(B, T, V) pre-softmax logits under teacher forcing for (B, T) ids."""
-    return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, train=train, rng=rng))
+    return _lm_head(model, decoder_hidden(model, enc, dec_input_ids, rng=rng))
 
 
 def decode_step(model, enc: EncoderStates, ids, cache: DecoderCache) -> Tensor:

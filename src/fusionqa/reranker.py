@@ -41,19 +41,19 @@ class RetrievedSet:
     selected: list[int]
 
 
-def classifier_head(model, h: Tensor, train=False, rng=None) -> Tensor:
+def classifier_head(model, h: Tensor, rng=None) -> Tensor:
     """Relevance logits (N,) from the <cls> hidden states (N, d)."""
     p = model.params
     rate = model.config.lm.dropout_rate
-    h = dropout(h, rate, rng=rng, train=train)
+    h = dropout(h, rate, rng=rng)
     z = tanh(linear(h, transpose(p["cls_head.w1"], (1, 0)), p["cls_head.b1"]))
-    z = dropout(z, rate, rng=rng, train=train)
+    z = dropout(z, rate, rng=rng)
     y = linear(z, transpose(p["cls_head.w2"], (1, 0)), p["cls_head.b2"])
     return reshape(y, (h.shape[0],))
 
 
 def score(model, vocab, question: str, docs: list[Document], image_loader=None,
-          train=False, rng=None) -> Tensor:
+          rng=None) -> Tensor:
     """Relevance logits (N,) of the question against each of N documents,
     from one encoder pass over the pairs padded into one batch."""
     docs = list(docs)
@@ -69,9 +69,9 @@ def score(model, vocab, question: str, docs: list[Document], image_loader=None,
                 raise ValueError(f"document {doc.id} is an image but no image loader given")
             images.append(image_loader(doc))
         seqs.append(seq)
-    enc = encode_multimodal(model, pad_sequences(seqs), images, train=train, rng=rng)
+    enc = encode_multimodal(model, pad_sequences(seqs), images, rng=rng)
     h = slice_(enc.states, (slice(None), 0))
-    return classifier_head(model, h, train=train, rng=rng)
+    return classifier_head(model, h, rng=rng)
 
 
 def select_contexts(logits, cfg: SelectionConfig) -> RetrievedSet:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,12 +235,6 @@ def question_keys(world: World) -> list[tuple[str, str]]:
     return keys
 
 
-def _copy_doc(doc: Document, label: str) -> Document:
-    return Document(id=doc.id, modality=doc.modality, text=doc.text,
-                    table=doc.table, image_path=doc.image_path,
-                    snippet=doc.snippet, label=label)
-
-
 def build_instance(world: World, qid: str, entity: str, relation: str,
                    rng: Rng, n_distractors: int = 9,
                    answer_style: str = "short") -> QaInstance:
@@ -268,12 +262,12 @@ def build_instance(world: World, qid: str, entity: str, relation: str,
 
     others = [e for e in world.entities if e != entity]
     pick = rng.child("distractors")
-    pool = [_copy_doc(support, "supporting")]
+    pool = [replace(support, label="supporting")]
     chosen_entities = pick.sample_indices(len(others), min(n_distractors, len(others)))
     for j in np.asarray(chosen_entities).tolist():
         photo = int(pick.integers(0, 2))  # drawn before the slot
         doc = entity_document(world, others[int(j)], int(pick.integers(0, _ENTITY_SLOTS)), photo)
-        pool.append(_copy_doc(doc, "distractor"))
+        pool.append(replace(doc, label="distractor"))
     order = rng.child("order").permutation(len(pool))
     pool = [pool[int(i)] for i in order]
     inst = QaInstance(qid=qid, question=question, pool=pool,

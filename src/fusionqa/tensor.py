@@ -9,6 +9,10 @@ allows a shared leading batch axis, add allows a trailing-suffix bias, and
 nothing else. Every other op requires exact shape agreement so that shape
 bugs fail loudly at the op that caused them.
 
+Dropout, in ``dropout`` and on ``attention``'s weights, runs exactly when
+an ``Rng`` is passed and the rate is nonzero; without an Rng the op is the
+deterministic eval pass.
+
 Every op here serves the package, with two exceptions kept for the tests:
 ``matmul`` is the reference that ``linear`` and ``attention`` are checked
 against, and ``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses
@@ -293,13 +297,13 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor = None,
-              rate: float = 0.0, rng: Rng = None, train: bool = False) -> Tensor:
+              rate: float = 0.0, rng: Rng = None) -> Tensor:
     """Multi-head scaled dot-product attention as one taped op.
 
     ``q`` is (..., Lq, d) and ``k``, ``v`` are (..., Lk, d) with the same
     leading axes; d splits into ``n_heads`` heads on the trailing axis. Per
     head the weights are softmax(q @ kᵀ * scale + mask) over the keys,
-    max-subtracted; with ``train`` and a nonzero ``rate`` they take inverted
+    max-subtracted; given an ``rng`` and a nonzero ``rate`` they take inverted
     dropout (one uniform draw of their (..., h, Lq, Lk) shape). The result is
     the weighted sum of values with the heads merged back, (..., Lq, d).
     ``mask`` is an additive constant: a suffix of the (..., h, Lq, Lk) scores,
@@ -319,8 +323,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
             f"{n_heads} heads, got {qd.shape}, {kd.shape} and {vd.shape}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
-    if train and rate != 0.0 and rng is None:
-        raise ValueError("attention: training-mode dropout requires an Rng")
     c = float(scale)
     n = qd.ndim - 2
     lead = tuple(range(n))
@@ -344,7 +346,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
     s /= s.sum(axis=-1, keepdims=True)
     keep = None
     p = s
-    if train and rate != 0.0:
+    if rng is not None and rate != 0.0:
         keep = (rng.uniform(s.shape) >= rate).astype(s.dtype) / (1.0 - rate)
         p = s * keep
     out = np.transpose(p @ vh, swap).reshape(qd.shape)
@@ -395,14 +397,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
     return _out(out, (x, gamma, beta), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng: Rng = None, train: bool = False) -> Tensor:
-    """Inverted dropout; identity in eval mode or at rate 0."""
+def dropout(x: Tensor, rate: float, rng: Rng = None) -> Tensor:
+    """Inverted dropout drawn from ``rng``; the identity without an Rng (the
+    eval pass) or at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout: training mode requires an Rng")
     keep = (rng.uniform(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return _out(x.data * keep, (x,), lambda g: (g * keep,))
 

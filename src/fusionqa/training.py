@@ -217,25 +217,30 @@ def _pretrain_loss(model, vocab, samples: list[PretrainSample], rng):
             vocab, sample.prompt, [_image_doc()], model.config.n_img_tokens,
             model.config.lm.max_len, prompt=instruction,
         ))
-    enc = encode_multimodal(model, pad_sequences(seqs), [s.image for s in samples],
-                            train=True, rng=rng)
+    enc = encode_multimodal(model, pad_sequences(seqs), [s.image for s in samples], rng=rng)
     targets = pad_sequences([vocab.encode(s.target) for s in samples]).ids
-    return qa_loss(model, enc, targets, train=True, rng=rng)
+    return qa_loss(model, enc, targets, rng=rng)
+
+
+def _optimizer(model, groups: list[ParamGroup]) -> AdamW:
+    """AdamW over ``groups``, with exactly their tensors trainable and every
+    other parameter frozen; every phase builds its optimizer here."""
+    trained = {name for g in groups for name in g.names}
+    for name, p in model.params.items():
+        p.requires_grad = name in trained
+    return AdamW(groups)
 
 
 def _stage_optimizer(model, stage: StageConfig) -> AdamW:
-    """Freeze all but the components the stage has a rate for and return
-    their optimizer: ``vision.*`` trains iff ``ve_lr`` is set (its LLRD
-    groups first), ``lm.*`` iff ``lm_lr`` is set."""
-    prefixes, groups = [], []
+    """The optimizer of the components the stage has a rate for: ``vision.*``
+    iff ``ve_lr`` is set (its LLRD groups first), ``lm.*`` iff ``lm_lr`` is
+    set."""
+    groups = []
     if stage.ve_lr is not None:
-        prefixes.append("vision.")
         groups.extend(vision_param_groups(model, stage.ve_lr))
     if stage.lm_lr is not None:
-        prefixes.append("lm.")
         groups.append(lm_param_group(model, stage.lm_lr))
-    model.set_trainable(prefixes)
-    return AdamW(groups)
+    return _optimizer(model, groups)
 
 
 def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSample],
@@ -261,22 +266,26 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
                   f"stage{stage.stage}", primary_lr, partial(_pretrain_loss, model, vocab))
 
 
+def _rerank_loss(model, vocab, insts: list[QaInstance], rng, image_loader, batch) -> Tensor:
+    """One reranker fine-tune step's loss on its one question: the supporting
+    documents and distractors up to ``batch`` documents (drawn from ``rng``'s
+    stream ``batch``), scored in one encoder pass that draws its dropout from
+    the stream ``docs``."""
+    (inst,) = insts
+    docs, labels = build_training_batch(inst.pool, batch, rng.child("batch"))
+    logits = score(model, vocab, inst.question, docs, image_loader=image_loader,
+                   rng=rng.child("docs"))
+    return reranker_loss(logits, labels)
+
+
 def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                       rng: Rng, image_loader=None) -> list[tuple[int, float, float, float]]:
     """Fine-tune the relevance scorer, one question per step; ``global_batch``
     is the number of pool documents scored per question, all in one encoder
     pass. The vision encoder stays frozen."""
-    model.set_trainable(("lm.", "cls_head."))
-    opt = AdamW([lm_param_group(model, cfg.lr, include_cls_head=True)])
-
-    def step_loss(insts, step_rng):
-        (inst,) = insts
-        docs, labels = build_training_batch(inst.pool, cfg.global_batch,
-                                            step_rng.child("batch"))
-        logits = score(model, vocab, inst.question, docs, image_loader=image_loader,
-                       train=True, rng=step_rng.child("docs"))
-        return reranker_loss(logits, labels)
-
+    opt = _optimizer(model, [lm_param_group(model, cfg.lr, include_cls_head=True)])
+    step_loss = partial(_rerank_loss, model, vocab, image_loader=image_loader,
+                        batch=cfg.global_batch)
     return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, step_loss)
 
 
@@ -304,18 +313,16 @@ def _answer_loss(model, vocab, insts: list[QaInstance], rng, image_loader,
         seq, imgs = qa_input(model, vocab, inst.question, contexts, image_loader)
         seqs.append(seq)
         images.extend(imgs)
-    enc = encode_multimodal(model, pad_sequences(seqs), images, train=True, rng=rng)
+    enc = encode_multimodal(model, pad_sequences(seqs), images, rng=rng)
     targets = pad_sequences([vocab.encode(inst.answers[0]) for inst in insts]).ids
-    return qa_loss(model, enc, targets, train=True, rng=rng)
+    return qa_loss(model, enc, targets, rng=rng)
 
 
 def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
                 ) -> list[tuple[int, float, float, float]]:
     """Fine-tune the generator on gold contexts; vision encoder stays frozen."""
-    model.set_trainable(("lm.",))
-    opt = AdamW([lm_param_group(model, cfg.lr)])
-
+    opt = _optimizer(model, [lm_param_group(model, cfg.lr)])
     step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
                         extra_distractors=extra_distractors)
     return _train(model, opt, dataset, max(1, cfg.global_batch), cfg.epochs, rng, "qa",

@@ -31,7 +31,7 @@ def patchify(img: Image, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(patches)
 
 
-def encode_image(model, img: Image, train: bool = False, rng=None) -> Tensor:
+def encode_image(model, img: Image, rng=None) -> Tensor:
     """Run the vision encoder; returns an (N, d) embedding matrix."""
     cfg = model.config.vision
     patches = patchify(img, cfg.patch_size)
@@ -47,12 +47,9 @@ def encode_image(model, img: Image, train: bool = False, rng=None) -> Tensor:
     x = linear(Tensor(patches, dtype=model.dtype), model.params["vision.patch_proj.weight"],
                model.params["vision.patch_proj.bias"])
     x = add(x, model.params["vision.pos_emb"])
-    x = dropout(x, model.config.lm.dropout_rate, rng=rng, train=train)
+    x = dropout(x, model.config.lm.dropout_rate, rng=rng)
     for i in range(cfg.n_layers):
-        x = transformer_block(
-            model, f"vision.layer{i}", x, n_heads=cfg.n_heads,
-            mask=None, train=train, rng=rng,
-        )
+        x = transformer_block(model, f"vision.layer{i}", x, n_heads=cfg.n_heads, rng=rng)
     return layer_norm(x, model.params["vision.final_norm.gamma"],
                       model.params["vision.final_norm.beta"])
 
@@ -71,30 +68,30 @@ def _vision_key(model, weights) -> bytes:
     return model._vision_key[0]
 
 
-def image_rows(model, images, train: bool = False, rng=None) -> list[Tensor]:
+def image_rows(model, images, rng=None) -> list[Tensor]:
     """``encode_image`` for each image, served from the image's memo while
     that is exact.
 
     The memo serves when the vision encoder is frozen (grad recording is off,
-    or no vision.* tensor requires grad) and its dropout is inactive (eval,
-    or a zero rate). Its key is a digest of the vision weights, so models
-    with bit-identical vision weights share rows; an image keeps one entry
-    per key it was served under. A memoised row is a constant tensor, as the
+    or no vision.* tensor requires grad) and its dropout is inactive (no
+    ``rng``, or a zero rate). Its key is a digest of the vision weights, so
+    models with bit-identical vision weights share rows; an image keeps one
+    entry per key it was served under. A memoised row is a constant tensor, as the
     frozen encoder's output is. Otherwise every image is encoded afresh.
     """
     if not images:
         return []
     vision = [(n, p) for n, p in model.params.items() if n.startswith("vision.")]
     frozen = not grad_enabled() or not any(p.requires_grad for _, p in vision)
-    if not frozen or (train and model.config.lm.dropout_rate != 0.0):
-        return [encode_image(model, img, train=train, rng=rng) for img in images]
+    if not frozen or (rng is not None and model.config.lm.dropout_rate != 0.0):
+        return [encode_image(model, img, rng=rng) for img in images]
     key = _vision_key(model, [(n, p.data.tobytes()) for n, p in vision])
     rows = []
     for img in images:
         if key not in img._rows:
             # a module-global call: a replaced vision.encode_image (the traced
             # benchmark run times the encoder so) sees every miss
-            row = encode_image(model, img, train=train, rng=rng)
+            row = encode_image(model, img, rng=rng)
             row.data.flags.writeable = False  # every later caller shares it
             img._rows[key] = row
         rows.append(img._rows[key])

@@ -23,10 +23,10 @@ TINY_LINES = [
 ]
 
 
-def encode_every_visit(model, images, train=False, rng=None):
+def encode_every_visit(model, images, rng=None):
     """``vision.image_rows`` without its memo: the reference that memo tests
     monkeypatch in."""
-    return [vision.encode_image(model, img, train=train, rng=rng) for img in images]
+    return [vision.encode_image(model, img, rng=rng) for img in images]
 
 
 def count_encode_image(monkeypatch) -> list:
@@ -35,12 +35,19 @@ def count_encode_image(monkeypatch) -> list:
     seen = []
     real = vision.encode_image
 
-    def counting(model, img, train=False, rng=None):
+    def counting(model, img, rng=None):
         seen.append(img)
-        return real(model, img, train=train, rng=rng)
+        return real(model, img, rng=rng)
 
     monkeypatch.setattr(vision, "encode_image", counting)
     return seen
+
+
+def set_trainable(model, prefixes):
+    """Make the parameters named with any of ``prefixes`` trainable and
+    freeze the rest, as a training phase does through its optimizer."""
+    for name, p in model.params.items():
+        p.requires_grad = name.startswith(tuple(prefixes))
 
 
 @pytest.fixture(scope="session")

@@ -398,7 +398,7 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         header, header_end = _header(raw)
         # the payload holds the tensors in sorted-name order
-        shapes = parameter_shapes(make_tiny_config(tiny_vocab.size))
+        shapes = dict(parameter_shapes(make_tiny_config(tiny_vocab.size)))
         start = header_end + sum(4 * math.prod(shapes[n]) for n in shapes if n < "cls_head.b1")
         raw[start + 2] ^= 0x40
         path.write_bytes(bytes(raw))
@@ -443,6 +443,37 @@ class TestCheckpoint:
         assert rc == 1
         assert (f"error: checkpoint {path}: vision image_size 20 is not a multiple of "
                 "patch_size 8") in capsys.readouterr().err
+
+    def test_huge_layer_count_rejected_within_the_header_table(self, tmp_path, tiny_vocab,
+                                                              capsys, monkeypatch):
+        # a config implying 10**7 encoder layers behind a recomputed header CRC:
+        # the loader walks at most one shape past the header's tensor table
+        import fusionqa.checkpoint as checkpoint_module
+        from fusionqa.cli import main
+
+        walked = []
+
+        def counting(config):
+            for item in parameter_shapes(config):
+                walked.append(item)
+                assert len(walked) < 10_000, "the loader walks the config's whole layout"
+                yield item
+
+        monkeypatch.setattr(checkpoint_module, "parameter_shapes", counting)
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["config"]["lm"].update(n_enc_layers=10**7))
+        n_tensors = len(_header(path.read_bytes())[0]["tensors"])
+        message = (f"checkpoint {path}: the config implies more than the {n_tensors} tensors "
+                   "the header names; the first missing is lm.encoder.layer1.attn.wq")
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == message
+        assert len(walked) == n_tensors + 1
+        tiny_vocab.save(tmp_path / "vocab.txt")
+        rc = main(["answer", "--model", str(path), "--vocab", str(tmp_path / "vocab.txt"),
+                   "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_base_profile_checkpoint_config(self, tmp_path):
         # shape table only; the base profile itself is too large to allocate here

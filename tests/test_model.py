@@ -37,7 +37,7 @@ from fusionqa.tokenizer import (
     pad_sequences,
 )
 
-from conftest import count_encode_image, make_tiny_config
+from conftest import count_encode_image, make_tiny_config, set_trainable
 
 
 class TestEmbedTokens:
@@ -198,7 +198,7 @@ class TestEncoder:
 
     def test_gradients_reach_embeddings_and_vision(self, fresh_tiny_model, scene_image_16, tiny_vocab):
         model = fresh_tiny_model
-        model.set_trainable(("lm.", "vision."))
+        set_trainable(model, ("lm.", "vision."))
         doc = Document(id="i", modality="image", image_path="<m>", snippet="a photo")
         seq = assemble_qa_input(tiny_vocab, "what?", [doc], model.config.n_img_tokens, 128)
         enc = encode_multimodal(model, seq, [scene_image_16])
@@ -417,7 +417,7 @@ class TestProfiles:
         assert cfg.lm.n_dec_layers == dec
         assert cfg.lm.n_heads == heads == cfg.vision.n_heads
         assert cfg.vision.n_layers == enc
-        shapes = parameter_shapes(cfg)
+        shapes = dict(parameter_shapes(cfg))
         assert shapes["lm.embed"] == (100, d)
         assert shapes[f"lm.encoder.layer{enc - 1}.attn.wq"] == (d, d)
         assert shapes[f"lm.decoder.layer{dec - 1}.cross_attn.wv"] == (d, d)
@@ -430,7 +430,7 @@ class TestProfiles:
         # changes training bits; sha256 of the desk profile's names as listed
         import hashlib
 
-        names = "\n".join(parameter_shapes(model_profile("desk")))
+        names = "\n".join(name for name, _ in parameter_shapes(model_profile("desk")))
         assert hashlib.sha256(names.encode()).hexdigest() == \
             "2a121febddb72052cc83d06cba33dc76ddd080a00c411158a6e0e0ce25a60a0a"
 

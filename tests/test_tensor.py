@@ -72,13 +72,15 @@ class TestForward:
         assert np.abs(out - ref).max() <= 5e-7
 
     def test_dropout_eval_is_identity(self):
+        # without an Rng (the eval pass), or at rate 0, nothing is dropped
         x = Tensor(np.arange(6, dtype=np.float32))
-        assert dropout(x, 0.5, rng=Rng(0), train=False) is x
+        assert dropout(x, 0.5) is x
+        assert dropout(x, 0.0, rng=Rng(0)) is x
 
     def test_dropout_train_deterministic_per_seed(self):
         x = Tensor(np.ones(1000))
-        a = dropout(x, 0.3, rng=Rng(7), train=True).data
-        b = dropout(x, 0.3, rng=Rng(7), train=True).data
+        a = dropout(x, 0.3, rng=Rng(7)).data
+        b = dropout(x, 0.3, rng=Rng(7)).data
         np.testing.assert_array_equal(a, b)
         assert (a == 0).any() and (a > 1.0).any()
 
@@ -269,7 +271,7 @@ class TestGradCheck:
         x = t64(np.linspace(-1, 1, 16))
 
         def fn(ps):
-            return tsum(dropout(ps[0], 0.25, rng=Rng(123), train=True))
+            return tsum(dropout(ps[0], 0.25, rng=Rng(123)))
 
         assert grad_check(fn, [x], eps=1e-4) < 1e-8
 
@@ -305,7 +307,7 @@ def _attention_reference(q, k, c, mask):
     return _softmax_reference(scores)
 
 
-def _composed_attention(q, k, v, n_heads, c, mask, rate=0.0, rng=None, train=False):
+def _composed_attention(q, k, v, n_heads, c, mask, rate=0.0, rng=None):
     """``attention`` as separate ops: heads split by reshape and transpose,
     the weights, dropout, the weighted sum of values and the merge."""
     n = q.ndim - 2
@@ -316,7 +318,7 @@ def _composed_attention(q, k, v, n_heads, c, mask, rate=0.0, rng=None, train=Fal
         return transpose(reshape(t, t.shape[:-1] + (n_heads, dh)), swap)
 
     probs = _attention_reference(split_heads(q), split_heads(k), c, mask)
-    probs = dropout(probs, rate, rng=rng, train=train)
+    probs = dropout(probs, rate, rng=rng)
     return reshape(transpose(matmul(probs, split_heads(v)), swap), q.shape)
 
 
@@ -408,10 +410,10 @@ class TestFusedOps:
         q, k, v, mask = _attention_inputs(q_shape, kv_shape, kind, np.float32)
         upstream = Rng(1).normal(q_shape)
         c = 1.0 / math.sqrt(q_shape[-1] // heads)
-        fused = _grads(lambda: attention(q, k, v, heads, c, mask, rate=rate, rng=Rng(4),
-                                         train=True), [q, k, v], upstream)
+        fused = _grads(lambda: attention(q, k, v, heads, c, mask, rate=rate, rng=Rng(4)),
+                       [q, k, v], upstream)
         composed = _grads(lambda: _composed_attention(q, k, v, heads, c, mask, rate=rate,
-                                                      rng=Rng(4), train=True),
+                                                      rng=Rng(4)),
                           [q, k, v], upstream)
         assert fused[0].dtype == np.float32 and fused[0].shape == q_shape
         assert np.array_equal(fused[0], composed[0])
@@ -424,21 +426,20 @@ class TestFusedOps:
         q, k, v, mask = _attention_inputs(q_shape, kv_shape, kind, np.float64, seed=2)
         weights = Tensor(Rng(3).normal(q_shape), dtype=np.float64)
         fn = lambda ps: tsum(mul(attention(ps[0], ps[1], ps[2], heads, 0.6, mask, rate=rate,
-                                           rng=Rng(5), train=True), weights))
+                                           rng=Rng(5)), weights))
         assert grad_check(fn, [q, k, v], eps=1e-5) < 1e-7
 
     def test_attention_dropout_draws_the_weights_shape(self):
         # one uniform draw of (..., h, Lq, Lk) from the stream, as the
-        # separate dropout op drew it; eval mode draws nothing
+        # separate dropout op drew it; without an Rng the rate drops nothing
         q, k, v, _ = _attention_inputs((2, 4, 6), (2, 5, 6), None, np.float32)
         rng = Rng(8)
-        attention(q, k, v, 3, 0.5, rate=0.1, rng=rng, train=True)
+        attention(q, k, v, 3, 0.5, rate=0.1, rng=rng)
         want = Rng(8)
         want.uniform((2, 3, 4, 5))
         assert rng.uniform() == want.uniform()
-        rng = Rng(8)
-        attention(q, k, v, 3, 0.5, rate=0.1, rng=rng, train=False)
-        assert rng.uniform() == Rng(8).uniform()
+        assert np.array_equal(attention(q, k, v, 3, 0.5, rate=0.1).data,
+                              attention(q, k, v, 3, 0.5).data)
 
     def test_linear_grad_check(self):
         rng = Rng(6)

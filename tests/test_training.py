@@ -47,7 +47,7 @@ from fusionqa.training import (
     write_trace_csv,
 )
 
-from conftest import count_encode_image, encode_every_visit, make_tiny_config
+from conftest import count_encode_image, encode_every_visit, make_tiny_config, set_trainable
 
 
 def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
@@ -504,9 +504,10 @@ _PHASE_TRAINABLE = {"stage1": ("vision.",), "stage2": ("vision.", "lm."), "stage
                     "reranker": ("lm.", "cls_head."), "qa": ("lm.",)}
 
 
-def _phase_members(corpora, model, vocab, phase):
-    """(members, loss of a member list) for one ragged step of ``phase``."""
-    rng = Rng(11)
+def _phase_members(corpora, model, vocab, phase, seed=11):
+    """(members, loss of a member list) for one ragged step of ``phase``,
+    its step Rng seeded with ``seed``."""
+    rng = Rng(seed)
     loader = make_image_loader()
     if phase.startswith("stage"):
         samples = load_pretrain_corpus(corpora / f"pretrain_{phase}.jsonl")
@@ -519,7 +520,7 @@ def _phase_members(corpora, model, vocab, phase):
 
     def loss(ms):
         logits = score(model, vocab, insts[0].question, [d for d, _ in ms],
-                       image_loader=loader, train=True, rng=rng)
+                       image_loader=loader, rng=rng)
         return reranker_loss(logits, [label for _, label in ms])
 
     return list(zip(docs, labels)), loss
@@ -540,7 +541,7 @@ class TestOneGraphPerStep:
     def test_batched_step_matches_per_member(self, image_corpora, phase):
         vocab = Vocab.load(image_corpora / "vocab.txt")
         model = _tiny_image_model(vocab, 4)
-        model.set_trainable(_PHASE_TRAINABLE[phase])
+        set_trainable(model, _PHASE_TRAINABLE[phase])
         members, loss_fn = _phase_members(image_corpora, model, vocab, phase)
         batched_loss, batched = _loss_and_grads(model, lambda: loss_fn(members))
         singles = [_loss_and_grads(model, lambda: loss_fn([m])) for m in members]
@@ -574,6 +575,38 @@ class TestOneGraphPerStep:
                        image_loader=make_image_loader())
         assert len(trace) > 2
         assert len(calls) == len(trace)
+
+
+class TestStepRng:
+    """Dropout runs iff the forward is given an Rng, so a phase whose step
+    dropped its Rng would silently train without dropout."""
+
+    @pytest.mark.parametrize("phase", ["stage1", "stage2", "stage3", "reranker", "qa"])
+    def test_step_loss_depends_on_step_rng(self, image_corpora, monkeypatch, phase):
+        given = []
+        for name in ("encode_multimodal", "qa_loss", "score"):
+            def recording(*args, _real=getattr(training, name), **kwargs):
+                given.append(kwargs.get("rng"))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, recording)
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        model = _tiny_image_model(vocab, 4, dropout=0.1)
+        losses = []
+        for seed in (11, 12, 11):
+            if phase == "reranker":
+                # a batch of the whole pool, so the step Rng draws no distractors
+                insts = load_dataset(image_corpora / "qa_train.jsonl")[:1]
+                loss = training._rerank_loss(model, vocab, insts, Rng(seed),
+                                             make_image_loader(), len(insts[0].pool))
+            else:
+                members, loss_fn = _phase_members(image_corpora, model, vocab, phase, seed)
+                loss = loss_fn(members)
+            losses.append(loss.item())
+        assert losses[0] != losses[1]
+        assert losses[0] == losses[2]
+        # and each forward call the step makes through training.py got it
+        assert given and None not in given
 
 
 class TestDeskConfigs:

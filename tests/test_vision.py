@@ -9,7 +9,7 @@ from fusionqa.tensor import Rng, backward, no_grad, tsum
 from fusionqa.training import clone_model
 from fusionqa.vision import encode_image, image_rows, patchify
 
-from conftest import count_encode_image, make_tiny_config
+from conftest import count_encode_image, make_tiny_config, set_trainable
 
 
 def test_patchify_224_16():
@@ -100,14 +100,14 @@ class TestEncodeImage:
 
     def test_gradient_flow_respects_freezing(self, fresh_tiny_model, scene_image_16):
         model = fresh_tiny_model
-        model.set_trainable(("vision.",))
+        set_trainable(model, ("vision.",))
         out = encode_image(model, scene_image_16)
         backward(tsum(out))
         assert model.params["vision.patch_proj.weight"].grad is not None
         assert model.params["vision.pos_emb"].grad is not None
 
         model.zero_grads()
-        model.set_trainable(("lm.",))
+        set_trainable(model, ("lm.",))
         out = encode_image(model, scene_image_16)
         backward(tsum(out))
         assert model.params["vision.patch_proj.weight"].grad is None
@@ -144,14 +144,14 @@ class TestImageRows:
         a = MultimodalTransformer.build(cfg, Rng(7))
         b = clone_model(a)
         b.params["lm.embed"].data += 1.0
-        b.set_trainable(("lm.",))
+        set_trainable(b, ("lm.",))
         other = MultimodalTransformer.build(cfg, Rng(8))
         img = Image(scene_image_16.pixels.copy())
         encoded = count_encode_image(monkeypatch)
         with no_grad():
             rows = image_rows(a, [img, img])
         # grad recording on, vision frozen, dropout rate 0: served
-        served = image_rows(b, [img], train=True, rng=Rng(0))[0]
+        served = image_rows(b, [img], rng=Rng(0))[0]
         assert rows[0] is rows[1] is served
         assert not served.requires_grad and served._vjp is None
         with no_grad():
