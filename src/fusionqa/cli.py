@@ -7,6 +7,7 @@ rerank, answer, eval. Exit code is 0 only when every input validates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -58,7 +59,24 @@ def _cmd_gen_synthetic(args):
     return 0
 
 
+def _with_overrides(cfg, **given):
+    """``cfg`` with the given command-line values, checked as its own are."""
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+
+
+def _save_trained(args, model, trace, label):
+    save_checkpoint(model, args.out)
+    if args.trace:
+        write_trace_csv(trace, args.trace)
+    print(f"{label}: {len(trace)} steps, "
+          f"first loss {trace[0][2]:.4f}, last loss {trace[-1][2]:.4f}")
+    return 0
+
+
 def _cmd_pretrain(args):
+    stage = desk_stage_config(args.stage) if args.profile == "desk" \
+        else pretrain_stage_defaults(args.stage)
+    stage = _with_overrides(stage, epochs=args.epochs, global_batch=args.batch)
     vocab = Vocab.load(args.vocab)
     corpus = load_pretrain_corpus(args.data)
     if args.init:
@@ -66,31 +84,15 @@ def _cmd_pretrain(args):
     else:
         config = model_profile(args.profile, vocab_size=vocab.size)
         model = MultimodalTransformer.build(config, Rng(args.seed).child("init"))
-    stage = desk_stage_config(args.stage) if args.profile == "desk" \
-        else pretrain_stage_defaults(args.stage)
-    if args.epochs is not None:
-        stage.epochs = args.epochs
-    if args.batch is not None:
-        stage.global_batch = args.batch
     trace = run_pretrain_stage(model, vocab, stage, corpus, Rng(args.seed))
-    save_checkpoint(model, args.out)
-    if args.trace:
-        write_trace_csv(trace, args.trace)
-    print(f"stage {args.stage}: {len(trace)} steps, "
-          f"first loss {trace[0][2]:.4f}, last loss {trace[-1][2]:.4f}")
-    return 0
+    return _save_trained(args, model, trace, f"stage {args.stage}")
 
 
 def _cmd_finetune(args, task):
+    cfg = desk_finetune_config(task) if args.profile == "desk" else finetune_defaults(task)
+    cfg = _with_overrides(cfg, epochs=args.epochs, global_batch=args.batch, lr=args.lr)
     model, vocab = _load_model_and_vocab(args.init, args.vocab)
     dataset = load_dataset(args.data)
-    cfg = desk_finetune_config(task) if args.profile == "desk" else finetune_defaults(task)
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.batch is not None:
-        cfg.global_batch = args.batch
-    if args.lr is not None:
-        cfg.lr = args.lr
     loader = make_image_loader()
     if task == "reranker":
         trace = finetune_reranker(model, vocab, dataset, cfg, Rng(args.seed),
@@ -99,12 +101,7 @@ def _cmd_finetune(args, task):
         trace = finetune_qa(model, vocab, dataset, cfg, Rng(args.seed),
                             image_loader=loader,
                             extra_distractors=args.extra_distractors)
-    save_checkpoint(model, args.out)
-    if args.trace:
-        write_trace_csv(trace, args.trace)
-    print(f"finetune-{task}: {len(trace)} steps, "
-          f"first loss {trace[0][2]:.4f}, last loss {trace[-1][2]:.4f}")
-    return 0
+    return _save_trained(args, model, trace, f"finetune-{task}")
 
 
 def _cmd_rerank(args):

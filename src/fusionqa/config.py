@@ -105,6 +105,18 @@ class GenerationConfig:
 QA_PROMPT = "answer the question using the given contexts:"
 
 
+def _check_schedule(owner: str, cfg, rates):
+    """Reject a schedule that cannot train: ``epochs`` or ``global_batch``
+    below 1, or a set rate among ``rates`` that is not a finite number > 0."""
+    for name in ("epochs", "global_batch"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{owner} {name} must be >= 1, got {getattr(cfg, name)!r}")
+    for name in rates:
+        val = getattr(cfg, name)
+        if val is not None and not 0.0 < val < math.inf:
+            raise ValueError(f"{owner} {name} must be a finite number > 0, got {val!r}")
+
+
 @dataclass
 class StageConfig:
     """One pretraining stage's schedule. The stage trains the vision encoder
@@ -117,6 +129,7 @@ class StageConfig:
     ve_lr: float | None
 
     def __post_init__(self):
+        _check_schedule(f"stage {self.stage}", self, ("lm_lr", "ve_lr"))
         if self.lm_lr is None and self.ve_lr is None:
             raise ValueError(f"stage {self.stage} sets neither lm_lr nor ve_lr, so nothing trains")
 
@@ -160,6 +173,9 @@ class FinetuneConfig:
     global_batch: int
     epochs: int
     lr: float
+
+    def __post_init__(self):
+        _check_schedule("finetune", self, ("lr",))
 
 
 def finetune_defaults(task: str) -> FinetuneConfig:

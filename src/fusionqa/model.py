@@ -73,6 +73,12 @@ class DecoderCache:
         return tuple(out)
 
 
+# A layer's attentions in running order, read by the layout and the forward:
+# attention i runs behind norm{i}, the MLP behind norm{len(attns) + 1}.
+ENCODER_ATTNS = ("attn",)
+DECODER_ATTNS = ("self_attn", "cross_attn")
+
+
 def parameter_shapes(config: ModelConfig):
     """(name, shape) of every parameter, lazily, without allocating
     anything, in the order ``model.params`` keeps: gradient clipping sums
@@ -81,41 +87,31 @@ def parameter_shapes(config: ModelConfig):
     v = config.vision
     lm = config.lm
 
-    def block(prefix, attns, norms):
-        for attn in attns:
-            for w in ("wq", "wk", "wv", "wo"):
-                yield f"{prefix}.{attn}.{w}", (d, d)
-            for b in ("bq", "bk", "bv", "bo"):
-                yield f"{prefix}.{attn}.{b}", (d,)
-        yield f"{prefix}.mlp.w1", (d, 4 * d)
-        yield f"{prefix}.mlp.b1", (4 * d,)
-        yield f"{prefix}.mlp.w2", (4 * d, d)
-        yield f"{prefix}.mlp.b2", (d,)
-        for n in norms:
-            yield f"{prefix}.{n}.gamma", (d,)
-            yield f"{prefix}.{n}.beta", (d,)
+    def stack(prefix, n_positions, n_layers, attns):
+        yield f"{prefix}.pos_emb", (n_positions, d)
+        for i in range(n_layers):
+            layer = f"{prefix}.layer{i}"
+            for attn in attns:
+                for w in ("wq", "wk", "wv", "wo"):
+                    yield f"{layer}.{attn}.{w}", (d, d)
+                for b in ("bq", "bk", "bv", "bo"):
+                    yield f"{layer}.{attn}.{b}", (d,)
+            yield f"{layer}.mlp.w1", (d, 4 * d)
+            yield f"{layer}.mlp.b1", (4 * d,)
+            yield f"{layer}.mlp.w2", (4 * d, d)
+            yield f"{layer}.mlp.b2", (d,)
+            for n in range(1, len(attns) + 2):
+                yield f"{layer}.norm{n}.gamma", (d,)
+                yield f"{layer}.norm{n}.beta", (d,)
+        yield f"{prefix}.final_norm.gamma", (d,)
+        yield f"{prefix}.final_norm.beta", (d,)
 
     yield "vision.patch_proj.weight", (v.patch_size * v.patch_size * 3, d)
     yield "vision.patch_proj.bias", (d,)
-    yield "vision.pos_emb", (v.n_patches, d)
-    for i in range(v.n_layers):
-        yield from block(f"vision.layer{i}", ("attn",), ("norm1", "norm2"))
-    yield "vision.final_norm.gamma", (d,)
-    yield "vision.final_norm.beta", (d,)
-
+    yield from stack("vision", v.n_patches, v.n_layers, ENCODER_ATTNS)
     yield "lm.embed", (lm.vocab_size, d)
-    yield "lm.encoder.pos_emb", (lm.max_len, d)
-    for i in range(lm.n_enc_layers):
-        yield from block(f"lm.encoder.layer{i}", ("attn",), ("norm1", "norm2"))
-    yield "lm.encoder.final_norm.gamma", (d,)
-    yield "lm.encoder.final_norm.beta", (d,)
-
-    yield "lm.decoder.pos_emb", (lm.max_len, d)
-    for i in range(lm.n_dec_layers):
-        yield from block(f"lm.decoder.layer{i}", ("self_attn", "cross_attn"),
-                         ("norm1", "norm2", "norm3"))
-    yield "lm.decoder.final_norm.gamma", (d,)
-    yield "lm.decoder.final_norm.beta", (d,)
+    yield from stack("lm.encoder", lm.max_len, lm.n_enc_layers, ENCODER_ATTNS)
+    yield from stack("lm.decoder", lm.max_len, lm.n_dec_layers, DECODER_ATTNS)
 
     yield "lm.head.w_o", (lm.vocab_size, d)
     yield "lm.head.b_o", (lm.vocab_size,)
@@ -162,31 +158,31 @@ def _layer_norm_named(model, prefix, x):
     return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
 
 
-def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None, rng=None,
-                         cache=None, static_kv=False):
-    """Scaled dot-product attention over h heads; additive pre-softmax mask.
+def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None,
+                         cache=None):
+    """Scaled dot-product attention over h heads from ``x`` to ``kv`` (to
+    ``x`` itself, self-attention, when None); additive pre-softmax mask.
 
-    Inputs are (..., L, d), so a leading batch axis passes through. A mask
-    is a suffix of the (..., h, Lq, Lk) scores, or a (B, 1, 1, Lk) per-row
-    key mask.
+    Inputs are (..., L, d); a mask is a suffix of the (..., h, Lq, Lk)
+    scores, or a (B, 1, 1, Lk) per-row key mask.
 
-    With a ``cache`` (a DecoderCache, inference only) the keys and values
-    are kept under ``prefix``: the K/V of ``x_kv`` are written into the
-    cache's buffers after its ``length`` positions, or, with ``static_kv``,
-    projected on the first call only and reused by every later call.
+    With a ``cache`` (a DecoderCache, inference only) self-attention writes
+    its K/V into the cache's buffers under ``prefix`` after its ``length``
+    positions; a given ``kv`` is projected once per cache and reused.
     """
     p = model.params
-    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    if cache is not None and static_kv and prefix in cache.kv:
+    q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    if cache is not None and kv is not None and prefix in cache.kv:
         k, v = cache.kv[prefix]
     else:
-        k = linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        if cache is not None and static_kv:
+        src = x if kv is None else kv
+        k = linear(src, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = linear(src, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        if cache is not None and kv is not None:
             cache.kv[prefix] = (k, v)
         elif cache is not None:
             k, v = cache.write(prefix, k, v, model.config.lm.max_len)
-    dh = x_q.shape[-1] // n_heads
+    dh = x.shape[-1] // n_heads
     ctx = attention(q, k, v, n_heads, 1.0 / math.sqrt(dh), mask,
                     rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -194,22 +190,34 @@ def multi_head_attention(model, prefix, x_q, x_kv, n_heads, mask=None, rng=None,
 
 def _mlp(model, prefix, x, rng):
     p = model.params
-    rate = model.config.lm.dropout_rate
     h = gelu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    h = dropout(h, rate, rng=rng)
+    h = dropout(h, model.config.lm.dropout_rate, rng=rng)
     return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def transformer_block(model, prefix, x, n_heads, mask=None, rng=None):
-    """Pre-norm residual block: self-attention then MLP."""
+def transformer_block(model, prefix, x, n_heads, attns, rng=None, cache=None):
+    """Pre-norm residual layer: each attention of ``attns``, ordered (name,
+    kv, mask) triples, behind ``norm{i}`` (i from 1) and dropout, then the
+    MLP behind ``norm{len(attns) + 1}`` and dropout."""
     rate = model.config.lm.dropout_rate
-    normed = _layer_norm_named(model, f"{prefix}.norm1", x)
-    attn = multi_head_attention(model, f"{prefix}.attn", normed, normed, n_heads,
-                                mask=mask, rng=rng)
-    x = add(x, dropout(attn, rate, rng=rng))
-    normed = _layer_norm_named(model, f"{prefix}.norm2", x)
-    x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
-    return x
+    for i, (name, kv, mask) in enumerate(attns, 1):
+        normed = _layer_norm_named(model, f"{prefix}.norm{i}", x)
+        attn = multi_head_attention(model, f"{prefix}.{name}", normed, n_heads, kv=kv,
+                                    mask=mask, rng=rng, cache=cache)
+        x = add(x, dropout(attn, rate, rng=rng))
+    normed = _layer_norm_named(model, f"{prefix}.norm{len(attns) + 1}", x)
+    return add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
+
+
+def run_stack(model, prefix, x, pos, n_layers, n_heads, attns, rng=None, cache=None):
+    """The vision encoder, LM encoder or LM decoder under ``prefix``: inputs
+    ``x`` plus their position rows ``pos``, dropout, the ``n_layers``
+    ``transformer_block``s over ``attns``, then ``{prefix}.final_norm``."""
+    x = dropout(add(x, pos), model.config.lm.dropout_rate, rng=rng)
+    for i in range(n_layers):
+        x = transformer_block(model, f"{prefix}.layer{i}", x, n_heads, attns, rng=rng,
+                              cache=cache)
+    return _layer_norm_named(model, f"{prefix}.final_norm", x)
 
 
 def key_padding_mask(attention_mask, dtype) -> Tensor | None:
@@ -233,12 +241,6 @@ def causal_mask(length, dtype, offset=0) -> Tensor | None:
         return None
     m = np.triu(np.full((length, offset + length), -np.inf, dtype=dtype), k=offset + 1)
     return Tensor._wrap(m)
-
-
-def embed_tokens(model, seq) -> Tensor:
-    """Embedding rows (B, L, d) for a TokenBatch or a (B, L) id array."""
-    ids = np.asarray(getattr(seq, "ids", seq), dtype=np.int64)
-    return embedding_lookup(model.params["lm.embed"], ids)
 
 
 def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
@@ -308,12 +310,12 @@ def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
     if length > cfg.max_len:
         raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
     mask = key_padding_mask(seq.attention_mask, model.dtype)
-    x = inject(embed_tokens(model, seq), image_rows(model, images, rng=rng), spans)
-    x = add(x, slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)))
-    x = dropout(x, cfg.dropout_rate, rng=rng)
-    for i in range(cfg.n_enc_layers):
-        x = transformer_block(model, f"lm.encoder.layer{i}", x, cfg.n_heads, mask=mask, rng=rng)
-    x = _layer_norm_named(model, "lm.encoder.final_norm", x)
+    x = inject(embedding_lookup(model.params["lm.embed"], seq.ids),
+               image_rows(model, images, rng=rng), spans)
+    x = run_stack(model, "lm.encoder", x,
+                  slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)),
+                  cfg.n_enc_layers, cfg.n_heads, [(name, None, mask) for name in ENCODER_ATTNS],
+                  rng=rng)
     return EncoderStates(x, np.asarray(seq.attention_mask))
 
 
@@ -344,27 +346,15 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, rng=None,
     start = 0 if cache is None else cache.length
     if start + t_len > cfg.max_len:
         raise ValueError(f"decoder: input length {start + t_len} exceeds max_len {cfg.max_len}")
-    x = embedding_lookup(model.params["lm.embed"], ids)
-    x = add(x, slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)))
-    x = dropout(x, cfg.dropout_rate, rng=rng)
-    cmask = causal_mask(t_len, model.dtype, offset=start)
-    kmask = key_padding_mask(enc.attention_mask, model.dtype)
-    rate = cfg.dropout_rate
-    for i in range(cfg.n_dec_layers):
-        prefix = f"lm.decoder.layer{i}"
-        normed = _layer_norm_named(model, f"{prefix}.norm1", x)
-        attn = multi_head_attention(model, f"{prefix}.self_attn", normed, normed,
-                                    cfg.n_heads, mask=cmask, rng=rng, cache=cache)
-        x = add(x, dropout(attn, rate, rng=rng))
-        normed = _layer_norm_named(model, f"{prefix}.norm2", x)
-        cross = multi_head_attention(model, f"{prefix}.cross_attn", normed, enc.states,
-                                     cfg.n_heads, mask=kmask, rng=rng, cache=cache, static_kv=True)
-        x = add(x, dropout(cross, rate, rng=rng))
-        normed = _layer_norm_named(model, f"{prefix}.norm3", x)
-        x = add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
+    attns = list(zip(DECODER_ATTNS, [None, enc.states],
+                     [causal_mask(t_len, model.dtype, offset=start),
+                      key_padding_mask(enc.attention_mask, model.dtype)]))
+    hidden = run_stack(model, "lm.decoder", embedding_lookup(model.params["lm.embed"], ids),
+                       slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)),
+                       cfg.n_dec_layers, cfg.n_heads, attns, rng=rng, cache=cache)
     if cache is not None:
         cache.length = start + t_len
-    return _layer_norm_named(model, "lm.decoder.final_norm", x)
+    return hidden
 
 
 def _lm_head(model, hidden: Tensor) -> Tensor:

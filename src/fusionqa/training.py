@@ -53,6 +53,10 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 WEIGHT_DECAY = 0.05
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+MAX_GRAD_NORM = 1.0
 _NO_DECAY_LEAVES = ("gamma", "beta")
 
 
@@ -111,9 +115,8 @@ class AdamW:
     are skipped entirely.
     """
 
-    def __init__(self, groups: list[ParamGroup], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, groups: list[ParamGroup]):
         self.groups = [g for g in groups if g.tensors]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.moments = {}
         for g in self.groups:
@@ -126,8 +129,8 @@ class AdamW:
 
     def step(self, lr_factor: float = 1.0):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for g in self.groups:
             lr = g.base_lr * lr_factor
             for name, p in zip(g.names, g.tensors):
@@ -137,22 +140,22 @@ class AdamW:
                 m, v = self.moments[name]
                 if decay_allowed(name):
                     p.data *= 1.0 - lr * WEIGHT_DECAY
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad * grad
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def clip_global_norm(model, max_norm: float = 1.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(model) -> float:
+    """Scale all gradients so their joint L2 norm is at most MAX_GRAD_NORM."""
     sq = 0.0
     grads = [p.grad for p in model.params.values() if p.grad is not None]
     for g in grads:
         sq += float((g.astype(np.float64) ** 2).sum())
     norm = math.sqrt(sq)
-    if norm > max_norm and norm > 0:
-        factor = max_norm / norm
+    if norm > MAX_GRAD_NORM and norm > 0:
+        factor = MAX_GRAD_NORM / norm
         for g in grads:
             g *= factor
     return norm
@@ -181,6 +184,8 @@ def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss):
     rng streams are ``{tag}/epoch{e}`` and ``{tag}/step{i}``; each phase
     derives any per-member streams itself.
     """
+    if not items:
+        raise ValueError(f"{tag}: no training items, so nothing to train")
     n_batches = math.ceil(len(items) / batch)
     total_steps = epochs * n_batches
     trace = []
@@ -256,13 +261,11 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
             raise ValueError(
                 f"stage {stage.stage} expects {expected_kind!r} samples, got {s.kind!r}"
             )
-    if not corpus:
-        raise ValueError("pretraining corpus is empty")
 
     opt = _stage_optimizer(model, stage)
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
-    return _train(model, opt, corpus, max(1, stage.global_batch), stage.epochs, rng,
+    return _train(model, opt, corpus, stage.global_batch, stage.epochs, rng,
                   f"stage{stage.stage}", primary_lr, partial(_pretrain_loss, model, vocab))
 
 
@@ -325,7 +328,7 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
     opt = _optimizer(model, [lm_param_group(model, cfg.lr)])
     step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
                         extra_distractors=extra_distractors)
-    return _train(model, opt, dataset, max(1, cfg.global_batch), cfg.epochs, rng, "qa",
+    return _train(model, opt, dataset, cfg.global_batch, cfg.epochs, rng, "qa",
                   cfg.lr, step_loss)
 
 

@@ -15,8 +15,8 @@ import hashlib
 import numpy as np
 
 from fusionqa.images import Image
-from fusionqa.model import transformer_block
-from fusionqa.tensor import Tensor, add, dropout, grad_enabled, layer_norm, linear
+from fusionqa.model import ENCODER_ATTNS, run_stack
+from fusionqa.tensor import Tensor, grad_enabled, linear
 
 
 def patchify(img: Image, patch_size: int) -> np.ndarray:
@@ -35,23 +35,15 @@ def encode_image(model, img: Image, rng=None) -> Tensor:
     """Run the vision encoder; returns an (N, d) embedding matrix."""
     cfg = model.config.vision
     patches = patchify(img, cfg.patch_size)
-    expected = model.params["vision.patch_proj.weight"].shape[0]
-    if patches.shape[1] != expected:
-        raise ValueError(
-            f"patch width {patches.shape[1]} does not match projection input {expected}"
-        )
     if patches.shape[0] != cfg.n_patches:
         raise ValueError(
             f"image yields {patches.shape[0]} patches, config expects {cfg.n_patches}"
         )
-    x = linear(Tensor(patches, dtype=model.dtype), model.params["vision.patch_proj.weight"],
-               model.params["vision.patch_proj.bias"])
-    x = add(x, model.params["vision.pos_emb"])
-    x = dropout(x, model.config.lm.dropout_rate, rng=rng)
-    for i in range(cfg.n_layers):
-        x = transformer_block(model, f"vision.layer{i}", x, n_heads=cfg.n_heads, rng=rng)
-    return layer_norm(x, model.params["vision.final_norm.gamma"],
-                      model.params["vision.final_norm.beta"])
+    p = model.params
+    x = linear(Tensor(patches, dtype=model.dtype), p["vision.patch_proj.weight"],
+               p["vision.patch_proj.bias"])
+    return run_stack(model, "vision", x, p["vision.pos_emb"], cfg.n_layers, cfg.n_heads,
+                     [(name, None, None) for name in ENCODER_ATTNS], rng=rng)
 
 
 def _vision_key(model, weights) -> bytes:

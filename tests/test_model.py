@@ -10,21 +10,28 @@ from fusionqa.model import (
     DecoderCache,
     EncoderStates,
     MultimodalTransformer,
+    _mlp,
+    causal_mask,
     decode_step,
     decoder_logits,
-    embed_tokens,
     encode_multimodal,
     inject,
     key_padding_mask,
+    multi_head_attention,
     parameter_shapes,
 )
 from fusionqa.tensor import (
     Rng,
     Tensor,
+    add,
     backward,
+    dropout,
     embedding_lookup,
     grad_check,
+    layer_norm,
+    linear,
     mul,
+    slice_,
     tsum,
 )
 from fusionqa.tokenizer import (
@@ -36,25 +43,9 @@ from fusionqa.tokenizer import (
     assemble_qa_input,
     pad_sequences,
 )
+from fusionqa.vision import encode_image, patchify
 
 from conftest import count_encode_image, make_tiny_config, set_trainable
-
-
-class TestEmbedTokens:
-    def test_shape_and_lookup_semantics(self, tiny_model):
-        seq = TokenSequence(np.array([5, 9, 5, PAD_ID]))
-        emb = embed_tokens(tiny_model, seq)
-        d = tiny_model.config.lm.hidden_size
-        assert emb.shape == (4, d)
-        np.testing.assert_array_equal(emb.data[0], emb.data[2])
-        np.testing.assert_array_equal(
-            emb.data[3], tiny_model.params["lm.embed"].data[PAD_ID]
-        )
-
-    def test_out_of_range_id_rejected(self, tiny_model):
-        big = tiny_model.config.lm.vocab_size
-        with pytest.raises(ValueError, match="out of range"):
-            embed_tokens(tiny_model, np.array([0, big]))
 
 
 class TestInject:
@@ -403,6 +394,90 @@ class TestDecoderCache:
         with pytest.raises(ValueError, match=f"input length {max_len + 1} exceeds max_len {max_len}"):
             decode_step(tiny_model, enc, [[6]], cache)
         assert cache.length == max_len
+
+
+def _wiring_model(vocab_size):
+    """A one-layer tiny model at dropout 0.1 whose every norm gamma and beta
+    and every bias is drawn from an Rng, so no two norms are interchangeable."""
+    model = MultimodalTransformer.build(make_tiny_config(vocab_size, dropout=0.1), Rng(3))
+    draw = Rng(4)
+    for name, p in model.params.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("gamma", "beta", "bias") or leaf.startswith("b"):
+            p.data[...] = draw.normal(p.shape, std=0.5)
+    return model
+
+
+def _norm(model, prefix, x):
+    return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
+
+
+def _encoder_layer(model, prefix, x, n_heads, mask, rng):
+    """An encoder layer written out: norm1, self-attention, dropout, add;
+    norm2, MLP, dropout, add."""
+    rate = model.config.lm.dropout_rate
+    h = _norm(model, f"{prefix}.norm1", x)
+    attn = multi_head_attention(model, f"{prefix}.attn", h, n_heads, mask=mask, rng=rng)
+    x = add(x, dropout(attn, rate, rng=rng))
+    h = _norm(model, f"{prefix}.norm2", x)
+    return add(x, dropout(_mlp(model, f"{prefix}.mlp", h, rng), rate, rng=rng))
+
+
+class TestLayerWiring:
+    """Each stack, one layer deep, against its documented composition with
+    the same dropout draws: inputs plus positions, dropout, the layer, the
+    final norm. Bit for bit, so a swapped norm or attention fails."""
+
+    def test_vision_layer(self, tiny_vocab, scene_image_16):
+        model = _wiring_model(tiny_vocab.size)
+        p, rate = model.params, model.config.lm.dropout_rate
+        rng = Rng(5)
+        x = linear(Tensor(patchify(scene_image_16, model.config.vision.patch_size),
+                          dtype=model.dtype),
+                   p["vision.patch_proj.weight"], p["vision.patch_proj.bias"])
+        x = dropout(add(x, p["vision.pos_emb"]), rate, rng=rng)
+        x = _encoder_layer(model, "vision.layer0", x, model.config.vision.n_heads, None, rng)
+        want = _norm(model, "vision.final_norm", x)
+        got = encode_image(model, scene_image_16, rng=Rng(5))
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_encoder_layer(self, tiny_vocab):
+        model = _wiring_model(tiny_vocab.size)
+        p, rate = model.params, model.config.lm.dropout_rate
+        seq = pad_sequences([TokenSequence([5, 9, 6, EOS_ID]), TokenSequence([7, EOS_ID])])
+        rng = Rng(6)
+        x = embedding_lookup(p["lm.embed"], seq.ids)
+        x = dropout(add(x, slice_(p["lm.encoder.pos_emb"], (slice(0, 4),))), rate, rng=rng)
+        x = _encoder_layer(model, "lm.encoder.layer0", x, model.config.lm.n_heads,
+                           key_padding_mask(seq.attention_mask, model.dtype), rng)
+        want = _norm(model, "lm.encoder.final_norm", x)
+        got = encode_multimodal(model, seq, rng=Rng(6)).states
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_decoder_layer(self, tiny_vocab):
+        model = _wiring_model(tiny_vocab.size)
+        p, rate, heads = model.params, model.config.lm.dropout_rate, model.config.lm.n_heads
+        enc = encode_multimodal(model, pad_sequences([TokenSequence([5, 9, 6, EOS_ID]),
+                                                      TokenSequence([7, EOS_ID])]))
+        ids = np.array([[3, 5, 6], [7, 8, PAD_ID]])
+        rng = Rng(7)
+        pre = "lm.decoder.layer0"
+        x = embedding_lookup(p["lm.embed"], ids)
+        x = dropout(add(x, slice_(p["lm.decoder.pos_emb"], (slice(0, 3),))), rate, rng=rng)
+        h = _norm(model, f"{pre}.norm1", x)
+        attn = multi_head_attention(model, f"{pre}.self_attn", h, heads,
+                                    mask=causal_mask(3, model.dtype), rng=rng)
+        x = add(x, dropout(attn, rate, rng=rng))
+        h = _norm(model, f"{pre}.norm2", x)
+        attn = multi_head_attention(model, f"{pre}.cross_attn", h, heads, kv=enc.states,
+                                    mask=key_padding_mask(enc.attention_mask, model.dtype),
+                                    rng=rng)
+        x = add(x, dropout(attn, rate, rng=rng))
+        h = _norm(model, f"{pre}.norm3", x)
+        x = add(x, dropout(_mlp(model, f"{pre}.mlp", h, rng), rate, rng=rng))
+        want = _norm(model, "lm.decoder.final_norm", x)
+        got = model_module.decoder_hidden(model, enc, ids, rng=Rng(7))
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestProfiles:

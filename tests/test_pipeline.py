@@ -363,6 +363,41 @@ class TestCli:
         assert rc == 1
         assert f"error: vocab file {vocab}: {line_error}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,data,extra,message", [
+        ("pretrain", "pretrain_stage1.jsonl", ["--epochs", "0"],
+         "stage 1 epochs must be >= 1, got 0"),
+        ("pretrain", "pretrain_stage1.jsonl", ["--batch", "0"],
+         "stage 1 global_batch must be >= 1, got 0"),
+        ("pretrain", None, [], "stage1: no training items"),
+        ("finetune-reranker", "qa_train.jsonl", ["--epochs", "0"],
+         "finetune epochs must be >= 1, got 0"),
+        ("finetune-reranker", "qa_train.jsonl", ["--lr", "nan"],
+         "finetune lr must be a finite number > 0, got nan"),
+        ("finetune-reranker", None, [], "rr: no training items"),
+        ("finetune-qa", "qa_train.jsonl", ["--batch", "0"],
+         "finetune global_batch must be >= 1, got 0"),
+        ("finetune-qa", "qa_train.jsonl", ["--lr", "-1"],
+         "finetune lr must be a finite number > 0, got -1.0"),
+        ("finetune-qa", None, [], "qa: no training items"),
+    ], ids=["pretrain-epochs", "pretrain-batch", "pretrain-empty", "reranker-epochs",
+            "reranker-lr-nan", "reranker-empty", "qa-batch", "qa-lr-negative", "qa-empty"])
+    def test_nothing_to_train_exits_one(self, tmp_path, corpora_dir, qa_ckpt, capsys,
+                                        command, data, extra, message):
+        if data is None:
+            path = tmp_path / "empty.jsonl"
+            path.write_text("")
+        else:
+            path = corpora_dir / data
+        out = tmp_path / "out.ckpt"
+        argv = [command, "--data", str(path), "--vocab", str(corpora_dir / "vocab.txt"),
+                "--out", str(out)]
+        argv += ["--stage", "1"] if command == "pretrain" else ["--init", str(qa_ckpt)]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")
         model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))

@@ -33,6 +33,7 @@ from fusionqa.tensor import (
     transpose,
     tsum,
 )
+from fusionqa.tokenizer import PAD_ID
 
 
 def t64(data, requires_grad=True):
@@ -94,6 +95,13 @@ class TestForward:
         table = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="out of range"):
             embedding_lookup(table, [0, 4])
+
+    def test_embedding_lookup_rows(self):
+        table = Tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
+        emb = embedding_lookup(table, [[5, 3, 5, PAD_ID]])
+        assert emb.shape == (1, 4, 2)
+        np.testing.assert_array_equal(emb.data[0, 0], emb.data[0, 2])
+        np.testing.assert_array_equal(emb.data[0, 3], table.data[PAD_ID])
 
 
 class TestBackward:

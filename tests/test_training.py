@@ -166,7 +166,7 @@ class TestClipping:
         model = fresh_tiny_model
         for p in model.params.values():
             p.grad = np.full_like(p.data, 10.0)
-        norm = clip_global_norm(model, 1.0)
+        norm = clip_global_norm(model)
         assert norm > 1.0
         clipped = math.sqrt(sum(float((p.grad**2).sum()) for p in model.params.values()))
         assert abs(clipped - 1.0) < 1e-4
@@ -179,7 +179,7 @@ class TestClipping:
             model.params["lm.embed"].data, 1e-6
         )
         before = model.params["lm.embed"].grad.copy()
-        clip_global_norm(model, 1.0)
+        clip_global_norm(model)
         np.testing.assert_array_equal(model.params["lm.embed"].grad, before)
 
 
@@ -401,8 +401,8 @@ class TestFinetunes:
         norms = []
         real_clip = training.clip_global_norm
 
-        def recording_clip(model, max_norm=1.0):
-            norms.append(real_clip(model, max_norm))
+        def recording_clip(model):
+            norms.append(real_clip(model))
             return norms[-1]
 
         monkeypatch.setattr(training, "clip_global_norm", recording_clip)
