@@ -8,8 +8,8 @@ generative answerer, trained with a three-stage pretraining schedule and
 per-component freezing.
 """
 
-from fusionqa.tensor import Rng, Tensor, backward, grad_check, no_grad
+from fusionqa.tensor import Rng, Tensor, backward, no_grad
 
-__all__ = ["Rng", "Tensor", "backward", "grad_check", "no_grad"]
+__all__ = ["Rng", "Tensor", "backward", "no_grad"]
 
 __version__ = "0.1.0"

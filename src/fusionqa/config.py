@@ -153,17 +153,11 @@ def desk_stage_config(stage: int) -> StageConfig:
     vision-to-language lr ratio; hotter rates were observed to collapse the
     vision encoder's information content at this scale."""
     cfg = pretrain_stage_defaults(stage)
-    cfg.global_batch = 8
     if stage == 1:
-        cfg.epochs = 2
-    elif stage == 2:
-        cfg.epochs = 24
-        cfg.ve_lr = 1e-3
-        cfg.lm_lr = 2e-4
-    else:
-        cfg.epochs = 24
-        cfg.lm_lr = 1e-3
-    return cfg
+        return dataclasses.replace(cfg, global_batch=8, epochs=2)
+    if stage == 2:
+        return dataclasses.replace(cfg, global_batch=8, epochs=24, ve_lr=1e-3, lm_lr=2e-4)
+    return dataclasses.replace(cfg, global_batch=8, epochs=24, lm_lr=1e-3)
 
 
 @dataclass
@@ -191,13 +185,9 @@ def finetune_defaults(task: str) -> FinetuneConfig:
 def desk_finetune_config(task: str) -> FinetuneConfig:
     cfg = finetune_defaults(task)
     if task == "reranker":
-        cfg.global_batch = 8  # per-question document batch size
-        cfg.lr = 2e-3
-    else:
-        cfg.global_batch = 4
-        cfg.lr = 1.5e-3
-        cfg.epochs = 12
-    return cfg
+        # global_batch is the per-question document batch size
+        return dataclasses.replace(cfg, global_batch=8, lr=2e-3)
+    return dataclasses.replace(cfg, global_batch=4, epochs=12, lr=1.5e-3)
 
 
 def model_profile(name: str, vocab_size: int = 512) -> ModelConfig:

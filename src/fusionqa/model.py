@@ -126,7 +126,7 @@ def _init_value(name: str, shape, rng: Rng, dtype):
     if name.endswith(".gamma"):
         return np.ones(shape, dtype=dtype)
     leaf = name.rsplit(".", 1)[-1]
-    if leaf in ("beta", "bias") or leaf.startswith("b"):
+    if leaf.startswith("b"):  # biases and layer-norm betas
         return np.zeros(shape, dtype=dtype)
     return rng.child(f"init/{name}").truncated_normal(shape, std=0.02).astype(dtype)
 

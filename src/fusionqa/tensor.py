@@ -4,19 +4,19 @@ numpy holds the raw arrays; the op functions below build the graph and
 ``backward`` walks it once per call. float32 is the training dtype; build
 parameters in float64 when finite-difference checking gradients.
 
-Layout is row-major throughout. Broadcasting is deliberately narrow: matmul
-allows a shared leading batch axis, add allows a trailing-suffix bias, and
-nothing else. Every other op requires exact shape agreement so that shape
+Layout is row-major throughout. Broadcasting is deliberately narrow: linear
+applies one weight over any leading axes, add allows a trailing-suffix bias,
+and nothing else. Every other op requires exact shape agreement so that shape
 bugs fail loudly at the op that caused them.
 
 Dropout, in ``dropout`` and on ``attention``'s weights, runs exactly when
 an ``Rng`` is passed and the rate is nonzero; without an Rng the op is the
 deterministic eval pass.
 
-Every op here serves the package, with two exceptions kept for the tests:
-``matmul`` is the reference that ``linear`` and ``attention`` are checked
-against, and ``mul``, ``tsum`` and ``Rng.normal`` build the scalar losses
-and random inputs that the gradient checks probe with ``grad_check``.
+Every op here serves the package. ``Rng.normal`` alone is kept for the
+tests, which draw random inputs with it; their reference ``matmul``, the
+``mul`` and ``tsum`` that build scalar losses and the finite-difference
+``grad_check`` live in ``tests/tensor_reference.py``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ __all__ = [
     "Rng",
     "no_grad",
     "backward",
-    "grad_check",
-    "matmul",
     "linear",
     "add",
-    "mul",
     "tanh",
     "gelu",
     "attention",
@@ -49,7 +46,6 @@ __all__ = [
     "slice_",
     "reshape",
     "transpose",
-    "tsum",
     "bce_with_logits",
     "cross_entropy_logits",
     "sigmoid_np",
@@ -197,25 +193,6 @@ def _shrink(g, shape):
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; both operands 2-D+, leading batch dims equal or absent."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ, {ad.shape} @ {bd.shape}")
-    if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul: batch dimensions differ, {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-
-    def vjp(g):
-        ga = _shrink(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _shrink(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-        return ga, gb
-
-    return _out(out, (a, b), vjp)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,).
 
@@ -249,19 +226,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         return _shrink(g, ad.shape), _shrink(g, bd.shape)
-
-    return _out(out, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; exact shape agreement required."""
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"mul: shapes must match exactly, got {ad.shape} * {bd.shape}")
-    out = ad * bd
-
-    def vjp(g):
-        return g * bd, g * ad
 
     return _out(out, (a, b), vjp)
 
@@ -489,12 +453,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _out(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Full reduction to a scalar."""
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    return _out(out, (x,), lambda g: (np.full(x.data.shape, g, dtype=x.data.dtype),))
-
-
 def sigmoid_np(x):
     """Numerically stable sigmoid on a plain numpy array (not taped)."""
     x = np.asarray(x, dtype=np.float64)
@@ -614,53 +572,3 @@ def backward(loss: Tensor):
                 continue
             key = id(parent)
             grads[key] = pg if key not in grads else grads[key] + pg
-
-
-def grad_check(f, params, eps=1e-4, max_coords_per_param=None, rng=None) -> float:
-    """Compare backward() against central finite differences.
-
-    ``f(params) -> scalar Tensor`` must be deterministic (dropout off) and the
-    parameters must be float64. Returns the max over probed coordinates of
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    if not (1e-6 <= eps <= 1e-3):
-        raise ValueError(f"grad_check: eps must lie in [1e-6, 1e-3], got {eps}")
-    params = list(params)
-    for i, p in enumerate(params):
-        if p.data.dtype != np.float64:
-            raise ValueError(f"grad_check: parameter {i} must be float64, got {p.data.dtype}")
-        p.grad = None
-
-    loss = f(params)
-    backward(loss)
-    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    rng = rng or Rng(0)
-    worst = 0.0
-    for pi, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        a_flat = analytic[pi].reshape(-1)
-        n = flat.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            coords = rng.sample_indices(n, max_coords_per_param)
-        else:
-            coords = range(n)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            with no_grad():
-                hi = float(f(params).data)
-            flat[idx] = orig - eps
-            with no_grad():
-                lo = float(f(params).data)
-            flat[idx] = orig
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise FloatingPointError(
-                    f"grad_check: non-finite loss probing parameter {pi} coordinate {int(idx)}"
-                )
-            numeric = (hi - lo) / (2.0 * eps)
-            a = float(a_flat[idx])
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst

@@ -1,11 +1,12 @@
 """Optimization and the staged training procedures.
 
 AdamW with decoupled weight decay (``WEIGHT_DECAY`` on weight matrices)
-and a no-warmup cosine schedule drives every procedure. The vision encoder
-gets layer-wise learning-rate decay by ``VISION_LLRD_FACTOR`` per layer
-(top layer fastest; patch projection and positional embeddings join the
-bottom group). Freezing is total: a frozen tensor receives no gradient,
-holds no optimizer state, and is bit-identical after training.
+and a no-warmup cosine schedule drives every procedure. A phase states
+what it trains in one map from parameter name to base learning rate,
+``param_lrs``, which folds in the vision encoder's layer-wise decay by
+``VISION_LLRD_FACTOR`` per layer; ``AdamW`` trains exactly the tensors the
+map names. Freezing is total: a frozen tensor receives no gradient, holds
+no optimizer state, and is bit-identical after training.
 
 Stages: (1) vision encoder alone on caption pairs, (2) vision encoder and
 language model jointly on richer captions, (3) language model alone on
@@ -17,7 +18,6 @@ generator) always keeps the vision encoder frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,15 +34,6 @@ from fusionqa.tokenizer import assemble_qa_input, pad_sequences
 VISION_LLRD_FACTOR = 0.5
 
 
-def llrd_rates(base_lr: float, factor: float, n_layers: int) -> list[float]:
-    """Per-layer learning rates, bottom (index 0) to top: base * factor^depth."""
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"llrd factor must lie in (0, 1], got {factor}")
-    if n_layers < 1:
-        raise ValueError("llrd needs at least one layer")
-    return [base_lr * factor ** (n_layers - 1 - i) for i in range(n_layers)]
-
-
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """Cosine decay from base_lr to zero, no warmup."""
     if total_steps <= 0:
@@ -57,94 +48,75 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 MAX_GRAD_NORM = 1.0
-_NO_DECAY_LEAVES = ("gamma", "beta")
 
 
 def decay_allowed(name: str) -> bool:
     """Weight decay applies to weight matrices only: not biases, not
     layer-norm affine parameters, not embedding tables."""
     leaf = name.rsplit(".", 1)[-1]
-    if leaf in _NO_DECAY_LEAVES or leaf.startswith("b"):
-        return False
-    if name == "lm.embed" or leaf == "pos_emb":
-        return False
-    return True
+    return not (leaf == "gamma" or leaf.startswith("b") or leaf == "pos_emb"
+                or name == "lm.embed")
 
 
-@dataclass
-class ParamGroup:
-    names: list[str]
-    tensors: list[Tensor]
-    base_lr: float
-
-
-def vision_param_groups(model, base_lr: float) -> list[ParamGroup]:
-    """LLRD groups partitioning the vision encoder exactly once."""
-    n_layers = model.config.vision.n_layers
-    rates = llrd_rates(base_lr, VISION_LLRD_FACTOR, n_layers)
-    buckets = {i: [] for i in range(n_layers)}
+def param_lrs(model, rates: dict[str, float | None]) -> dict[str, float]:
+    """Each trained parameter's base learning rate, by name. ``rates`` maps
+    a component (``"vision"``, ``"lm"``, ``"cls_head"``) to its base rate;
+    one that is absent or None stays frozen. The vision encoder's rate
+    decays by ``VISION_LLRD_FACTOR`` per layer below the top: the patch
+    projection and ``pos_emb`` sit at depth 0, the final norm at the top."""
+    top = model.config.vision.n_layers - 1
+    lrs = {}
     for name in model.params:
-        if not name.startswith("vision."):
+        component, _, rest = name.partition(".")
+        rate = rates.get(component)
+        if rate is None:
             continue
-        if name.startswith("vision.layer"):
-            layer = int(name.split(".")[1][len("layer"):])
-            buckets[layer].append(name)
-        elif name.startswith(("vision.patch_proj", "vision.pos_emb")):
-            buckets[0].append(name)
-        else:  # final norm rides with the top layer
-            buckets[n_layers - 1].append(name)
-    groups = []
-    for i in range(n_layers):
-        names = sorted(buckets[i])
-        groups.append(ParamGroup(names, [model.params[n] for n in names], rates[i]))
-    return groups
-
-
-def lm_param_group(model, base_lr: float, include_cls_head=False) -> ParamGroup:
-    names = sorted(
-        n for n in model.params
-        if n.startswith("lm.") or (include_cls_head and n.startswith("cls_head."))
-    )
-    return ParamGroup(names, [model.params[n] for n in names], base_lr)
+        if component == "vision":
+            if rest.startswith("layer"):
+                depth = int(rest.split(".", 1)[0][len("layer"):])
+            elif rest.startswith(("patch_proj", "pos_emb")):
+                depth = 0
+            else:
+                depth = top
+            rate = rate * VISION_LLRD_FACTOR ** (top - depth)
+        lrs[name] = rate
+    return lrs
 
 
 class AdamW:
     """Bias-corrected Adam with decoupled (multiplicative) weight decay.
 
-    Only trainable tensors get state; tensors whose grad is None in a step
-    are skipped entirely.
+    It trains exactly the parameters that ``lrs`` (name -> base rate, see
+    ``param_lrs``) names: it sets ``requires_grad`` to ``name in lrs`` on
+    every parameter of ``model``, and only those tensors get state. A
+    tensor whose grad is None in a step is skipped entirely.
     """
 
-    def __init__(self, groups: list[ParamGroup]):
-        self.groups = [g for g in groups if g.tensors]
+    def __init__(self, model, lrs: dict[str, float]):
         self.t = 0
-        self.moments = {}
-        for g in self.groups:
-            for name, p in zip(g.names, g.tensors):
-                if p.requires_grad:
-                    self.moments[name] = (
-                        np.zeros_like(p.data),
-                        np.zeros_like(p.data),
-                    )
+        self.entries = []  # (tensor, base lr, takes weight decay, m, v)
+        for name, p in model.params.items():
+            p.requires_grad = name in lrs
+            if p.requires_grad:
+                self.entries.append((p, lrs[name], decay_allowed(name),
+                                     np.zeros_like(p.data), np.zeros_like(p.data)))
 
     def step(self, lr_factor: float = 1.0):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for g in self.groups:
-            lr = g.base_lr * lr_factor
-            for name, p in zip(g.names, g.tensors):
-                if not p.requires_grad or p.grad is None:
-                    continue
-                grad = p.grad.astype(p.data.dtype, copy=False)
-                m, v = self.moments[name]
-                if decay_allowed(name):
-                    p.data *= 1.0 - lr * WEIGHT_DECAY
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad * grad
-                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        for p, base_lr, decay, m, v in self.entries:
+            if p.grad is None:
+                continue
+            lr = base_lr * lr_factor
+            grad = p.grad.astype(p.data.dtype, copy=False)
+            if decay:
+                p.data *= 1.0 - lr * WEIGHT_DECAY
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_global_norm(model) -> float:
@@ -172,9 +144,10 @@ def clone_model(model) -> MultimodalTransformer:
 _STAGE_KIND = {1: "caption", 2: "caption", 3: "vqa"}
 
 
-def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss):
+def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss, phase):
     """The loop every phase shares; returns the (step, lr, loss, grad norm)
-    trace, the norm taken before clipping.
+    trace, the norm taken before clipping. ``phase`` names the phase in
+    errors.
 
     Each epoch visits ``items`` in a fresh permutation, ``batch`` at a time.
     A step zeroes the gradients, back-propagates the step's loss once, clips
@@ -185,7 +158,7 @@ def _train(model, opt, items, batch, epochs, rng, tag, lr, step_loss):
     derives any per-member streams itself.
     """
     if not items:
-        raise ValueError(f"{tag}: no training items, so nothing to train")
+        raise ValueError(f"{phase}: no training items, so nothing to train")
     n_batches = math.ceil(len(items) / batch)
     total_steps = epochs * n_batches
     trace = []
@@ -227,27 +200,6 @@ def _pretrain_loss(model, vocab, samples: list[PretrainSample], rng):
     return qa_loss(model, enc, targets, rng=rng)
 
 
-def _optimizer(model, groups: list[ParamGroup]) -> AdamW:
-    """AdamW over ``groups``, with exactly their tensors trainable and every
-    other parameter frozen; every phase builds its optimizer here."""
-    trained = {name for g in groups for name in g.names}
-    for name, p in model.params.items():
-        p.requires_grad = name in trained
-    return AdamW(groups)
-
-
-def _stage_optimizer(model, stage: StageConfig) -> AdamW:
-    """The optimizer of the components the stage has a rate for: ``vision.*``
-    iff ``ve_lr`` is set (its LLRD groups first), ``lm.*`` iff ``lm_lr`` is
-    set."""
-    groups = []
-    if stage.ve_lr is not None:
-        groups.extend(vision_param_groups(model, stage.ve_lr))
-    if stage.lm_lr is not None:
-        groups.append(lm_param_group(model, stage.lm_lr))
-    return _optimizer(model, groups)
-
-
 def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSample],
                        rng: Rng) -> list[tuple[int, float, float, float]]:
     """Train one stage in place; returns the (step, lr, loss, grad norm) trace.
@@ -262,11 +214,12 @@ def run_pretrain_stage(model, vocab, stage: StageConfig, corpus: list[PretrainSa
                 f"stage {stage.stage} expects {expected_kind!r} samples, got {s.kind!r}"
             )
 
-    opt = _stage_optimizer(model, stage)
+    opt = AdamW(model, param_lrs(model, {"vision": stage.ve_lr, "lm": stage.lm_lr}))
     primary_lr = stage.lm_lr if stage.lm_lr is not None else stage.ve_lr
 
     return _train(model, opt, corpus, stage.global_batch, stage.epochs, rng,
-                  f"stage{stage.stage}", primary_lr, partial(_pretrain_loss, model, vocab))
+                  f"stage{stage.stage}", primary_lr, partial(_pretrain_loss, model, vocab),
+                  f"stage {stage.stage} pretraining")
 
 
 def _rerank_loss(model, vocab, insts: list[QaInstance], rng, image_loader, batch) -> Tensor:
@@ -286,10 +239,11 @@ def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConf
     """Fine-tune the relevance scorer, one question per step; ``global_batch``
     is the number of pool documents scored per question, all in one encoder
     pass. The vision encoder stays frozen."""
-    opt = _optimizer(model, [lm_param_group(model, cfg.lr, include_cls_head=True)])
+    opt = AdamW(model, param_lrs(model, {"lm": cfg.lr, "cls_head": cfg.lr}))
     step_loss = partial(_rerank_loss, model, vocab, image_loader=image_loader,
                         batch=cfg.global_batch)
-    return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, step_loss)
+    return _train(model, opt, dataset, 1, cfg.epochs, rng, "rr", cfg.lr, step_loss,
+                  "reranker fine-tune")
 
 
 def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> list[Document]:
@@ -325,11 +279,11 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
                 ) -> list[tuple[int, float, float, float]]:
     """Fine-tune the generator on gold contexts; vision encoder stays frozen."""
-    opt = _optimizer(model, [lm_param_group(model, cfg.lr)])
+    opt = AdamW(model, param_lrs(model, {"lm": cfg.lr}))
     step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
                         extra_distractors=extra_distractors)
     return _train(model, opt, dataset, cfg.global_batch, cfg.epochs, rng, "qa",
-                  cfg.lr, step_loss)
+                  cfg.lr, step_loss, "QA fine-tune")
 
 
 def write_trace_csv(trace, path):

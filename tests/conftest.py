@@ -43,13 +43,6 @@ def count_encode_image(monkeypatch) -> list:
     return seen
 
 
-def set_trainable(model, prefixes):
-    """Make the parameters named with any of ``prefixes`` trainable and
-    freeze the rest, as a training phase does through its optimizer."""
-    for name, p in model.params.items():
-        p.requires_grad = name.startswith(tuple(prefixes))
-
-
 @pytest.fixture(scope="session")
 def tiny_vocab():
     return Vocab.build(TINY_LINES, 220)

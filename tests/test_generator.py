@@ -8,10 +8,11 @@ from fusionqa.documents import Document
 from fusionqa import generator
 from fusionqa.generator import generate, generate_ids, qa_loss
 from fusionqa.model import MultimodalTransformer, decoder_logits, encode_multimodal
-from fusionqa.tensor import Rng, grad_check
+from fusionqa.tensor import Rng
 from fusionqa.tokenizer import EOS_ID, PAD_ID, TokenSequence, pad_sequences
 
 from conftest import make_tiny_config
+from tensor_reference import grad_check
 
 
 def _enc(model, ids=(5, 6, 1)):

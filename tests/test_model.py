@@ -27,12 +27,9 @@ from fusionqa.tensor import (
     backward,
     dropout,
     embedding_lookup,
-    grad_check,
     layer_norm,
     linear,
-    mul,
     slice_,
-    tsum,
 )
 from fusionqa.tokenizer import (
     EOS_ID,
@@ -43,9 +40,11 @@ from fusionqa.tokenizer import (
     assemble_qa_input,
     pad_sequences,
 )
+from fusionqa.training import AdamW, param_lrs
 from fusionqa.vision import encode_image, patchify
 
-from conftest import count_encode_image, make_tiny_config, set_trainable
+from conftest import count_encode_image, make_tiny_config
+from tensor_reference import grad_check, mul, tsum
 
 
 class TestInject:
@@ -189,7 +188,7 @@ class TestEncoder:
 
     def test_gradients_reach_embeddings_and_vision(self, fresh_tiny_model, scene_image_16, tiny_vocab):
         model = fresh_tiny_model
-        set_trainable(model, ("lm.", "vision."))
+        AdamW(model, param_lrs(model, {"lm": 1e-3, "vision": 1e-3}))
         doc = Document(id="i", modality="image", image_path="<m>", snippet="a photo")
         seq = assemble_qa_input(tiny_vocab, "what?", [doc], model.config.n_img_tokens, 128)
         enc = encode_multimodal(model, seq, [scene_image_16])

@@ -368,17 +368,17 @@ class TestCli:
          "stage 1 epochs must be >= 1, got 0"),
         ("pretrain", "pretrain_stage1.jsonl", ["--batch", "0"],
          "stage 1 global_batch must be >= 1, got 0"),
-        ("pretrain", None, [], "stage1: no training items"),
+        ("pretrain", None, [], "stage 1 pretraining: no training items"),
         ("finetune-reranker", "qa_train.jsonl", ["--epochs", "0"],
          "finetune epochs must be >= 1, got 0"),
         ("finetune-reranker", "qa_train.jsonl", ["--lr", "nan"],
          "finetune lr must be a finite number > 0, got nan"),
-        ("finetune-reranker", None, [], "rr: no training items"),
+        ("finetune-reranker", None, [], "reranker fine-tune: no training items"),
         ("finetune-qa", "qa_train.jsonl", ["--batch", "0"],
          "finetune global_batch must be >= 1, got 0"),
         ("finetune-qa", "qa_train.jsonl", ["--lr", "-1"],
          "finetune lr must be a finite number > 0, got -1.0"),
-        ("finetune-qa", None, [], "qa: no training items"),
+        ("finetune-qa", None, [], "QA fine-tune: no training items"),
     ], ids=["pretrain-epochs", "pretrain-batch", "pretrain-empty", "reranker-epochs",
             "reranker-lr-nan", "reranker-empty", "qa-batch", "qa-lr-negative", "qa-empty"])
     def test_nothing_to_train_exits_one(self, tmp_path, corpora_dir, qa_ckpt, capsys,

@@ -16,9 +16,10 @@ from fusionqa.reranker import (
     score,
     select_contexts,
 )
-from fusionqa.tensor import Rng, Tensor, grad_check, sigmoid_np
+from fusionqa.tensor import Rng, Tensor, sigmoid_np
 
 from conftest import make_tiny_config
+from tensor_reference import grad_check
 
 
 def logit(p):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,21 +35,18 @@ from fusionqa.training import (
     VISION_LLRD_FACTOR,
     WEIGHT_DECAY,
     AdamW,
-    ParamGroup,
     clip_global_norm,
     clone_model,
     cosine_lr,
     decay_allowed,
     finetune_qa,
     finetune_reranker,
-    llrd_rates,
-    lm_param_group,
+    param_lrs,
     run_pretrain_stage,
-    vision_param_groups,
     write_trace_csv,
 )
 
-from conftest import count_encode_image, encode_every_visit, make_tiny_config, set_trainable
+from conftest import count_encode_image, encode_every_visit, make_tiny_config
 
 
 def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
@@ -64,21 +63,18 @@ def tensor_checksums(model, prefix: str = "") -> dict[str, str]:
 
 
 class TestSchedules:
-    def test_llrd_published_values(self):
-        rates = llrd_rates(1e-3, 0.5, 12)
-        assert rates[-1] == 1e-3
-        assert abs(rates[0] - 1e-3 * 0.5**11) < 1e-15
-        assert abs(rates[0] - 4.8828125e-7) < 1e-12
+    def test_llrd_published_values(self, tiny_vocab):
+        # 12 vision layers, as in the published base model
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, layers=12), Rng(0))
+        lrs = param_lrs(model, {"vision": 1e-3})
+        assert lrs["vision.layer11.mlp.w1"] == 1e-3
+        assert abs(lrs["vision.layer0.mlp.w1"] - 1e-3 * 0.5**11) < 1e-15
+        assert abs(lrs["vision.layer0.mlp.w1"] - 4.8828125e-7) < 1e-12
 
-    def test_llrd_factor_one(self):
-        assert llrd_rates(2e-4, 1.0, 5) == [2e-4] * 5
-
-    def test_llrd_single_layer(self):
-        assert llrd_rates(1e-3, 0.5, 1) == [1e-3]
-
-    def test_llrd_bad_factor(self):
-        with pytest.raises(ValueError, match="factor"):
-            llrd_rates(1e-3, 0.0, 3)
+    def test_llrd_single_layer(self, tiny_vocab):
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(0))
+        lrs = param_lrs(model, {"vision": 1e-3})
+        assert lrs == {n: 1e-3 for n in model.params if n.startswith("vision.")}
 
     def test_cosine_endpoints(self):
         assert cosine_lr(0, 100, 3e-4) == 3e-4
@@ -117,10 +113,19 @@ class TestSchedules:
             cosine_lr(0, 0, 1e-3)
 
 
+def _scalar_params(**values):
+    """A stand-in model whose parameters are float64 scalars, one per name."""
+    return SimpleNamespace(params={
+        name: Tensor(np.array([v]), requires_grad=True, dtype=np.float64)
+        for name, v in values.items()
+    })
+
+
 class TestAdamW:
     def _single(self, name, value, lr, grad):
-        p = Tensor(np.array([value]), requires_grad=True, dtype=np.float64)
-        opt = AdamW([ParamGroup([name], [p], lr)])
+        model = _scalar_params(**{name: value})
+        opt = AdamW(model, {name: lr})
+        p = model.params[name]
         p.grad = np.array([grad], dtype=np.float64)
         opt.step()
         return float(p.data[0])
@@ -136,19 +141,25 @@ class TestAdamW:
         assert abs(out - 2.0 * (1 - 0.1 * WEIGHT_DECAY)) < 1e-12
 
     def test_frozen_param_untouched(self):
-        p = Tensor(np.array([1.0]), requires_grad=False, dtype=np.float64)
-        opt = AdamW([ParamGroup(["p"], [p], 0.1)])
-        p.grad = np.array([1.0], dtype=np.float64)
-        before = p.data.copy()
+        # a tensor outside the map is frozen, holds no state and never moves
+        model = _scalar_params(trained=1.0, frozen=1.0)
+        trained, frozen = model.params["trained"], model.params["frozen"]
+        opt = AdamW(model, {"trained": 0.1})
+        assert trained.requires_grad and not frozen.requires_grad
+        assert [entry[0] for entry in opt.entries] == [trained]
+        trained.grad = np.array([1.0])
+        frozen.grad = np.array([1.0])
         opt.step()
-        np.testing.assert_array_equal(p.data, before)
-        assert "p" not in opt.moments  # no state for frozen tensors
+        assert float(trained.data[0]) != 1.0
+        assert float(frozen.data[0]) == 1.0
 
     def test_grad_none_skipped_entirely(self):
-        p = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
-        opt = AdamW([ParamGroup(["p"], [p], 0.1)])
+        model = _scalar_params(w=3.0, b=1.0)
+        opt = AdamW(model, {"w": 0.1, "b": 0.1})
+        model.params["b"].grad = np.array([1.0])
         opt.step()
-        assert float(p.data[0]) == 3.0
+        assert float(model.params["w"].data[0]) == 3.0  # no decay either
+        assert float(model.params["b"].data[0]) != 1.0
 
     def test_decay_exemptions(self):
         assert not decay_allowed("lm.embed")
@@ -184,24 +195,38 @@ class TestClipping:
 
 
 class TestLlrdGroups:
-    def test_partition_exact(self, tiny_vocab):
-        cfg = make_tiny_config(tiny_vocab.size, layers=3)
-        model = MultimodalTransformer.build(cfg, Rng(0))
-        groups = vision_param_groups(model, 1e-3)
-        seen = [n for g in groups for n in g.names]
-        vision_names = [n for n in model.params if n.startswith("vision.")]
-        assert sorted(seen) == sorted(vision_names)
-        assert len(seen) == len(set(seen))
+    """``param_lrs`` on a 3-layer vision encoder."""
 
-    def test_bottom_group_holds_patch_proj_and_positions(self, tiny_vocab):
-        cfg = make_tiny_config(tiny_vocab.size, layers=3)
-        model = MultimodalTransformer.build(cfg, Rng(0))
-        groups = vision_param_groups(model, 1e-3)
-        assert "vision.patch_proj.weight" in groups[0].names
-        assert "vision.pos_emb" in groups[0].names
-        assert groups[0].base_lr == 1e-3 * 0.25
-        assert "vision.final_norm.gamma" in groups[-1].names
-        assert groups[-1].base_lr == 1e-3
+    @pytest.fixture()
+    def model(self, tiny_vocab):
+        return MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, layers=3), Rng(0))
+
+    def test_partition_exact(self, model):
+        # every vision tensor once, at its layer's share of the base rate
+        lrs = param_lrs(model, {"vision": 1e-3})
+        assert list(lrs) == [n for n in model.params if n.startswith("vision.")]
+        for layer, share in enumerate((0.25, 0.5, 1.0)):
+            in_layer = [n for n in lrs if n.startswith(f"vision.layer{layer}.")]
+            assert in_layer and {lrs[n] for n in in_layer} == {1e-3 * share}
+
+    def test_bottom_group_holds_patch_proj_and_positions(self, model):
+        lrs = param_lrs(model, {"vision": 1e-3})
+        assert lrs["vision.patch_proj.weight"] == 1e-3 * 0.25
+        assert lrs["vision.patch_proj.bias"] == 1e-3 * 0.25
+        assert lrs["vision.pos_emb"] == 1e-3 * 0.25
+        assert lrs["vision.final_norm.gamma"] == 1e-3
+        assert lrs["vision.final_norm.beta"] == 1e-3
+
+    def test_components_only_when_given(self, model):
+        # cls_head.* only when it has a rate; a None rate freezes lm.*
+        lm_names = [n for n in model.params if n.startswith("lm.")]
+        head_names = [n for n in model.params if n.startswith("cls_head.")]
+        assert head_names and lm_names
+        assert param_lrs(model, {"lm": 2e-3}) == {n: 2e-3 for n in lm_names}
+        both = param_lrs(model, {"lm": 2e-3, "cls_head": 3e-3})
+        assert both == {**{n: 2e-3 for n in lm_names}, **{n: 3e-3 for n in head_names}}
+        vision_only = param_lrs(model, {"vision": 1e-3, "lm": None})
+        assert vision_only and all(n.startswith("vision.") for n in vision_only)
 
 
 def _caption_corpus(n, rich=True, seed=0):
@@ -253,17 +278,30 @@ class TestPretrainStages:
     @pytest.mark.parametrize("stage_id, components", [
         (1, ("vision",)), (2, ("vision", "lm")), (3, ("lm",)),
     ])
-    def test_trainable_set_follows_rates(self, tiny_vocab, stage_id, components):
-        # the rates alone decide what trains: the optimizer groups hold
-        # exactly the trainable tensors, the vision LLRD groups before the LM's
-        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(0))
-        opt = training._stage_optimizer(model, desk_stage_config(stage_id))
-        trainable = [n for n, p in model.params.items() if p.requires_grad]
-        assert trainable == [n for n in model.params if n.split(".")[0] in components]
-        assert sorted(n for g in opt.groups for n in g.names) == sorted(trainable)
-        n_vision = model.config.vision.n_layers if "vision" in components else 0
-        assert [g.names[0].split(".")[0] for g in opt.groups] == (
-            ["vision"] * n_vision + ["lm"] * ("lm" in components))
+    def test_trainable_set_follows_rates(self, monkeypatch, stage_id, components):
+        # the rates alone decide what trains: the stage's map names exactly
+        # its components' tensors, at the stage's rates, and only those train
+        maps = []
+        real_adamw = training.AdamW
+
+        def recording_adamw(model, lrs):
+            maps.append(lrs)
+            return real_adamw(model, lrs)
+
+        monkeypatch.setattr(training, "AdamW", recording_adamw)
+        vocab = _scene_vocab()
+        model = _scene_model(vocab)
+        stage = dataclasses.replace(desk_stage_config(stage_id), epochs=1)
+        corpus = _vqa_corpus(2) if stage_id == 3 else _caption_corpus(2, rich=stage_id == 2)
+        run_pretrain_stage(model, vocab, stage, corpus, Rng(0))
+        (lrs,) = maps
+        expected = [n for n in model.params if n.split(".")[0] in components]
+        assert list(lrs) == expected
+        assert [n for n, p in model.params.items() if p.requires_grad] == expected
+        if "vision" in components:
+            assert lrs["vision.final_norm.gamma"] == stage.ve_lr
+        if "lm" in components:
+            assert {lrs[n] for n in expected if n.startswith("lm.")} == {stage.lm_lr}
 
     def test_stage1_freezes_lm(self):
         vocab = _scene_vocab()
@@ -500,8 +538,9 @@ class TestFrozenVisionMemo:
         assert len(encoded) == (2 * len(corpus) if every_visit else len(samples))
 
 
-_PHASE_TRAINABLE = {"stage1": ("vision.",), "stage2": ("vision.", "lm."), "stage3": ("lm.",),
-                    "reranker": ("lm.", "cls_head."), "qa": ("lm.",)}
+_PHASE_RATES = {"stage1": {"vision": 1e-3}, "stage2": {"vision": 1e-3, "lm": 1e-3},
+                "stage3": {"lm": 1e-3}, "reranker": {"lm": 1e-3, "cls_head": 1e-3},
+                "qa": {"lm": 1e-3}}
 
 
 def _phase_members(corpora, model, vocab, phase, seed=11):
@@ -541,7 +580,7 @@ class TestOneGraphPerStep:
     def test_batched_step_matches_per_member(self, image_corpora, phase):
         vocab = Vocab.load(image_corpora / "vocab.txt")
         model = _tiny_image_model(vocab, 4)
-        set_trainable(model, _PHASE_TRAINABLE[phase])
+        AdamW(model, param_lrs(model, _PHASE_RATES[phase]))
         members, loss_fn = _phase_members(image_corpora, model, vocab, phase)
         batched_loss, batched = _loss_and_grads(model, lambda: loss_fn(members))
         singles = [_loss_and_grads(model, lambda: loss_fn([m])) for m in members]

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from fusionqa.images import Image
 from fusionqa.model import MultimodalTransformer
-from fusionqa.tensor import Rng, backward, no_grad, tsum
-from fusionqa.training import clone_model
+from fusionqa.tensor import Rng, backward, no_grad
+from fusionqa.training import AdamW, clone_model, param_lrs
 from fusionqa.vision import encode_image, image_rows, patchify
 
-from conftest import count_encode_image, make_tiny_config, set_trainable
+from conftest import count_encode_image, make_tiny_config
+from tensor_reference import tsum
 
 
 def test_patchify_224_16():
@@ -100,14 +101,14 @@ class TestEncodeImage:
 
     def test_gradient_flow_respects_freezing(self, fresh_tiny_model, scene_image_16):
         model = fresh_tiny_model
-        set_trainable(model, ("vision.",))
+        AdamW(model, param_lrs(model, {"vision": 1e-3}))
         out = encode_image(model, scene_image_16)
         backward(tsum(out))
         assert model.params["vision.patch_proj.weight"].grad is not None
         assert model.params["vision.pos_emb"].grad is not None
 
         model.zero_grads()
-        set_trainable(model, ("lm.",))
+        AdamW(model, param_lrs(model, {"lm": 1e-3}))
         out = encode_image(model, scene_image_16)
         backward(tsum(out))
         assert model.params["vision.patch_proj.weight"].grad is None
@@ -144,7 +145,7 @@ class TestImageRows:
         a = MultimodalTransformer.build(cfg, Rng(7))
         b = clone_model(a)
         b.params["lm.embed"].data += 1.0
-        set_trainable(b, ("lm.",))
+        AdamW(b, param_lrs(b, {"lm": 1e-3}))
         other = MultimodalTransformer.build(cfg, Rng(8))
         img = Image(scene_image_16.pixels.copy())
         encoded = count_encode_image(monkeypatch)
