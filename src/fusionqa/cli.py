@@ -91,6 +91,8 @@ def _cmd_pretrain(args):
 def _cmd_finetune(args, task):
     cfg = desk_finetune_config(task) if args.profile == "desk" else finetune_defaults(task)
     cfg = _with_overrides(cfg, epochs=args.epochs, global_batch=args.batch, lr=args.lr)
+    if task == "qa" and args.extra_distractors < 0:
+        raise ValueError(f"--extra-distractors must be >= 0, got {args.extra_distractors}")
     model, vocab = _load_model_and_vocab(args.init, args.vocab)
     dataset = load_dataset(args.data)
     loader = make_image_loader()
@@ -105,9 +107,9 @@ def _cmd_finetune(args, task):
 
 
 def _cmd_rerank(args):
+    sel = SelectionConfig(tau=args.tau, k=args.top_k)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     dataset = load_dataset(args.input)
-    sel = SelectionConfig(tau=args.tau, k=args.top_k)
     loader = make_image_loader()
     with open(args.output, "w", encoding="utf-8", newline="\n") as fout:
         for inst in dataset:
@@ -121,8 +123,8 @@ def _cmd_rerank(args):
 
 
 def _cmd_answer(args):
-    model, vocab = _load_model_and_vocab(args.model, args.vocab)
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
+    model, vocab = _load_model_and_vocab(args.model, args.vocab)
     loader = make_image_loader()
     base = os.path.dirname(os.path.abspath(args.input))
 
@@ -142,11 +144,11 @@ def _cmd_answer(args):
 
 
 def _cmd_eval(args):
+    sel = SelectionConfig(tau=args.tau, k=args.top_k)
+    gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     reranker_model, vocab = _load_model_and_vocab(args.reranker, args.vocab)
     qa_model = load_checkpoint(args.qa)
     dataset = load_dataset(args.data)
-    sel = SelectionConfig(tau=args.tau, k=args.top_k)
-    gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     results, aggregate = evaluate_dataset(dataset, reranker_model, qa_model,
                                           sel, gen, vocab)
     if args.output:

@@ -65,13 +65,11 @@ def qa_input(model, vocab, question: str, contexts, image_loader=None):
     contexts = list(contexts)
     seq = assemble_qa_input(
         vocab, question, contexts, model.config.n_img_tokens, model.config.lm.max_len)
-    images = []
-    if seq.image_spans:
-        if image_loader is None:
-            raise ValueError("contexts include images but no image loader given")
-        image_docs = [d for d in contexts if d.modality == "image"]
-        images = [image_loader(d) for d in image_docs[: len(seq.image_spans)]]
-    return seq, images
+    n_images = len(seq.image_spans)
+    if n_images and image_loader is None:
+        raise ValueError("contexts include images but no image loader given")
+    image_docs = [d for d in contexts if d.modality == "image"]
+    return seq, [image_loader(d) for d in image_docs[:n_images]]
 
 
 def generate(model, vocab, question: str, contexts, cfg: GenerationConfig,

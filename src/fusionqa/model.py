@@ -4,8 +4,9 @@ encoder-decoder language model, and the output projection head.
 Injection is the architectural point: the vision encoder and the language
 model share one hidden width, so image embeddings replace the placeholder
 rows of the text embedding matrix directly, with no projection between the
-two spaces. Everything downstream treats the fused matrix as an ordinary
-input sequence.
+two spaces. Each run of ``<img>`` ids in the token sequence, the one
+record of where an image goes, takes one image's ``n_img_tokens`` rows.
+Everything downstream treats the fused matrix as an ordinary input sequence.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fusionqa.tensor import (
     take_rows,
     transpose,
 )
-from fusionqa.tokenizer import TokenSequence, pad_sequences
+from fusionqa.tokenizer import IMG_ID, PAD_ID, TokenSequence, pad_sequences
 
 
 @dataclass
@@ -243,53 +244,35 @@ def causal_mask(length, dtype, offset=0) -> Tensor | None:
     return Tensor._wrap(m)
 
 
-def inject(text_emb: Tensor, image_embs, spans) -> Tensor:
+def inject(text_emb: Tensor, image_embs, slots) -> Tensor:
     """Replace placeholder rows with image embedding rows (no projection).
 
-    ``text_emb`` is (B, L, d) and ``spans`` holds one list of (start,
-    length) per sequence; ``image_embs`` follow the spans in order.
-    Position i of a sequence is image_embs[j][i - start_j] inside span j
-    and its text row everywhere else; inputs are left untouched. The text
-    and image rows are concatenated once and the fused matrix is one gather
-    from them; no row is gathered twice.
+    ``text_emb`` is (B, L, d) and ``slots`` its (B, L) placeholder mask;
+    the rows of ``image_embs``, taken in order, fill the slots in row-major
+    order. Every other position keeps its text row; inputs are left
+    untouched. The text and image rows are concatenated once and the fused
+    matrix is one gather from them; no row is gathered twice.
     """
     image_embs = list(image_embs)
-    n_spans = sum(map(len, spans))
-    if len(image_embs) != n_spans:
-        raise ValueError(
-            f"inject: {len(image_embs)} image matrices for {n_spans} spans"
-        )
-    length, d = text_emb.shape[-2:]
-    n_text = text_emb.size // d
-    index = np.arange(n_text).reshape(-1, length)
-    j = 0
-    offset = n_text
-    for row, row_spans in zip(index, spans):
-        prev_end = 0
-        for start, span_len in row_spans:
-            emb = image_embs[j]
-            if emb.shape != (span_len, d):
-                raise ValueError(
-                    f"inject: span {j} expects ({span_len}, {d}) embeddings, got {emb.shape}"
-                )
-            if start < prev_end or start + span_len > length:
-                raise ValueError(
-                    f"inject: span {j} at ({start}, {span_len}) is out of order or range"
-                )
-            prev_end = start + span_len
-            row[start:prev_end] = np.arange(offset, offset + span_len)
-            offset += span_len
-            j += 1
+    targets = np.flatnonzero(slots)
+    n_img = sum(emb.shape[0] for emb in image_embs)
+    if len(targets) != n_img:
+        raise ValueError(f"inject: {n_img} image rows for {len(targets)} placeholders")
     if not image_embs:
         return text_emb
+    d = text_emb.shape[-1]
+    n_text = text_emb.size // d
+    index = np.arange(n_text)
+    index[targets] = n_text + np.arange(n_img)
     return take_rows(concat([reshape(text_emb, (n_text, d))] + image_embs, axis=0),
                      index.reshape(text_emb.shape[:-1]))
 
 
 def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
-    """Embed a padded TokenBatch in one pass, encode and inject its images
-    (in span order, row by row), and run the language-model encoder over the
-    fused (B, L, d) sequence. A lone TokenSequence runs as a batch of one.
+    """Embed a padded TokenBatch in one pass, encode its images and inject
+    them into its ``<img>`` runs (one image per run, row by row), and run
+    the language-model encoder over the fused (B, L, d) sequence. A lone
+    TokenSequence runs as a batch of one.
     """
     # vision imports this module, so the name is looked up at call time
     from fusionqa.vision import image_rows
@@ -297,12 +280,14 @@ def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
     if isinstance(seq, TokenSequence):
         seq = pad_sequences([seq])
     images = list(images)
-    spans = seq.image_spans
-    n_spans = sum(map(len, spans))
-    if len(images) != n_spans:
-        raise ValueError(
-            f"sequence has {n_spans} image spans but {len(images)} images given"
-        )
+    # a <pad> after each row keeps the runs of adjacent rows apart
+    padded = np.full((len(seq.ids), seq.ids.shape[-1] + 1), PAD_ID)
+    padded[:, :-1] = seq.ids
+    runs = [n for _, n in TokenSequence(padded.ravel()).image_spans]
+    n_img = model.config.n_img_tokens
+    if len(runs) != len(images) or any(n != n_img for n in runs):
+        raise ValueError(f"<img> runs of lengths {runs} do not fit {len(images)} "
+                         f"images of {n_img} rows")
     cfg = model.config.lm
     length = seq.ids.shape[-1]
     if np.shape(seq.attention_mask) != seq.ids.shape:
@@ -311,7 +296,7 @@ def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
         raise ValueError(f"encode: sequence length {length} exceeds max_len {cfg.max_len}")
     mask = key_padding_mask(seq.attention_mask, model.dtype)
     x = inject(embedding_lookup(model.params["lm.embed"], seq.ids),
-               image_rows(model, images, rng=rng), spans)
+               image_rows(model, images, rng=rng), seq.ids == IMG_ID)
     x = run_stack(model, "lm.encoder", x,
                   slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)),
                   cfg.n_enc_layers, cfg.n_heads, [(name, None, mask) for name in ENCODER_ATTNS],

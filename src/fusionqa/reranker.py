@@ -28,7 +28,7 @@ from fusionqa.tensor import (
     tanh,
     transpose,
 )
-from fusionqa.tokenizer import assemble_reranker_input, pad_sequences
+from fusionqa.tokenizer import IMG_ID, assemble_reranker_input, pad_sequences
 from fusionqa.model import encode_multimodal
 
 
@@ -59,17 +59,17 @@ def score(model, vocab, question: str, docs: list[Document], image_loader=None,
     docs = list(docs)
     if not docs:
         raise ValueError("score: no documents to score")
-    seqs = []
+    batch = pad_sequences(
+        assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens,
+                                model.config.lm.max_len) for doc in docs)
     images = []
-    for doc in docs:
-        seq = assemble_reranker_input(vocab, question, doc, model.config.n_img_tokens,
-                                      model.config.lm.max_len)
-        if seq.image_spans:
+    # one image per pair whose ids kept its <img> run
+    for doc, has_image in zip(docs, (batch.ids == IMG_ID).any(axis=1)):
+        if has_image:
             if image_loader is None:
                 raise ValueError(f"document {doc.id} is an image but no image loader given")
             images.append(image_loader(doc))
-        seqs.append(seq)
-    enc = encode_multimodal(model, pad_sequences(seqs), images, rng=rng)
+    enc = encode_multimodal(model, batch, images, rng=rng)
     h = slice_(enc.states, (slice(None), 0))
     return classifier_head(model, h, rng=rng)
 

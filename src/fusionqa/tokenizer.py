@@ -18,7 +18,9 @@ tokenizer. Bytes outside the build alphabet map to ``<unk>``. Loading a
 vocab file rejects a wrong header and any token line that is empty, badly
 escaped, not UTF-8 or a repeat of an earlier token.
 
-Reserved ids: 0 ``<pad>``, 1 ``</s>``, 2 ``<unk>``, 3 ``<cls>``, 4 ``<img>``.
+Reserved ids: 0 ``<pad>``, 1 ``</s>``, 2 ``<unk>``, 3 ``<cls>``, 4 ``<img>``. A run
+of ``<img>`` ids is one image's slot and the only record of where it goes;
+``TokenSequence.image_spans`` is a view derived from the ids.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +47,10 @@ N_SPECIALS = len(_SPECIAL_RENDER)
 
 @dataclass
 class TokenSequence:
-    """Token ids plus the placeholder runs where image embeddings go; only a
+    """Token ids; each run of ``<img>`` ids is the slot of one image. Only a
     padded ``TokenBatch`` has an attention mask."""
 
     ids: np.ndarray
-    image_spans: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -57,29 +58,22 @@ class TokenSequence:
     def __len__(self):
         return len(self.ids)
 
-    def validate(self, max_len=None):
-        prev_end = 0
-        for start, length in self.image_spans:
-            if start < prev_end:
-                raise ValueError(f"image span at {start} overlaps or is out of order")
-            end = start + length
-            if end > len(self.ids):
-                raise ValueError(f"image span ({start}, {length}) exceeds sequence")
-            if not np.all(self.ids[start:end] == IMG_ID):
-                raise ValueError(f"image span ({start}, {length}) covers non-placeholder ids")
-            prev_end = end
-        if max_len is not None and len(self.ids) > max_len:
-            raise ValueError(f"sequence length {len(self.ids)} exceeds max {max_len}")
+    @property
+    def image_spans(self) -> list[tuple[int, int]]:
+        """(start, length) of each run of ``<img>`` ids, in order."""
+        slots = np.zeros(len(self.ids) + 2, dtype=bool)
+        slots[1:-1] = self.ids == IMG_ID
+        edges = np.flatnonzero(slots[1:] != slots[:-1])  # each run's start, then its end
+        return list(zip(edges[::2].tolist(), (edges[1::2] - edges[::2]).tolist()))
 
 
 @dataclass
 class TokenBatch:
     """B token sequences padded to one length: (B, L) ids and attention mask
-    (0 at padding), plus each row's image spans."""
+    (0 at padding)."""
 
     ids: np.ndarray
     attention_mask: np.ndarray
-    image_spans: list[list[tuple[int, int]]]
 
 
 def pad_sequences(seqs) -> TokenBatch:
@@ -93,7 +87,7 @@ def pad_sequences(seqs) -> TokenBatch:
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s.ids
         mask[row, :len(s)] = 1
-    return TokenBatch(ids, mask, [list(s.image_spans) for s in seqs])
+    return TokenBatch(ids, mask)
 
 
 def _normalize_ws(text: str) -> str:
@@ -352,30 +346,28 @@ def serialize_table(table: TableDoc) -> str:
     return " ; ".join(rows)
 
 
-def _document_ids(vocab: Vocab, doc: Document, n_img_tokens: int):
-    """Token ids for one document plus the relative image span, if any."""
+def _document_ids(vocab: Vocab, doc: Document, n_img_tokens: int) -> list[int]:
+    """Token ids for one document; an image is its run of ``<img>`` ids
+    followed by its snippet, if any."""
     if doc.modality == "text":
-        return vocab.token_ids(doc.text), None
+        return vocab.token_ids(doc.text)
     if doc.modality == "table":
-        return vocab.token_ids(serialize_table(doc.table)), None
+        return vocab.token_ids(serialize_table(doc.table))
     if n_img_tokens <= 0:
         raise ValueError(f"document {doc.id}: image document needs n_img_tokens > 0")
     ids = [IMG_ID] * n_img_tokens
     if doc.snippet:
         ids.extend(vocab.token_ids(doc.snippet))
-    return ids, (0, n_img_tokens)
+    return ids
 
 
-def _truncate_tail(ids, spans, keep: int):
-    """Cut the id list to at most `keep`, dropping any image span whole."""
-    if len(ids) <= keep:
-        return ids, spans
-    cut = keep
-    for start, length in spans:
-        if start < cut < start + length:
-            cut = start
-            break
-    return ids[:cut], [s for s in spans if s[0] + s[1] <= cut]
+def _truncate_tail(ids, keep: int):
+    """The id list cut to at most ``keep``; a cut that would split an
+    ``<img>`` run moves back to the run's start, dropping it whole."""
+    cut = min(keep, len(ids))
+    while 0 < cut < len(ids) and ids[cut - 1] == ids[cut] == IMG_ID:
+        cut -= 1
+    return ids[:cut]
 
 
 def assemble_reranker_input(
@@ -389,16 +381,12 @@ def assemble_reranker_input(
         raise ValueError(
             f"question occupies {len(head)} tokens; no room in max_len {max_len}"
         )
-    doc_ids, rel_span = _document_ids(vocab, doc, n_img_tokens)
+    doc_ids = _document_ids(vocab, doc, n_img_tokens)
     if not doc_ids:
         raise ValueError(f"document {doc.id}: empty content")
-    spans = [(len(head) + rel_span[0], rel_span[1])] if rel_span else []
-    body = head + doc_ids
-    body, spans = _truncate_tail(body, spans, max_len - 1)
+    body = _truncate_tail(head + doc_ids, max_len - 1)
     body.append(EOS_ID)
-    seq = TokenSequence(np.array(body, dtype=np.int64), image_spans=spans)
-    seq.validate(max_len)
-    return seq
+    return TokenSequence(np.array(body, dtype=np.int64))
 
 
 def assemble_qa_input(
@@ -420,14 +408,7 @@ def assemble_qa_input(
             f"prompt and question occupy {len(head)} tokens, over max_len {max_len}"
         )
     ids = list(head)
-    spans = []
     for doc in contexts:
-        doc_ids, rel_span = _document_ids(vocab, doc, n_img_tokens)
-        if rel_span:
-            spans.append((len(ids) + rel_span[0], rel_span[1]))
-        ids.extend(doc_ids)
+        ids.extend(_document_ids(vocab, doc, n_img_tokens))
         ids.append(EOS_ID)
-    ids, spans = _truncate_tail(ids, spans, max_len)
-    seq = TokenSequence(np.array(ids, dtype=np.int64), image_spans=spans)
-    seq.validate(max_len)
-    return seq
+    return TokenSequence(np.array(_truncate_tail(ids, max_len), dtype=np.int64))

@@ -279,6 +279,8 @@ def finetune_qa(model, vocab, dataset: list[QaInstance], cfg: FinetuneConfig,
                 rng: Rng, image_loader=None, extra_distractors: int = 0
                 ) -> list[tuple[int, float, float, float]]:
     """Fine-tune the generator on gold contexts; vision encoder stays frozen."""
+    if extra_distractors < 0:
+        raise ValueError(f"extra_distractors must be >= 0, got {extra_distractors}")
     opt = AdamW(model, param_lrs(model, {"lm": cfg.lr}))
     step_loss = partial(_answer_loss, model, vocab, image_loader=image_loader,
                         extra_distractors=extra_distractors)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fusionqa import model as model_module
 from fusionqa.config import model_profile
 from fusionqa.documents import Document
+from fusionqa.images import Image
 from fusionqa.model import (
     DecoderCache,
     EncoderStates,
@@ -40,6 +41,7 @@ from fusionqa.tokenizer import (
     assemble_qa_input,
     pad_sequences,
 )
+from fusionqa.synthetic import SceneSpec, render_scene
 from fusionqa.training import AdamW, param_lrs
 from fusionqa.vision import encode_image, patchify
 
@@ -47,18 +49,27 @@ from conftest import count_encode_image, make_tiny_config
 from tensor_reference import grad_check, mul, tsum
 
 
+def _slots(length, *rows):
+    """(B, L) placeholder mask with each row's (start, length) spans set."""
+    mask = np.zeros((len(rows), length), dtype=bool)
+    for row, spans in zip(mask, rows):
+        for start, n in spans:
+            row[start:start + n] = True
+    return mask
+
+
 class TestInject:
     def test_single_span(self):
         text = Tensor(np.arange(4 * 3, dtype=np.float32).reshape(1, 4, 3))
         img = Tensor(np.full((2, 3), -1.0, dtype=np.float32))
-        fused = inject(text, [img], [[(1, 2)]])
+        fused = inject(text, [img], np.array([[False, True, True, False]]))
         np.testing.assert_array_equal(fused.data[0, 0], text.data[0, 0])
         np.testing.assert_array_equal(fused.data[0, 1:3], img.data)
         np.testing.assert_array_equal(fused.data[0, 3], text.data[0, 3])
 
     def test_zero_spans_identity(self):
         text = Tensor(np.random.default_rng(0).normal(size=(1, 5, 4)).astype(np.float32))
-        fused = inject(text, [], [[]])
+        fused = inject(text, [], np.zeros((1, 5), dtype=bool))
         assert fused is text
 
     def test_two_spans_rows(self):
@@ -66,7 +77,7 @@ class TestInject:
         text = Tensor(rng.normal(size=(1, 8, 2)).astype(np.float32))
         a = Tensor(np.ones((2, 2), dtype=np.float32))
         b = Tensor(np.full((2, 2), 2.0, dtype=np.float32))
-        fused = inject(text, [a, b], [[(1, 2), (5, 2)]]).data[0]
+        fused = inject(text, [a, b], _slots(8, [(1, 2), (5, 2)])).data[0]
         np.testing.assert_array_equal(fused[1:3], a.data)
         np.testing.assert_array_equal(fused[5:7], b.data)
         outside = [0, 3, 4, 7]
@@ -74,20 +85,20 @@ class TestInject:
 
     def test_mismatched_span_count_rejected(self):
         text = Tensor(np.zeros((1, 4, 2), dtype=np.float32))
-        with pytest.raises(ValueError, match="1 image matrices for 2 spans"):
-            inject(text, [Tensor(np.zeros((2, 2), dtype=np.float32))], [[(0, 2), (2, 2)]])
+        with pytest.raises(ValueError, match="2 image rows for 4 placeholders"):
+            inject(text, [Tensor(np.zeros((2, 2), dtype=np.float32))], np.ones((1, 4), bool))
 
     def test_mismatched_span_length_rejected(self):
         text = Tensor(np.zeros((1, 4, 2), dtype=np.float32))
-        with pytest.raises(ValueError, match="span 0"):
-            inject(text, [Tensor(np.zeros((3, 2), dtype=np.float32))], [[(0, 2)]])
+        with pytest.raises(ValueError, match="3 image rows for 2 placeholders"):
+            inject(text, [Tensor(np.zeros((3, 2), dtype=np.float32))], _slots(4, [(0, 2)]))
 
     def test_inputs_unmodified(self):
         rng = np.random.default_rng(1)
         text_arr = rng.normal(size=(1, 6, 3)).astype(np.float32)
         img_arr = rng.normal(size=(2, 3)).astype(np.float32)
         text, img = Tensor(text_arr.copy()), Tensor(img_arr.copy())
-        inject(text, [img], [[(2, 2)]])
+        inject(text, [img], _slots(6, [(2, 2)]))
         np.testing.assert_array_equal(text.data, text_arr)
         np.testing.assert_array_equal(img.data, img_arr)
 
@@ -96,7 +107,8 @@ class TestInject:
     def test_injection_exactness_property(self, data):
         length = data.draw(st.integers(1, 20))
         d = data.draw(st.sampled_from([2, 4, 8]))
-        # carve non-overlapping spans
+        # carve non-overlapping spans; adjacent ones make one longer run of
+        # placeholders, which the image rows fill in order all the same
         spans = []
         cursor = 0
         while cursor < length:
@@ -112,7 +124,7 @@ class TestInject:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         text = Tensor(rng.normal(size=(1, length, d)).astype(np.float32))
         imgs = [Tensor(rng.normal(size=(l, d)).astype(np.float32)) for _, l in spans]
-        fused = inject(text, imgs, [spans])
+        fused = inject(text, imgs, _slots(length, spans))
         expected = text.data.copy()
         for (start, l), img in zip(spans, imgs):
             expected[0, start:start + l] = img.data
@@ -122,12 +134,12 @@ class TestInject:
         rng = np.random.default_rng(3)
         text = Tensor(rng.normal(size=(3, 6, 2)).astype(np.float32))
         imgs = [Tensor(rng.normal(size=(2, 2)).astype(np.float32)) for _ in range(3)]
-        spans = [[(1, 2)], [], [(0, 2), (4, 2)]]
-        fused = inject(text, imgs, spans).data
+        slots = _slots(6, [(1, 2)], [], [(0, 2), (4, 2)])
+        fused = inject(text, imgs, slots).data
         assert fused.shape == (3, 6, 2)
         rows = [imgs[:1], [], imgs[1:]]
         for b in range(3):
-            alone = inject(Tensor(text.data[b:b + 1]), rows[b], spans[b:b + 1]).data
+            alone = inject(Tensor(text.data[b:b + 1]), rows[b], slots[b:b + 1]).data
             np.testing.assert_array_equal(fused[b], alone[0])
 
     def test_batched_injection_gradient(self):
@@ -137,7 +149,7 @@ class TestInject:
         weight = Tensor(rng.normal(size=(2, 5, 3)), dtype=np.float64)
 
         def f(params):
-            return tsum(mul(inject(params[0], [params[1]], [[], [(2, 2)]]), weight))
+            return tsum(mul(inject(params[0], [params[1]], _slots(5, [], [(2, 2)])), weight))
 
         assert grad_check(f, [text, img]) < 1e-8
 
@@ -156,7 +168,7 @@ class TestInject:
         def run():
             text = Tensor(text_arr, requires_grad=True)
             imgs = [Tensor(a, requires_grad=True) for a in img_arrs]
-            out = inject(text, imgs, spans)
+            out = inject(text, imgs, _slots(7, *spans))
             backward(tsum(mul(out, weight)))
             return [t.tobytes() for t in [out.data, text.grad] + [i.grad for i in imgs]]
 
@@ -179,7 +191,7 @@ class TestEncoder:
         model = MultimodalTransformer.build(cfg, Rng(11))
         ids = np.array([[3, 5, 6, PAD_ID, PAD_ID]])
         mask = np.array([[1, 1, 1, 0, 0]])
-        seq = TokenBatch(ids, mask, [[]])
+        seq = TokenBatch(ids, mask)
         base = encode_multimodal(model, seq).states.data[:, :3].copy()
         # changing the pad embedding must not leak into unmasked outputs
         model.params["lm.embed"].data[PAD_ID] += 7.5
@@ -215,13 +227,53 @@ class TestEncoder:
             np.testing.assert_allclose(states.data[row, :len(seq)], alone[0], rtol=0, atol=1e-5)
 
     def test_batch_image_count_checked_before_encoding(self, tiny_model):
-        batch = pad_sequences([TokenSequence([3, IMG_ID, IMG_ID, 1], image_spans=[(1, 2)]),
-                               TokenSequence([3, 1])])
-        with pytest.raises(ValueError, match="1 image spans but 0 images"):
+        batch = pad_sequences([TokenSequence([3, IMG_ID, IMG_ID, 1]), TokenSequence([3, 1])])
+        with pytest.raises(ValueError, match=r"runs of lengths \[2\] do not fit 0 images"):
             encode_multimodal(tiny_model, batch, [])
 
+    @pytest.mark.parametrize("runs,n_images,message", [
+        ([2, 2], 1, r"runs of lengths \[2, 2\] do not fit 1 images of 4 rows"),
+        ([3, 5], 2, r"runs of lengths \[3, 5\] do not fit 2 images of 4 rows"),
+    ], ids=["two_short_runs_one_image", "run_lengths_off"])
+    def test_runs_checked_against_images_before_encoding(self, tiny_model, scene_image_16,
+                                                         monkeypatch, runs, n_images, message):
+        # the placeholder count matches the image rows in both cases, so only
+        # the check of the runs themselves catches them
+        assert sum(runs) == n_images * tiny_model.config.n_img_tokens
+        ids = [3]
+        for n in runs:
+            ids += [IMG_ID] * n + [5]
+        images = [Image(scene_image_16.pixels.copy()) for _ in range(n_images)]
+        seen = count_encode_image(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            encode_multimodal(tiny_model, TokenSequence(ids + [EOS_ID]), images)
+        assert seen == []
+
+    def test_runs_at_row_ends_take_their_own_images(self, tiny_model, monkeypatch):
+        # row 0 ends in a run and row 1 starts with one, so the two runs touch
+        # in the flattened batch; each still takes its own image
+        n = tiny_model.config.n_img_tokens
+        images = [Image(render_scene(SceneSpec(color, shape, "top left")).pixels[:16, :16])
+                  for color, shape in [("red", "square"), ("blue", "circle")]]
+        rows = [TokenSequence([3, 5] + [IMG_ID] * n), TokenSequence([IMG_ID] * n + [5, 1])]
+        fused = []
+        real = model_module.inject
+
+        def recording(*args):
+            fused.append(real(*args))
+            return fused[-1]
+
+        monkeypatch.setattr(model_module, "inject", recording)
+        encode_multimodal(tiny_model, pad_sequences(rows), images)
+        for seq, img in zip(rows, images):
+            encode_multimodal(tiny_model, seq, [img])
+        batch, alone = fused[0].data, [f.data[0] for f in fused[1:]]
+        assert not np.array_equal(alone[0][2:], alone[1][:n])
+        for row in range(2):
+            assert batch[row].tobytes() == alone[row].tobytes()
+
     def test_mask_length_checked(self, tiny_model):
-        seq = TokenBatch(np.array([[3, 5, 1]]), np.ones((1, 4), dtype=np.int64), [[]])
+        seq = TokenBatch(np.array([[3, 5, 1]]), np.ones((1, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="attention mask length differs from sequence length"):
             encode_multimodal(tiny_model, seq)
 
@@ -229,8 +281,7 @@ class TestEncoder:
                                                             scene_image_16, monkeypatch):
         model = fresh_tiny_model
         n_img, max_len = model.config.n_img_tokens, model.config.lm.max_len
-        seq = TokenSequence(np.array([IMG_ID] * n_img + [3] * (max_len + 1 - n_img)),
-                            image_spans=[(0, n_img)])
+        seq = TokenSequence(np.array([IMG_ID] * n_img + [3] * (max_len + 1 - n_img)))
         seen = count_encode_image(monkeypatch)
         with pytest.raises(ValueError, match=f"sequence length {max_len + 1} exceeds max_len {max_len}"):
             encode_multimodal(model, seq, [scene_image_16])
@@ -242,8 +293,7 @@ class TestEncoder:
             key_padding_mask(np.array(mask), np.float32)
 
     def test_fully_masked_batch_row_rejected(self, tiny_model):
-        batch = TokenBatch(np.array([[3, 5, 1], [3, 5, 1]]), np.array([[1, 1, 1], [0, 0, 0]]),
-                           [[], []])
+        batch = TokenBatch(np.array([[3, 5, 1], [3, 5, 1]]), np.array([[1, 1, 1], [0, 0, 0]]))
         with pytest.raises(ValueError, match="row 1 has every key masked"):
             encode_multimodal(tiny_model, batch)
 
@@ -323,7 +373,7 @@ class TestDecoderCache:
         ids = [PAD_ID, 5, 9, 12, 7, 30, 8]
         # a padded one-row batch through decode_step
         enc = encode_multimodal(model, TokenBatch(np.array([[5, 6, 7, PAD_ID]]),
-                                                  np.array([[1, 1, 1, 0]]), [[]]))
+                                                  np.array([[1, 1, 1, 0]])))
         full = decoder_logits(model, enc, [ids]).data[0]
         cache = DecoderCache()
         for t in range(1, 4):  # one position per step

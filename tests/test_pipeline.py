@@ -398,6 +398,31 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,extra,message", [
+        ("rerank", ["--tau", "2"], "tau must lie in (0, 1], got 2.0"),
+        ("rerank", ["--top-k", "0"], "k must be >= 1, got 0"),
+        ("answer", ["--max-new-tokens", "0"], "max_new_tokens must be >= 1"),
+        ("eval", ["--tau", "0"], "tau must lie in (0, 1], got 0.0"),
+        ("eval", ["--max-new-tokens", "0"], "max_new_tokens must be >= 1"),
+        ("finetune-qa", ["--extra-distractors", "-2"], "--extra-distractors must be >= 0, got -2"),
+    ], ids=["rerank-tau", "rerank-k", "answer-max-new-tokens", "eval-tau",
+            "eval-max-new-tokens", "finetune-qa-extra-distractors"])
+    def test_bad_limit_reported_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                        extra, message):
+        # every file named is missing, so a limit reported at all is checked first
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        files = {"rerank": ["--model", missing, "--input", missing, "--output", str(out)],
+                 "answer": ["--model", missing, "--input", missing, "--output", str(out)],
+                 "eval": ["--reranker", missing, "--qa", missing, "--data", missing,
+                          "--output", str(out)],
+                 "finetune-qa": ["--init", missing, "--data", missing, "--out", str(out)]}
+        assert main([command, "--vocab", missing] + files[command] + extra) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")
         model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))

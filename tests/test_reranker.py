@@ -191,6 +191,25 @@ class TestScore:
         with pytest.raises(ValueError, match="img is an image but no image loader"):
             score(model, tiny_vocab, "what?", [doc])
 
+    def test_image_cut_by_truncation_loads_no_image(self, tiny_vocab, scene_image_16):
+        # the question leaves no room for the image's <img> run, so the pair
+        # is scored without the image, and its loader is never called
+        question = "what color is the shape in the photo of rimek?"
+        head = 1 + len(tiny_vocab.token_ids(question)) + 1
+        model = MultimodalTransformer.build(
+            make_tiny_config(tiny_vocab.size, max_len=head + 3), Rng(5))
+        pool = [Document(id="img", modality="image", image_path="x.ppm"),
+                Document(id="t", modality="text", text="a red square")]
+        loaded = []
+
+        def loader(doc):
+            loaded.append(doc)
+            return scene_image_16
+
+        logits = score(model, tiny_vocab, question, pool, image_loader=loader)
+        assert logits.shape == (2,)
+        assert loaded == []
+
     def test_padding_invariance_in_ragged_pool(self, tiny_vocab, scene_image_16):
         # each document's logit scored alone equals its logit inside a
         # 20-document pool of different lengths, text and image mixed; a

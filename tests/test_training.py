@@ -398,6 +398,14 @@ class TestFinetunes:
         assert tensor_checksums(model, "cls_head.") == before_c
         assert tensor_checksums(model, "lm.") != before_lm
 
+    def test_qa_finetune_rejects_negative_extra_distractors(self, tiny_vocab):
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size), Rng(3))
+        with pytest.raises(ValueError, match="extra_distractors must be >= 0, got -1"):
+            finetune_qa(model, tiny_vocab, _qa_dataset(4), FinetuneConfig(2, 1, 1e-3), Rng(0),
+                        extra_distractors=-1)
+        # rejected before AdamW, which would freeze the vision encoder
+        assert all(p.requires_grad for p in model.params.values())
+
     @pytest.mark.parametrize("task", ["reranker", "qa"])
     def test_trace_reproducible_bit_for_bit(self, tiny_vocab, task):
         # dropout 0.1 makes every loss depend on the rng stream it is given
