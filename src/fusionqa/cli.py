@@ -23,7 +23,7 @@ from fusionqa.config import (
     pretrain_stage_defaults,
 )
 from fusionqa.dataset import _string, doc_from_json, load_dataset, read_jsonl
-from fusionqa.generator import generate
+from fusionqa.generator import check_max_new_tokens, generate
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import evaluate_dataset, make_image_loader, rerank
 from fusionqa.synthetic import generate_corpora, load_pretrain_corpus
@@ -125,6 +125,7 @@ def _cmd_rerank(args):
 def _cmd_answer(args):
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
+    check_max_new_tokens(model, gen)  # the bound is the checkpoint's: before any output
     loader = make_image_loader()
     base = os.path.dirname(os.path.abspath(args.input))
 
@@ -148,6 +149,7 @@ def _cmd_eval(args):
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
     reranker_model, vocab = _load_model_and_vocab(args.reranker, args.vocab)
     qa_model = load_checkpoint(args.qa)
+    check_max_new_tokens(qa_model, gen)
     dataset = load_dataset(args.data)
     results, aggregate = evaluate_dataset(dataset, reranker_model, qa_model,
                                           sel, gen, vocab)

@@ -35,18 +35,24 @@ def qa_loss(model, enc: EncoderStates, target_ids, rng=None) -> Tensor:
     return cross_entropy_logits(logits, target_ids, mask)
 
 
-def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
-    """Greedy decode until eos or the length limit; ties take the lowest id.
-
-    One decoder cache serves the whole answer, so each step runs only the
-    newest position.
-    """
+def check_max_new_tokens(model, cfg: GenerationConfig):
+    """Raise unless ``cfg`` decodes within the model's decoder length: the
+    start token and ``max_new_tokens`` positions must fit ``lm.max_len``."""
     max_len = model.config.lm.max_len
     if cfg.max_new_tokens >= max_len:
         raise ValueError(
             f"generate: max_new_tokens {cfg.max_new_tokens} must stay below the "
             f"decoder's max_len {max_len}"
         )
+
+
+def generate_ids(model, enc: EncoderStates, cfg: GenerationConfig) -> list[int]:
+    """Greedy decode until eos or the length limit; ties take the lowest id.
+
+    One decoder cache serves the whole answer, so each step runs only the
+    newest position.
+    """
+    check_max_new_tokens(model, cfg)
     cache = DecoderCache()
     ids = [PAD_ID]
     for _ in range(cfg.max_new_tokens):

@@ -3,9 +3,13 @@
 Pre-layer-norm blocks; the N patch outputs (no class token) are the visual
 tokens later injected into the language model's input sequence.
 
-While the encoder is frozen its output is a function of its weights and the
-pixels alone, so ``image_rows`` keeps each image's rows on the image and
-serves them again to any model with bit-identical vision weights.
+``encode_images`` runs M images as one stacked (M, N, .) pass, so a step
+records one set of encoder ops whatever its image count; ``encode_image`` is
+its one-image call. While the encoder trains, ``image_rows`` encodes all of
+a step's images in that one pass. While it is frozen its output is a
+function of its weights and the pixels alone, so ``image_rows`` keeps each
+image's rows on the image and serves them again to any model with
+bit-identical vision weights.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from fusionqa.images import Image
 from fusionqa.model import ENCODER_ATTNS, run_stack
-from fusionqa.tensor import Tensor, grad_enabled, linear
+from fusionqa.tensor import Tensor, grad_enabled, linear, reshape
 
 
 def patchify(img: Image, patch_size: int) -> np.ndarray:
@@ -31,19 +35,30 @@ def patchify(img: Image, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(patches)
 
 
-def encode_image(model, img: Image, rng=None) -> Tensor:
-    """Run the vision encoder; returns an (N, d) embedding matrix."""
+def encode_images(model, images, rng=None) -> Tensor:
+    """Run the vision encoder over ``images`` in one pass: their patches
+    stacked to (M, N, P*P*3), one patch projection and one encoder stack,
+    with the position rows broadcast over the M images. Returns the (M*N, d)
+    rows, image-major. Each image's rows equal its own pass bit for bit;
+    dropout draws each mask once over the stacked shape."""
     cfg = model.config.vision
-    patches = patchify(img, cfg.patch_size)
-    if patches.shape[0] != cfg.n_patches:
-        raise ValueError(
-            f"image yields {patches.shape[0]} patches, config expects {cfg.n_patches}"
-        )
+    patches = [patchify(img, cfg.patch_size) for img in images]
+    for i, rows in enumerate(patches):
+        if rows.shape[0] != cfg.n_patches:
+            raise ValueError(
+                f"image {i} yields {rows.shape[0]} patches, config expects {cfg.n_patches}"
+            )
     p = model.params
-    x = linear(Tensor(patches, dtype=model.dtype), p["vision.patch_proj.weight"],
+    x = linear(Tensor(np.stack(patches), dtype=model.dtype), p["vision.patch_proj.weight"],
                p["vision.patch_proj.bias"])
-    return run_stack(model, "vision", x, p["vision.pos_emb"], cfg.n_layers, cfg.n_heads,
-                     [(name, None, None) for name in ENCODER_ATTNS], rng=rng)
+    out = run_stack(model, "vision", x, p["vision.pos_emb"], cfg.n_layers, cfg.n_heads,
+                    [(name, None, None) for name in ENCODER_ATTNS], rng=rng)
+    return reshape(out, (len(patches) * cfg.n_patches, out.shape[-1]))
+
+
+def encode_image(model, img: Image, rng=None) -> Tensor:
+    """``encode_images`` of the one image ``img``: its (N, d) rows."""
+    return encode_images(model, [img], rng=rng)
 
 
 def _vision_key(model, weights) -> bytes:
@@ -61,22 +76,23 @@ def _vision_key(model, weights) -> bytes:
 
 
 def image_rows(model, images, rng=None) -> list[Tensor]:
-    """``encode_image`` for each image, served from the image's memo while
-    that is exact.
+    """Row blocks whose concatenation is each image's ``encode_image`` rows
+    in turn, served from the images' memos while that is exact.
 
     The memo serves when the vision encoder is frozen (grad recording is off,
     or no vision.* tensor requires grad) and its dropout is inactive (no
     ``rng``, or a zero rate). Its key is a digest of the vision weights, so
     models with bit-identical vision weights share rows; an image keeps one
     entry per key it was served under. A memoised row is a constant tensor, as the
-    frozen encoder's output is. Otherwise every image is encoded afresh.
+    frozen encoder's output is; each image is one block. Otherwise all of
+    the images are encoded afresh in one ``encode_images`` pass, one block.
     """
     if not images:
         return []
     vision = [(n, p) for n, p in model.params.items() if n.startswith("vision.")]
     frozen = not grad_enabled() or not any(p.requires_grad for _, p in vision)
     if not frozen or (rng is not None and model.config.lm.dropout_rate != 0.0):
-        return [encode_image(model, img, rng=rng) for img in images]
+        return [encode_images(model, images, rng=rng)]
     key = _vision_key(model, [(n, p.data.tobytes()) for n, p in vision])
     rows = []
     for img in images:

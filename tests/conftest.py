@@ -24,22 +24,36 @@ TINY_LINES = [
 
 
 def encode_every_visit(model, images, rng=None):
-    """``vision.image_rows`` without its memo: the reference that memo tests
-    monkeypatch in."""
+    """``vision.image_rows`` without its memo or its stacked pass: one
+    ``encode_image`` pass per image, the reference that memo and stacked-pass
+    tests monkeypatch in."""
     return [vision.encode_image(model, img, rng=rng) for img in images]
 
 
 def count_encode_image(monkeypatch) -> list:
-    """Replace ``vision.encode_image`` by a wrapper that appends each image it
-    encodes to the returned list."""
+    """Replace ``vision.encode_image`` and ``vision.encode_images`` by
+    wrappers that append each image given to either to the returned list.
+    ``encode_image`` runs through ``encode_images``, so an image it is given
+    counts once."""
     seen = []
-    real = vision.encode_image
+    one, many = vision.encode_image, vision.encode_images
+    inside_one = []
 
-    def counting(model, img, rng=None):
+    def counting_one(model, img, rng=None):
         seen.append(img)
-        return real(model, img, rng=rng)
+        inside_one.append(img)
+        try:
+            return one(model, img, rng=rng)
+        finally:
+            inside_one.pop()
 
-    monkeypatch.setattr(vision, "encode_image", counting)
+    def counting_many(model, images, rng=None):
+        if not inside_one:
+            seen.extend(images)
+        return many(model, images, rng=rng)
+
+    monkeypatch.setattr(vision, "encode_image", counting_one)
+    monkeypatch.setattr(vision, "encode_images", counting_many)
     return seen
 
 

@@ -296,22 +296,34 @@ class TestCli:
                      "--input", str(infile), "--output", str(outfile),
                      "--max-new-tokens", "4"]) == 0
 
-    def test_answer_cap_at_max_len_exits_one(self, tmp_path, corpora_dir, capsys):
-        vocab = Vocab.load(corpora_dir / "vocab.txt")
-        cfg = model_profile("desk", vocab_size=vocab.size)
-        qa_ckpt = tmp_path / "qa.ckpt"
-        save_checkpoint(MultimodalTransformer.build(cfg, Rng(0)), qa_ckpt)
+    def test_answer_cap_at_max_len_exits_one(self, tmp_path, corpora_dir, qa_ckpt, capsys):
+        max_len = model_profile("desk").lm.max_len
         infile = tmp_path / "ans_in.jsonl"
         infile.write_text(json.dumps({
             "qid": "x", "question": "what is the capital of balor?",
             "contexts": [{"id": "t", "modality": "text", "text": "the capital is venta"}],
         }) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        outfile.write_bytes(b'{"answer": "kept", "qid": "x"}\n')
         rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
-                   "--input", str(infile), "--output", str(tmp_path / "out.jsonl"),
+                   "--input", str(infile), "--output", str(outfile),
                    "--max-new-tokens", "300"])
         assert rc == 1
-        assert f"max_new_tokens 300 must stay below the decoder's max_len {cfg.lm.max_len}" \
+        assert f"max_new_tokens 300 must stay below the decoder's max_len {max_len}" \
             in capsys.readouterr().err
+        # checked against the checkpoint before the output is opened
+        assert outfile.read_bytes() == b'{"answer": "kept", "qid": "x"}\n'
+
+    def test_eval_cap_at_max_len_exits_one_before_reading_data(self, tmp_path, corpora_dir,
+                                                                qa_ckpt, capsys):
+        max_len = model_profile("desk").lm.max_len
+        rc = main(["eval", "--reranker", str(qa_ckpt), "--qa", str(qa_ckpt),
+                   "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--data", str(tmp_path / "missing.jsonl"), "--max-new-tokens", "300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"max_new_tokens 300 must stay below the decoder's max_len {max_len}" in err
+        assert "missing.jsonl" not in err
 
     @pytest.mark.parametrize("field,value", [("question", 5), ("qid", 7)])
     def test_answer_non_string_field_exits_one(self, tmp_path, corpora_dir, capsys,

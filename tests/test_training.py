@@ -13,10 +13,12 @@ from fusionqa.config import (
     desk_finetune_config,
     desk_stage_config,
     finetune_defaults,
+    model_profile,
     pretrain_stage_defaults,
 )
 from fusionqa.dataset import load_dataset
 from fusionqa.documents import Document, PretrainSample, QaInstance
+from fusionqa.images import Image
 from fusionqa.model import MultimodalTransformer
 from fusionqa.pipeline import make_image_loader
 from fusionqa.synthetic import (
@@ -622,6 +624,57 @@ class TestOneGraphPerStep:
                        image_loader=make_image_loader())
         assert len(trace) > 2
         assert len(calls) == len(trace)
+
+
+def _is_vision_bias_or_norm(name):
+    leaf = name.rsplit(".", 1)[-1]
+    return name.startswith("vision.") and (leaf.startswith("b") or leaf == "gamma")
+
+
+class TestStackedVisionPass:
+    """A step's images go through the trainable vision encoder in one
+    stacked pass. Its rows and the loss are the per-image passes' bit for
+    bit; so is every gradient but the vision biases' and norms', which now
+    sum over all the step's patch rows in one reduction."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stage2_step_matches_per_image_passes(self, image_corpora, monkeypatch, dtype,
+                                                  tol, seed):
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        samples = load_pretrain_corpus(image_corpora / "pretrain_stage2.jsonl")
+        model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size),
+                                            Rng(seed), dtype=dtype)
+        AdamW(model, param_lrs(model, _PHASE_RATES["stage2"]))
+
+        def step():
+            return _loss_and_grads(model, lambda: training._pretrain_loss(
+                model, vocab, samples, Rng(100 + seed)))
+
+        loss, grads = step()
+        monkeypatch.setattr(vision, "image_rows", encode_every_visit)
+        per_image_loss, per_image = step()
+        assert loss == per_image_loss
+        assert sorted(grads) == sorted(per_image)
+        assert sum(map(_is_vision_bias_or_norm, grads)) == 23
+        for name, want in per_image.items():
+            if _is_vision_bias_or_norm(name):
+                assert np.abs(grads[name] - want).max() <= tol * np.abs(want).max(), name
+            else:
+                assert grads[name].tobytes() == want.tobytes(), name
+
+    def test_mixed_image_sizes_fail_naming_the_image(self, image_corpora, monkeypatch):
+        vocab = Vocab.load(image_corpora / "vocab.txt")
+        model = MultimodalTransformer.build(make_tiny_config(vocab.size, image_size=16), Rng(0))
+        AdamW(model, param_lrs(model, _PHASE_RATES["stage2"]))
+        big = load_pretrain_corpus(image_corpora / "pretrain_stage2.jsonl")[0]
+        small = dataclasses.replace(big, image=Image(big.image.pixels[:16, :16]))
+        encoded = count_encode_image(monkeypatch)
+        with pytest.raises(ValueError, match="image 1 yields 16 patches, config expects 4"):
+            training._pretrain_loss(model, vocab, [small, big], Rng(0))
+        # both images went to the step's one stacked pass
+        assert [id(img) for img in encoded] == [id(small.image), id(big.image)]
 
 
 class TestStepRng:

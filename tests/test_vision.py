@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionqa.config import model_profile
 from fusionqa.images import Image
 from fusionqa.model import MultimodalTransformer
+from fusionqa.synthetic import SceneSpec, render_scene
 from fusionqa.tensor import Rng, backward, no_grad
 from fusionqa.training import AdamW, clone_model, param_lrs
-from fusionqa.vision import encode_image, image_rows, patchify
+from fusionqa.vision import encode_image, encode_images, image_rows, patchify
 
 from conftest import count_encode_image, make_tiny_config
 from tensor_reference import tsum
@@ -119,6 +123,38 @@ class TestEncodeImage:
             encode_image(tiny_model, scene_image_32)
 
 
+def _scene_images(size):
+    specs = [SceneSpec("red", "square", "top left"), SceneSpec("blue", "circle", "bottom right"),
+             SceneSpec("green", "triangle", "bottom left"), SceneSpec("yellow", "square", "top right")]
+    return [Image(render_scene(spec).pixels[:size, :size]) for spec in specs]
+
+
+class TestEncodeImages:
+    """The stacked pass: M images in one (M, N, .) run of the encoder."""
+
+    @pytest.mark.parametrize("profile", ["tiny", "desk"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_rows_equal_single_image_rows(self, tiny_vocab, profile, seed):
+        if profile == "tiny":
+            cfg = make_tiny_config(tiny_vocab.size, dropout=0.1)
+        else:
+            cfg = model_profile("desk", vocab_size=tiny_vocab.size)
+            cfg = dataclasses.replace(cfg, lm=dataclasses.replace(cfg.lm, dropout_rate=0.1))
+        model = MultimodalTransformer.build(cfg, Rng(seed))
+        images = _scene_images(cfg.vision.image_size)
+        stacked = encode_images(model, images)
+        n = cfg.vision.n_patches
+        assert stacked.shape == (len(images) * n, cfg.lm.hidden_size)
+        for i, img in enumerate(images):
+            single = encode_image(model, img).data
+            assert stacked.data[i * n:(i + 1) * n].tobytes() == single.tobytes()
+        # under dropout the stacked pass draws one mask over (M, N, .), so
+        # only its one-image call has a per-image counterpart
+        one = encode_images(model, images[:1], rng=Rng(seed + 10)).data
+        assert one.tobytes() == encode_image(model, images[0], rng=Rng(seed + 10)).data.tobytes()
+        assert one.tobytes() != stacked.data[:n].tobytes()
+
+
 class TestImageRows:
     def test_in_place_weight_change_gives_fresh_rows(self, fresh_tiny_model, scene_image_16,
                                                      monkeypatch):
@@ -131,13 +167,14 @@ class TestImageRows:
             assert image_rows(model, [img])[0] is first
             w[0, 0] += 0.5
             changed = image_rows(model, [img])[0]
-            expected = encode_image(model, img)
+            misses = len(encoded)
+            expected = encode_image(model, img)  # counted too: it runs encode_images
             w[0, 0] = old
             again = image_rows(model, [img])[0]
         np.testing.assert_array_equal(changed.data, expected.data)
         assert not np.array_equal(changed.data, first.data)
         assert again is first
-        assert len(encoded) == 2
+        assert misses == 2 and len(encoded) == 3
 
     def test_models_with_identical_vision_weights_share_rows(self, tiny_vocab, scene_image_16,
                                                              monkeypatch):
