@@ -1,14 +1,14 @@
 """Binary model checkpoints: named float32 tensors plus a config snapshot.
 
-Layout (format 4): magic 'FQCK' | u32 format version | u64 header length |
+Layout (format 5): magic 'FQCK' | u32 format version | u64 header length |
 u32 CRC-32 of the header bytes | header JSON (sorted keys; the config
 snapshot and a name -> crc32 table, crc32 the zlib CRC-32 of the tensor's
 bytes) | payload of little-endian IEEE-754 float32 values.
 
 The payload holds the tensors in sorted-name order, each shaped as
 ``parameter_shapes(config)`` gives it, so the config and the names fix
-every tensor's shape and place. Only format 4 is read or written; a file
-in any other version is rejected.
+every tensor's shape and place. Only format 5 (one ``wkv`` per attention,
+where format 4 had ``wk``, ``wv``, ``bk``, ``bv``) is read or written.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -28,7 +28,7 @@ from fusionqa.model import MultimodalTransformer, parameter_shapes
 from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # magic, u32 version, u64 header length, u32 header CRC-32
 _PREAMBLE = 20
 
@@ -120,12 +120,10 @@ def load_checkpoint(path) -> MultimodalTransformer:
             f"the header names; the first missing is {first}"
         )
 
+    # no more names than the header's, so with no unknown name none is missing
     unknown = sorted(set(crcs) - set(expected))
     if unknown:
         raise ValueError(f"checkpoint {path}: unknown tensor names {unknown}")
-    missing = sorted(set(expected) - set(crcs))
-    if missing:
-        raise ValueError(f"checkpoint {path}: missing tensors {missing}")
 
     payload = raw[header_end:]
     size = 4 * sum(math.prod(shape) for shape in expected.values())

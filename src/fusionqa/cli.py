@@ -2,6 +2,7 @@
 
 Subcommands: gen-synthetic, pretrain, finetune-reranker, finetune-qa,
 rerank, answer, eval. Exit code is 0 only when every input validates.
+rerank, answer and eval open ``--output`` only after every record is made.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ def _cmd_rerank(args):
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     dataset = load_dataset(args.input)
     loader = make_image_loader()
+    picks = [(inst, rerank(inst, model, vocab, sel, loader)) for inst in dataset]
     with open(args.output, "w", encoding="utf-8", newline="\n") as fout:
-        for inst in dataset:
-            retrieved = rerank(inst, model, vocab, sel, loader)
+        for inst, retrieved in picks:
             fout.write(json.dumps({
                 "qid": inst.qid,
                 "scores": {d.id: float(s) for d, s in zip(inst.pool, retrieved.scores)},
@@ -137,9 +138,10 @@ def _cmd_answer(args):
             d.validate()
         return qid, question, contexts
 
+    answers = [(qid, generate(model, vocab, question, contexts, gen, image_loader=loader))
+               for qid, question, contexts in read_jsonl(args.input, parse)]
     with open(args.output, "w", encoding="utf-8", newline="\n") as fout:
-        for qid, question, contexts in read_jsonl(args.input, parse):
-            answer = generate(model, vocab, question, contexts, gen, image_loader=loader)
+        for qid, answer in answers:
             fout.write(json.dumps({"qid": qid, "answer": answer}, sort_keys=True) + "\n")
     return 0
 

@@ -48,30 +48,27 @@ class EncoderStates:
 class DecoderCache:
     """Incremental-decoding state for one encoder output; inference only.
 
-    ``kv`` maps each decoder attention prefix to its (keys, values).
-    Self-attention keeps two (B, max_len, d) buffers that each call writes
-    at its positions and attends over as a view of the first ``length``
-    plus its own; cross-attention keeps the (B, L, d) projections of the
-    encoder states, made once. ``length`` counts the decoder positions run
-    so far.
+    ``kv`` maps each decoder attention prefix to its (B, ., 2d) keys and
+    values. Self-attention keeps one (B, max_len, 2d) buffer that each call
+    writes at its positions and attends over as a view of the first
+    ``length`` plus its own; cross-attention keeps the (B, L, 2d) projection
+    of the encoder states, made once. ``length`` counts the decoder
+    positions run so far.
     """
 
     length: int = 0
     kv: dict = field(default_factory=dict)
 
-    def write(self, prefix, k: Tensor, v: Tensor, max_len: int):
-        """(keys, values) of every position so far: the cached ones, then
-        the (B, T, d) ``k`` and ``v`` of the positions after ``length``,
-        which are written in place into ``prefix``'s buffers."""
+    def write(self, prefix, kv: Tensor, max_len: int) -> Tensor:
+        """Keys and values of every position so far: the cached ones, then
+        the (B, T, 2d) ``kv`` of the positions after ``length``, which is
+        written in place into ``prefix``'s buffer."""
         if prefix not in self.kv:
-            shape = k.shape[:-2] + (max_len, k.shape[-1])
-            self.kv[prefix] = (np.empty(shape, k.dtype), np.empty(shape, v.dtype))
-        end = self.length + k.shape[-2]
-        out = []
-        for buf, new in zip(self.kv[prefix], (k, v)):
-            buf[..., self.length:end, :] = new.data
-            out.append(Tensor._wrap(buf[..., :end, :]))
-        return tuple(out)
+            self.kv[prefix] = np.empty(kv.shape[:-2] + (max_len, kv.shape[-1]), kv.dtype)
+        buf = self.kv[prefix]
+        end = self.length + kv.shape[-2]
+        buf[..., self.length:end, :] = kv.data
+        return Tensor._wrap(buf[..., :end, :])
 
 
 # A layer's attentions in running order, read by the layout and the forward:
@@ -93,10 +90,11 @@ def parameter_shapes(config: ModelConfig):
         for i in range(n_layers):
             layer = f"{prefix}.layer{i}"
             for attn in attns:
-                for w in ("wq", "wk", "wv", "wo"):
-                    yield f"{layer}.{attn}.{w}", (d, d)
-                for b in ("bq", "bk", "bv", "bo"):
-                    yield f"{layer}.{attn}.{b}", (d,)
+                yield f"{layer}.{attn}.wq", (d, d)
+                yield f"{layer}.{attn}.wkv", (d, 2 * d)
+                yield f"{layer}.{attn}.wo", (d, d)
+                yield f"{layer}.{attn}.bq", (d,)
+                yield f"{layer}.{attn}.bo", (d,)
             yield f"{layer}.mlp.w1", (d, 4 * d)
             yield f"{layer}.mlp.b1", (4 * d,)
             yield f"{layer}.mlp.w2", (4 * d, d)
@@ -165,26 +163,27 @@ def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None
     ``x`` itself, self-attention, when None); additive pre-softmax mask.
 
     Inputs are (..., L, d); a mask is a suffix of the (..., h, Lq, Lk)
-    scores, or a (B, 1, 1, Lk) per-row key mask.
+    scores, or a (B, 1, 1, Lk) per-row key mask. One bias-free (d, 2d)
+    ``wkv`` projects keys and values: a key bias cancels in the softmax, and
+    a value bias adds only ``bv @ wo`` to ``bo`` while the weights sum to 1.
 
-    With a ``cache`` (a DecoderCache, inference only) self-attention writes
-    its K/V into the cache's buffers under ``prefix`` after its ``length``
-    positions; a given ``kv`` is projected once per cache and reused.
+    A ``cache`` (a DecoderCache, inference only) holds the keys and values
+    under ``prefix``: self-attention writes this call's positions after its
+    ``length``, and a given ``kv`` is projected once per cache.
     """
     p = model.params
     q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    if cache is not None and kv is not None and prefix in cache.kv:
-        k, v = cache.kv[prefix]
+    w = p[f"{prefix}.wkv"]
+    if cache is None:
+        kv = linear(x if kv is None else kv, w)
+    elif kv is None:
+        kv = cache.write(prefix, linear(x, w), model.config.lm.max_len)
+    elif prefix not in cache.kv:
+        kv = cache.kv[prefix] = linear(kv, w)
     else:
-        src = x if kv is None else kv
-        k = linear(src, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = linear(src, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        if cache is not None and kv is not None:
-            cache.kv[prefix] = (k, v)
-        elif cache is not None:
-            k, v = cache.write(prefix, k, v, model.config.lm.max_len)
+        kv = cache.kv[prefix]
     dh = x.shape[-1] // n_heads
-    ctx = attention(q, k, v, n_heads, 1.0 / math.sqrt(dh), mask,
+    ctx = attention(q, kv, n_heads, 1.0 / math.sqrt(dh), mask,
                     rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 

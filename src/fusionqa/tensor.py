@@ -154,10 +154,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -193,24 +189,27 @@ def _shrink(g, shape):
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,).
+def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
+    """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,),
+    or the product alone, with no bias gradient, when ``b`` is None.
 
     It keeps one result array where the two ops kept two, and its vjp runs
     their numpy operations, so values and gradients are bit-identical.
     """
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise ShapeError(f"linear: need (..., n) @ (n, m) + (m,), got {xd.shape} @ {wd.shape} + {bd.shape}")
+    xd, wd = x.data, w.data
+    b_shape = wd.shape[1:] if b is None else b.data.shape
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b_shape != wd.shape[1:]:
+        raise ShapeError(f"linear: need (..., n) @ (n, m) + (m,), got {xd.shape} @ {wd.shape} + {b_shape}")
     out = xd @ wd
-    out += bd
+    if b is not None:
+        out += b.data
 
     def vjp(g):
         gx = g @ np.swapaxes(wd, -1, -2)
         gw = _shrink(np.swapaxes(xd, -1, -2) @ g, wd.shape)
-        return gx, gw, _shrink(g, bd.shape)
+        return (gx, gw) if b is None else (gx, gw, _shrink(g, b_shape))
 
-    return _out(out, (x, w, b), vjp)
+    return _out(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _suffix_ok(big, small):
@@ -260,44 +259,43 @@ def gelu(a: Tensor) -> Tensor:
     return _out(out, (a,), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor = None,
+def attention(q: Tensor, kv: Tensor, n_heads: int, scale, mask: Tensor = None,
               rate: float = 0.0, rng: Rng = None) -> Tensor:
     """Multi-head scaled dot-product attention as one taped op.
 
-    ``q`` is (..., Lq, d) and ``k``, ``v`` are (..., Lk, d) with the same
-    leading axes; d splits into ``n_heads`` heads on the trailing axis. Per
-    head the weights are softmax(q @ kᵀ * scale + mask) over the keys,
-    max-subtracted; given an ``rng`` and a nonzero ``rate`` they take inverted
-    dropout (one uniform draw of their (..., h, Lq, Lk) shape). The result is
-    the weighted sum of values with the heads merged back, (..., Lq, d).
-    ``mask`` is an additive constant: a suffix of the (..., h, Lq, Lk) scores,
-    or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk) key mask).
+    ``q`` is (..., Lq, d) and ``kv`` the (..., Lk, 2d) keys, then values,
+    with the same leading axes; d splits into ``n_heads`` heads on the
+    trailing axis. Per head the weights are softmax(q @ kᵀ * scale + mask)
+    over the keys, max-subtracted; given an ``rng`` and a nonzero ``rate``
+    they take inverted dropout (one uniform draw of their (..., h, Lq, Lk)
+    shape). The result is the weighted sum of values with the heads merged
+    back, (..., Lq, d). ``mask`` is an additive constant: a suffix of the
+    scores, or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk)
+    key mask).
 
     The vjp keeps the weights and, under dropout, the keep scale and the
-    dropped weights, as the separate ops did; the unmerged context is not
-    kept. Values and gradients are bit-identical to splitting heads with
-    reshape and transpose, the softmax, dropout, a batched matmul and the
-    merge run as separate ops.
+    dropped weights, and writes the key and value gradients into one array.
+    Values and gradients are bit-identical to slicing ``kv``, splitting heads
+    with reshape and transpose, the softmax, dropout, a batched matmul and
+    the merge run as separate ops.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim < 2 or kd.shape != vd.shape or qd.shape[:-2] != kd.shape[:-2]
-            or qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % n_heads):
+    qd, kvd = q.data, kv.data
+    d = qd.shape[-1]
+    if qd.ndim < 2 or qd.shape[:-2] != kvd.shape[:-2] or kvd.shape[-1] != 2 * d or d % n_heads:
         raise ShapeError(
-            f"attention: need (..., Lq, d) and two (..., Lk, d) with d divisible by "
-            f"{n_heads} heads, got {qd.shape}, {kd.shape} and {vd.shape}")
+            f"attention: need (..., Lq, d) and (..., Lk, 2d) with d divisible by "
+            f"{n_heads} heads, got {qd.shape} and {kvd.shape}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
     c = float(scale)
     n = qd.ndim - 2
     lead = tuple(range(n))
-    heads = (n_heads, qd.shape[-1] // n_heads)
-    # (..., L, h, dh) <-> (..., h, L, dh), and the last two axes of a head:
-    # both are their own inverse
-    swap = lead + (n + 1, n, n + 2)
-    swap_last = lead + (n, n + 2, n + 1)
-    qh, kh, vh = (np.transpose(a.reshape(a.shape[:-1] + heads), swap) for a in (qd, kd, vd))
-    k_t = np.transpose(kh, swap_last)
-    s = qh @ k_t
+    heads = (n_heads, d // n_heads)
+    swap = lead + (n + 1, n, n + 2)  # (..., L, h, dh) <-> (..., h, L, dh)
+    qh = np.transpose(qd.reshape(qd.shape[:-1] + heads), swap)
+    kvh = kvd.reshape(kvd.shape[:-1] + (2,) + heads)  # (..., Lk, k|v, h, dh)
+    kh, vh = (np.transpose(kvh[..., i, :, :], swap) for i in (0, 1))
+    s = qh @ np.swapaxes(kh, -1, -2)
     s *= c
     if mask is not None:
         md = mask.data
@@ -318,17 +316,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale, mask: Tensor
     def vjp(g):
         g = np.transpose(g.reshape(qd.shape[:-1] + heads), swap)
         gp = g @ np.swapaxes(vh, -1, -2)
-        gv = np.swapaxes(p, -1, -2) @ g
+        gkv = np.empty(kvh.shape, kvd.dtype)
+        gkv[..., 1, :, :] = np.transpose(np.swapaxes(p, -1, -2) @ g, swap)
         if keep is not None:
             gp = gp * keep
         gs = s * (gp - (gp * s).sum(axis=-1, keepdims=True))
         gs = gs * c
-        gq = gs @ np.swapaxes(k_t, -1, -2)
-        gk = np.transpose(np.swapaxes(qh, -1, -2) @ gs, swap_last)
-        return tuple(np.transpose(ga, swap).reshape(a.shape)
-                     for ga, a in ((gq, qd), (gk, kd), (gv, vd)))
+        gq = gs @ kh
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        gkv[..., 0, :, :] = np.transpose(gk, swap)
+        return np.transpose(gq, swap).reshape(qd.shape), gkv.reshape(kvd.shape)
 
-    return _out(out, (q, k, v), vjp)
+    return _out(out, (q, kv), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:

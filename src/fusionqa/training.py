@@ -249,8 +249,9 @@ def finetune_reranker(model, vocab, dataset: list[QaInstance], cfg: FinetuneConf
 def _qa_train_contexts(inst: QaInstance, extra_distractors: int, rng: Rng) -> list[Document]:
     """Gold supporting documents first, then a few sampled distractors, to
     mirror what the reranker hands the generator at inference time."""
-    gold = [d for d in inst.pool if d.id in set(inst.gold_ids)]
-    rest = [d for d in inst.pool if d.id not in set(inst.gold_ids)]
+    gold_ids = set(inst.gold_ids)
+    gold = [d for d in inst.pool if d.id in gold_ids]
+    rest = [d for d in inst.pool if d.id not in gold_ids]
     n = min(extra_distractors, len(rest))
     extra = []
     if n:

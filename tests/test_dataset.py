@@ -314,6 +314,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="rogue.weight"):
             load_checkpoint(path)
 
+    def test_missing_tensor_rejected(self, tmp_path, tiny_vocab):
+        # a header without one of the config's tensors is caught by the
+        # walk over the config's layout, naming the first name it lacks
+        path = self._saved(tmp_path, tiny_vocab)
+        self._edit_header(path, lambda h: h["tensors"].pop("lm.embed"))
+        with pytest.raises(ValueError, match=r"the config implies more than the \d+ tensors "
+                                             r"the header names; the first missing is lm.embed"):
+            load_checkpoint(path)
+
     def _saved(self, tmp_path, tiny_vocab):
         path = tmp_path / "m.ckpt"
         save_checkpoint(self._model(tiny_vocab), path)
@@ -332,7 +341,7 @@ class TestCheckpoint:
 
     def test_short_file_names_size(self, tmp_path):
         p = tmp_path / "short.ckpt"
-        p.write_bytes(b"FQCK" + struct.pack("<I", 4) + b"\x00\x00")
+        p.write_bytes(b"FQCK" + struct.pack("<I", 5) + b"\x00\x00")
         with pytest.raises(ValueError, match=r"short.ckpt: file is 10 bytes, shorter than the 20-byte"):
             load_checkpoint(p)
 
@@ -414,13 +423,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path, tiny_vocab):
-        # the formats 1 to 3 of earlier releases are rejected like any other
+        # the formats 1 to 4 of earlier releases are rejected like any other
         path = self._saved(tmp_path, tiny_vocab)
         raw = path.read_bytes()
-        for version in (1, 2, 3, 5):
+        for version in (1, 2, 3, 4, 6):
             path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
             with pytest.raises(ValueError, match=rf"m.ckpt: format version {version} "
-                                                 r"unsupported \(expected 4\)"):
+                                                 r"unsupported \(expected 5\)"):
                 load_checkpoint(path)
 
     def test_header_edit_fails_its_crc(self, tmp_path, tiny_vocab):

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionqa import model as model_module
-from fusionqa.config import model_profile
+from fusionqa.config import GenerationConfig, model_profile
 from fusionqa.documents import Document
+from fusionqa.generator import generate_ids
 from fusionqa.images import Image
 from fusionqa.model import (
     DecoderCache,
@@ -25,11 +28,14 @@ from fusionqa.tensor import (
     Rng,
     Tensor,
     add,
+    attention,
     backward,
+    concat,
     dropout,
     embedding_lookup,
     layer_norm,
     linear,
+    no_grad,
     slice_,
 )
 from fusionqa.tokenizer import (
@@ -41,6 +47,7 @@ from fusionqa.tokenizer import (
     assemble_qa_input,
     pad_sequences,
 )
+from fusionqa.reranker import score
 from fusionqa.synthetic import SceneSpec, render_scene
 from fusionqa.training import AdamW, param_lrs
 from fusionqa.vision import encode_image, patchify
@@ -401,12 +408,13 @@ class TestDecoderCache:
         decode_step(tiny_model, enc, [[5]], cache)
         decode_step(tiny_model, enc, [[6]], cache)
         assert cache.kv["lm.decoder.layer0.cross_attn"] is cross
-        keys, values = cross
-        assert keys.shape == values.shape == enc.states.shape
+        d = tiny_model.config.lm.hidden_size
+        assert cross.shape == enc.states.shape[:-1] + (2 * d,)  # keys, then values
 
     def test_self_attention_buffers_hold_cache_length_positions(self, tiny_model):
         # one position per step writes the rows one call over the whole
-        # prefix writes; the buffers are max_len long and written in place
+        # prefix writes; the one keys-and-values buffer is max_len long and
+        # written in place
         enc = encode_multimodal(tiny_model, TokenSequence(np.array([5, 6, 7, 1])))
         prefix = [PAD_ID, 5, 6, 9]
         stepped = DecoderCache()
@@ -418,10 +426,10 @@ class TestDecoderCache:
         d = tiny_model.config.lm.hidden_size
         max_len = tiny_model.config.lm.max_len
         name = "lm.decoder.layer0.self_attn"
-        for got, want in zip(stepped.kv[name], whole.kv[name]):
-            assert got.shape == (1, max_len, d)
-            np.testing.assert_allclose(got[:, :len(prefix)], want[:, :len(prefix)],
-                                       rtol=0, atol=1e-6)
+        got, want = stepped.kv[name], whole.kv[name]
+        assert got.shape == (1, max_len, 2 * d)
+        np.testing.assert_allclose(got[:, :len(prefix)], want[:, :len(prefix)],
+                                   rtol=0, atol=1e-6)
 
     def test_cache_under_grad_recording_raises(self, tiny_model):
         # the buffers are not on the tape, so a cached pass would lose gradients
@@ -529,6 +537,118 @@ class TestLayerWiring:
         np.testing.assert_array_equal(got.data, want.data)
 
 
+def _old_layout_params(config, dtype):
+    """Every tensor of checkpoint format 4's layout, which held ``wk``,
+    ``wv``, ``bk`` and ``bv`` where ``wkv`` now stands, drawn nonzero:
+    weights, biases and betas at std 0.1, gammas at 1 + N(0, 0.2²)."""
+    shapes = []
+    for name, shape in parameter_shapes(config):
+        stem, leaf = name.rsplit(".", 1)
+        if leaf == "wkv":
+            d = shape[0]
+            shapes += [(f"{stem}.{w}", (d, d)) for w in ("wk", "wv")]
+            shapes += [(f"{stem}.{b}", (d,)) for b in ("bk", "bv")]
+        else:
+            shapes.append((name, shape))
+    draw = Rng(11)
+    params = {}
+    for name, shape in shapes:
+        if name.endswith(".gamma"):
+            value = 1.0 + draw.normal(shape, std=0.2)
+        else:
+            value = draw.normal(shape, std=0.1)
+        params[name] = Tensor(value, dtype=dtype)
+    return params
+
+
+def _to_fused_layout(config, old, dtype):
+    """Format-5 parameters with the function of the format-4 ``old``:
+    ``wkv`` is ``[wk | wv]``; ``bv`` folds into ``bo`` as ``bo + bv @ wo``,
+    since each row of attention weights sums to 1; ``bk`` goes, since the
+    softmax cancels it."""
+    new = {}
+    for name, _ in parameter_shapes(config):
+        stem, leaf = name.rsplit(".", 1)
+        if leaf == "wkv":
+            value = np.concatenate([old[f"{stem}.wk"].data, old[f"{stem}.wv"].data], axis=1)
+        elif leaf == "bo":
+            value = old[name].data + old[f"{stem}.bv"].data @ old[f"{stem}.wo"].data
+        else:
+            value = old[name].data
+        new[name] = Tensor(value, dtype=dtype)
+    return new
+
+
+def _old_layout_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None,
+                          cache=None):
+    """Format 4's attention, eval pass without a cache: keys and values from
+    the separate ``wk``/``bk`` and ``wv``/``bv`` projections."""
+    assert rng is None and cache is None
+    p = model.params
+    src = x if kv is None else kv
+    q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = linear(src, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = linear(src, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    ctx = attention(q, concat([k, v], axis=k.data.ndim - 1), n_heads,
+                    1.0 / math.sqrt(x.shape[-1] // n_heads), mask)
+    return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+
+
+def _greedy_by_teacher_forcing(model, enc, max_new_tokens):
+    """``generate_ids`` without a cache: each step reruns every position."""
+    ids = [PAD_ID]
+    for _ in range(max_new_tokens):
+        nxt = int(np.argmax(decoder_logits(model, enc, [ids]).data[0, -1]))
+        if nxt == EOS_ID:
+            break
+        ids.append(nxt)
+    return ids[1:]
+
+
+class TestKvLayoutMapping:
+    """A format-4 model with nonzero biases maps into the one bias-free
+    ``wkv`` layout with its function kept, up to float rounding: the
+    encoder states, teacher-forced logits and reranker logits, with images
+    in the vision encoder, and the greedy ids of the cached decoder."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                             ids=["float64", "float32"])
+    def test_mapped_model_keeps_outputs(self, tiny_vocab, scene_image_16, monkeypatch,
+                                        dtype, tol):
+        config = make_tiny_config(tiny_vocab.size, layers=2)
+        old = MultimodalTransformer(config, _old_layout_params(config, dtype))
+        new = MultimodalTransformer(config, _to_fused_layout(config, old.params, dtype))
+        with_image = TokenSequence([5] + [IMG_ID] * config.n_img_tokens + [9, 6, EOS_ID])
+        batch = pad_sequences([with_image, TokenSequence([7, 8, EOS_ID])])
+        ids = np.array([[PAD_ID, 5, 9, 12], [PAD_ID, 11, 4, PAD_ID]])
+        docs = [Document(id="t", modality="text", text="the capital of balor is venta"),
+                Document(id="i", modality="image", image_path="scene.ppm")]
+
+        def outputs(model, greedy):
+            with no_grad():
+                enc = encode_multimodal(model, batch, [scene_image_16])
+                one = encode_multimodal(model, with_image, [scene_image_16])
+                return (enc.states.data, decoder_logits(model, enc, ids).data,
+                        score(model, tiny_vocab, "what is the capital of balor?", docs,
+                              image_loader=lambda doc: scene_image_16).data,
+                        greedy(model, one))
+
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "multi_head_attention", _old_layout_attention)
+            *want, want_ids = outputs(old, lambda model, enc: _greedy_by_teacher_forcing(
+                model, enc, 8))
+        *got, got_ids = outputs(new, lambda model, enc: generate_ids(
+            model, enc, GenerationConfig(max_new_tokens=8)))
+        for g, w in zip(got, want):
+            # relative above 1, absolute below, as grad_check measures: a
+            # reranker logit can sit near 0, where float32 rounding of its
+            # input is not small relative to it
+            assert g.dtype == w.dtype == dtype
+            assert np.abs(g - w).max() <= tol * max(1.0, np.abs(w).max())
+        assert len(set(want_ids)) > 1  # not one token repeated
+        assert got_ids == want_ids
+
+
 class TestProfiles:
     @pytest.mark.parametrize("name,d,enc,dec,heads", [
         ("base", 768, 12, 12, 12),
@@ -544,7 +664,10 @@ class TestProfiles:
         shapes = dict(parameter_shapes(cfg))
         assert shapes["lm.embed"] == (100, d)
         assert shapes[f"lm.encoder.layer{enc - 1}.attn.wq"] == (d, d)
-        assert shapes[f"lm.decoder.layer{dec - 1}.cross_attn.wv"] == (d, d)
+        assert shapes[f"lm.decoder.layer{dec - 1}.cross_attn.wkv"] == (d, 2 * d)
+        assert shapes["vision.layer0.attn.wkv"] == (d, 2 * d)
+        # one bias-free K/V projection: no key or value weight or bias of its own
+        assert not [n for n in shapes if n.rsplit(".", 1)[-1] in ("wk", "wv", "bk", "bv")]
         assert shapes["lm.head.w_o"] == (100, d)
         assert shapes["cls_head.w2"] == (1, d)
         assert f"lm.encoder.layer{enc}.attn.wq" not in shapes
@@ -554,9 +677,10 @@ class TestProfiles:
         # changes training bits; sha256 of the desk profile's names as listed
         import hashlib
 
-        names = "\n".join(name for name, _ in parameter_shapes(model_profile("desk")))
-        assert hashlib.sha256(names.encode()).hexdigest() == \
-            "2a121febddb72052cc83d06cba33dc76ddd080a00c411158a6e0e0ce25a60a0a"
+        names = [name for name, _ in parameter_shapes(model_profile("desk"))]
+        assert len(names) == 110
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
+            "066efaa900b9543e9fc4cd8e94fe190570b1082e1394bccaa952d0f13a8ce331"
 
     def test_vision_heads_must_divide_width(self):
         # the vision encoder runs at the language model's width

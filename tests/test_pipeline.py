@@ -343,7 +343,7 @@ class TestCli:
         assert rc == 1
         assert f"error: {infile}:1: field {field!r} must be a string, got int" \
             in capsys.readouterr().err
-        assert outfile.read_text() == ""
+        assert not outfile.exists()
 
     @pytest.mark.parametrize("context", ["abc", ["x"]], ids=["string", "list"])
     def test_answer_non_object_context_exits_one(self, tmp_path, corpora_dir, qa_ckpt,
@@ -357,7 +357,23 @@ class TestCli:
         assert rc == 1
         assert (f"error: {infile}:1: document record must be a JSON object, "
                 f"got {type(context).__name__}") in capsys.readouterr().err
-        assert outfile.read_text() == ""
+        assert not outfile.exists()
+
+    def test_answer_failing_on_line_two_keeps_earlier_output(self, tmp_path, corpora_dir,
+                                                             qa_ckpt, capsys):
+        # line 1 answers fine; every answer is made before the output opens
+        good = {"qid": "a", "question": "what is the capital of balor?",
+                "contexts": [{"id": "t", "modality": "text", "text": "the capital is venta"}]}
+        infile = tmp_path / "ans_in.jsonl"
+        infile.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, question=5)) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        outfile.write_bytes(b'{"earlier": "run"}\n')
+        rc = main(["answer", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(infile), "--output", str(outfile), "--max-new-tokens", "2"])
+        assert rc == 1
+        assert f"error: {infile}:2: field 'question' must be a string, got int" \
+            in capsys.readouterr().err
+        assert outfile.read_bytes() == b'{"earlier": "run"}\n'
 
     @pytest.mark.parametrize("edit,line_error", [
         (lambda lines: lines[:7] + [b""] + lines[7:], "line 8: empty token"),
@@ -494,3 +510,27 @@ class TestCli:
         assert rc == 1
         assert f"error: {data}:1: field 'question' must be a string, got int" \
             in capsys.readouterr().err
+
+    def test_rerank_bad_image_in_question_two_keeps_earlier_output(self, tmp_path, corpora_dir,
+                                                                   qa_ckpt, capsys):
+        # the dataset loads (the image file exists) and question 1 scores
+        # fine; question 2's truncated PPM fails before the output opens
+        recs = [json.loads(line)
+                for line in (corpora_dir / "qa_heldout.jsonl").read_text().splitlines()[:2]]
+        for rec in recs:
+            for d in rec["pool"]:
+                if "image" in d:
+                    d["image"] = str(corpora_dir / d["image"])
+        doc = next(d for d in recs[1]["pool"] if "image" in d)
+        bad = tmp_path / "truncated.ppm"
+        bad.write_bytes(open(doc["image"], "rb").read()[:100])
+        doc["image"] = str(bad)
+        data = tmp_path / "two.jsonl"
+        data.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        outfile = tmp_path / "o.jsonl"
+        outfile.write_bytes(b'{"earlier": "run"}\n')
+        rc = main(["rerank", "--model", str(qa_ckpt), "--vocab", str(corpora_dir / "vocab.txt"),
+                   "--input", str(data), "--output", str(outfile)])
+        assert rc == 1
+        assert f"ppm {bad}: truncated payload" in capsys.readouterr().err
+        assert outfile.read_bytes() == b'{"earlier": "run"}\n'
