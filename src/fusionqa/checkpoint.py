@@ -8,7 +8,7 @@ bytes) | payload of little-endian IEEE-754 float32 values.
 The payload holds the tensors in sorted-name order, each shaped as
 ``parameter_shapes(config)`` gives it, so the config and the names fix
 every tensor's shape and place. Only format 5 (one ``wkv`` per attention,
-where format 4 had ``wk``, ``wv``, ``bk``, ``bv``) is read or written.
+where format 4 had ``wk``, ``wv`` and a key bias ``bk``) is read or written.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -120,10 +120,12 @@ def load_checkpoint(path) -> MultimodalTransformer:
             f"the header names; the first missing is {first}"
         )
 
-    # no more names than the header's, so with no unknown name none is missing
     unknown = sorted(set(crcs) - set(expected))
     if unknown:
         raise ValueError(f"checkpoint {path}: unknown tensor names {unknown}")
+    missing = sorted(set(expected) - set(crcs))
+    if missing:
+        raise ValueError(f"checkpoint {path}: missing tensors {missing}")
 
     payload = raw[header_end:]
     size = 4 * sum(math.prod(shape) for shape in expected.values())

@@ -2,7 +2,6 @@
 
 Subcommands: gen-synthetic, pretrain, finetune-reranker, finetune-qa,
 rerank, answer, eval. Exit code is 0 only when every input validates.
-rerank, answer and eval open ``--output`` only after every record is made.
 """
 
 from __future__ import annotations

@@ -49,11 +49,10 @@ class DecoderCache:
     """Incremental-decoding state for one encoder output; inference only.
 
     ``kv`` maps each decoder attention prefix to its (B, ., 2d) keys and
-    values. Self-attention keeps one (B, max_len, 2d) buffer that each call
-    writes at its positions and attends over as a view of the first
-    ``length`` plus its own; cross-attention keeps the (B, L, 2d) projection
-    of the encoder states, made once. ``length`` counts the decoder
-    positions run so far.
+    values: a self-attention's (B, max_len, 2d) buffer, which each call writes
+    at its positions and reads as a view up to them, or a cross-attention's
+    projection of the encoder states, made once. ``length`` counts the
+    decoder positions run so far.
     """
 
     length: int = 0
@@ -90,11 +89,10 @@ def parameter_shapes(config: ModelConfig):
         for i in range(n_layers):
             layer = f"{prefix}.layer{i}"
             for attn in attns:
-                yield f"{layer}.{attn}.wq", (d, d)
-                yield f"{layer}.{attn}.wkv", (d, 2 * d)
-                yield f"{layer}.{attn}.wo", (d, d)
-                yield f"{layer}.{attn}.bq", (d,)
-                yield f"{layer}.{attn}.bo", (d,)
+                for w, width in (("wq", d), ("wkv", 2 * d), ("wo", d)):
+                    yield f"{layer}.{attn}.{w}", (d, width)
+                for b in ("bq", "bv", "bo"):
+                    yield f"{layer}.{attn}.{b}", (d,)
             yield f"{layer}.mlp.w1", (d, 4 * d)
             yield f"{layer}.mlp.b1", (4 * d,)
             yield f"{layer}.mlp.w2", (4 * d, d)
@@ -127,6 +125,8 @@ def _init_value(name: str, shape, rng: Rng, dtype):
     leaf = name.rsplit(".", 1)[-1]
     if leaf.startswith("b"):  # biases and layer-norm betas
         return np.zeros(shape, dtype=dtype)
+    if leaf == "wkv":  # format 4's separate wk and wv draws, side by side
+        return np.hstack([_init_value(name[:-2] + w, shape[:1] * 2, rng, dtype) for w in "kv"])
     return rng.child(f"init/{name}").truncated_normal(shape, std=0.02).astype(dtype)
 
 
@@ -163,9 +163,8 @@ def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None
     ``x`` itself, self-attention, when None); additive pre-softmax mask.
 
     Inputs are (..., L, d); a mask is a suffix of the (..., h, Lq, Lk)
-    scores, or a (B, 1, 1, Lk) per-row key mask. One bias-free (d, 2d)
-    ``wkv`` projects keys and values: a key bias cancels in the softmax, and
-    a value bias adds only ``bv @ wo`` to ``bo`` while the weights sum to 1.
+    scores, or a (B, 1, 1, Lk) per-row key mask. One (d, 2d) ``wkv``
+    projects keys and values with no key bias, which the softmax cancels.
 
     A ``cache`` (a DecoderCache, inference only) holds the keys and values
     under ``prefix``: self-attention writes this call's positions after its
@@ -183,7 +182,7 @@ def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None
     else:
         kv = cache.kv[prefix]
     dh = x.shape[-1] // n_heads
-    ctx = attention(q, kv, n_heads, 1.0 / math.sqrt(dh), mask,
+    ctx = attention(q, kv, p[f"{prefix}.bv"], n_heads, 1.0 / math.sqrt(dh), mask,
                     rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 

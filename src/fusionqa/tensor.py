@@ -154,6 +154,10 @@ class Tensor:
         return self.data.shape
 
     @property
+    def ndim(self):
+        return self.data.ndim
+
+    @property
     def dtype(self):
         return self.data.dtype
 
@@ -190,11 +194,10 @@ def _shrink(g, shape):
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
-    """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,),
-    or the product alone, with no bias gradient, when ``b`` is None.
-
-    It keeps one result array where the two ops kept two, and its vjp runs
-    their numpy operations, so values and gradients are bit-identical.
+    """``add(matmul(x, w), b)`` as one taped op: (..., n) @ (n, m) + (m,), or
+    the product alone when ``b`` is None. It keeps one result array where the
+    two ops kept two, and its vjp runs their numpy operations, so values and
+    gradients are bit-identical.
     """
     xd, wd = x.data, w.data
     b_shape = wd.shape[1:] if b is None else b.data.shape
@@ -259,32 +262,32 @@ def gelu(a: Tensor) -> Tensor:
     return _out(out, (a,), vjp)
 
 
-def attention(q: Tensor, kv: Tensor, n_heads: int, scale, mask: Tensor = None,
+def attention(q: Tensor, kv: Tensor, bv: Tensor, n_heads: int, scale, mask: Tensor = None,
               rate: float = 0.0, rng: Rng = None) -> Tensor:
     """Multi-head scaled dot-product attention as one taped op.
 
     ``q`` is (..., Lq, d) and ``kv`` the (..., Lk, 2d) keys, then values,
-    with the same leading axes; d splits into ``n_heads`` heads on the
-    trailing axis. Per head the weights are softmax(q @ kᵀ * scale + mask)
-    over the keys, max-subtracted; given an ``rng`` and a nonzero ``rate``
-    they take inverted dropout (one uniform draw of their (..., h, Lq, Lk)
-    shape). The result is the weighted sum of values with the heads merged
-    back, (..., Lq, d). ``mask`` is an additive constant: a suffix of the
-    scores, or as many axes as they have, each 1 or theirs (a (B, 1, 1, Lk)
-    key mask).
+    with the same leading axes; the (d,) ``bv`` adds to every value. d splits
+    into ``n_heads`` heads on the trailing axis. Per head the weights are
+    softmax(q @ kᵀ * scale + mask) over the keys, max-subtracted; given an
+    ``rng`` and a nonzero ``rate`` they take inverted dropout (one uniform
+    draw of their (..., h, Lq, Lk) shape). The result is the weighted sum of
+    values with the heads merged back, (..., Lq, d). ``mask`` is an additive
+    constant: a suffix of the scores, or as many axes as they have, each 1 or
+    theirs (a (B, 1, 1, Lk) key mask).
 
     The vjp keeps the weights and, under dropout, the keep scale and the
-    dropped weights, and writes the key and value gradients into one array.
-    Values and gradients are bit-identical to slicing ``kv``, splitting heads
-    with reshape and transpose, the softmax, dropout, a batched matmul and
-    the merge run as separate ops.
+    dropped weights. Values and gradients are bit-identical to slicing ``kv``,
+    adding ``bv``, splitting heads, the softmax, dropout, a matmul and the
+    merge run as separate ops.
     """
     qd, kvd = q.data, kv.data
     d = qd.shape[-1]
-    if qd.ndim < 2 or qd.shape[:-2] != kvd.shape[:-2] or kvd.shape[-1] != 2 * d or d % n_heads:
+    if (qd.ndim < 2 or qd.shape[:-2] != kvd.shape[:-2] or kvd.shape[-1] != 2 * d
+            or bv.data.shape != (d,) or d % n_heads):
         raise ShapeError(
-            f"attention: need (..., Lq, d) and (..., Lk, 2d) with d divisible by "
-            f"{n_heads} heads, got {qd.shape} and {kvd.shape}")
+            f"attention: need (..., Lq, d), (..., Lk, 2d) and (d,) with d divisible by "
+            f"{n_heads} heads, got {qd.shape}, {kvd.shape} and {bv.data.shape}")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
     c = float(scale)
@@ -294,7 +297,8 @@ def attention(q: Tensor, kv: Tensor, n_heads: int, scale, mask: Tensor = None,
     swap = lead + (n + 1, n, n + 2)  # (..., L, h, dh) <-> (..., h, L, dh)
     qh = np.transpose(qd.reshape(qd.shape[:-1] + heads), swap)
     kvh = kvd.reshape(kvd.shape[:-1] + (2,) + heads)  # (..., Lk, k|v, h, dh)
-    kh, vh = (np.transpose(kvh[..., i, :, :], swap) for i in (0, 1))
+    kh = np.transpose(kvh[..., 0, :, :], swap)
+    vh = np.transpose(kvh[..., 1, :, :] + bv.data.reshape(heads), swap)
     s = qh @ np.swapaxes(kh, -1, -2)
     s *= c
     if mask is not None:
@@ -316,18 +320,17 @@ def attention(q: Tensor, kv: Tensor, n_heads: int, scale, mask: Tensor = None,
     def vjp(g):
         g = np.transpose(g.reshape(qd.shape[:-1] + heads), swap)
         gp = g @ np.swapaxes(vh, -1, -2)
-        gkv = np.empty(kvh.shape, kvd.dtype)
-        gkv[..., 1, :, :] = np.transpose(np.swapaxes(p, -1, -2) @ g, swap)
+        gv = np.transpose(np.swapaxes(p, -1, -2) @ g, swap)
         if keep is not None:
             gp = gp * keep
         gs = s * (gp - (gp * s).sum(axis=-1, keepdims=True))
         gs = gs * c
         gq = gs @ kh
-        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-        gkv[..., 0, :, :] = np.transpose(gk, swap)
-        return np.transpose(gq, swap).reshape(qd.shape), gkv.reshape(kvd.shape)
+        gk = np.transpose(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), swap)
+        gkv = np.stack((gk, gv), axis=-3).reshape(kvd.shape)
+        return np.transpose(gq, swap).reshape(qd.shape), gkv, gv.sum(axis=lead + (n,)).reshape(d)
 
-    return _out(out, (q, kv), vjp)
+    return _out(out, (q, kv, bv), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:

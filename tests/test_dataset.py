@@ -27,7 +27,7 @@ from conftest import make_tiny_config
 
 
 def _header(raw):
-    """(header, header end) of format-4 checkpoint bytes (20-byte preamble)."""
+    """(header, header end) of format-5 checkpoint bytes (20-byte preamble)."""
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     return json.loads(raw[20:20 + header_len].decode()), 20 + header_len
 
@@ -312,15 +312,6 @@ class TestCheckpoint:
         self._edit_header(
             path, lambda h: h["tensors"].update({"rogue.weight": 0}))
         with pytest.raises(ValueError, match="rogue.weight"):
-            load_checkpoint(path)
-
-    def test_missing_tensor_rejected(self, tmp_path, tiny_vocab):
-        # a header without one of the config's tensors is caught by the
-        # walk over the config's layout, naming the first name it lacks
-        path = self._saved(tmp_path, tiny_vocab)
-        self._edit_header(path, lambda h: h["tensors"].pop("lm.embed"))
-        with pytest.raises(ValueError, match=r"the config implies more than the \d+ tensors "
-                                             r"the header names; the first missing is lm.embed"):
             load_checkpoint(path)
 
     def _saved(self, tmp_path, tiny_vocab):

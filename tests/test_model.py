@@ -539,15 +539,15 @@ class TestLayerWiring:
 
 def _old_layout_params(config, dtype):
     """Every tensor of checkpoint format 4's layout, which held ``wk``,
-    ``wv``, ``bk`` and ``bv`` where ``wkv`` now stands, drawn nonzero:
-    weights, biases and betas at std 0.1, gammas at 1 + N(0, 0.2²)."""
+    ``wv`` and ``bk`` where ``wkv`` now stands, drawn nonzero: weights,
+    biases and betas at std 0.1, gammas at 1 + N(0, 0.2²)."""
     shapes = []
     for name, shape in parameter_shapes(config):
         stem, leaf = name.rsplit(".", 1)
         if leaf == "wkv":
             d = shape[0]
             shapes += [(f"{stem}.{w}", (d, d)) for w in ("wk", "wv")]
-            shapes += [(f"{stem}.{b}", (d,)) for b in ("bk", "bv")]
+            shapes.append((f"{stem}.bk", (d,)))
         else:
             shapes.append((name, shape))
     draw = Rng(11)
@@ -563,16 +563,12 @@ def _old_layout_params(config, dtype):
 
 def _to_fused_layout(config, old, dtype):
     """Format-5 parameters with the function of the format-4 ``old``:
-    ``wkv`` is ``[wk | wv]``; ``bv`` folds into ``bo`` as ``bo + bv @ wo``,
-    since each row of attention weights sums to 1; ``bk`` goes, since the
-    softmax cancels it."""
+    ``wkv`` is ``[wk | wv]``; ``bk`` goes, since the softmax cancels it."""
     new = {}
     for name, _ in parameter_shapes(config):
         stem, leaf = name.rsplit(".", 1)
         if leaf == "wkv":
             value = np.concatenate([old[f"{stem}.wk"].data, old[f"{stem}.wv"].data], axis=1)
-        elif leaf == "bo":
-            value = old[name].data + old[f"{stem}.bv"].data @ old[f"{stem}.wo"].data
         else:
             value = old[name].data
         new[name] = Tensor(value, dtype=dtype)
@@ -581,16 +577,18 @@ def _to_fused_layout(config, old, dtype):
 
 def _old_layout_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None,
                           cache=None):
-    """Format 4's attention, eval pass without a cache: keys and values from
-    the separate ``wk``/``bk`` and ``wv``/``bv`` projections."""
-    assert rng is None and cache is None
+    """Format 4's attention without a cache: keys and values from the
+    separate ``wk``/``bk`` and ``wv``/``bv`` projections."""
+    assert cache is None
     p = model.params
     src = x if kv is None else kv
     q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     k = linear(src, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
     v = linear(src, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    ctx = attention(q, concat([k, v], axis=k.data.ndim - 1), n_heads,
-                    1.0 / math.sqrt(x.shape[-1] // n_heads), mask)
+    no_bias = Tensor(np.zeros(x.shape[-1], x.dtype))
+    ctx = attention(q, concat([k, v], axis=k.ndim - 1), no_bias, n_heads,
+                    1.0 / math.sqrt(x.shape[-1] // n_heads), mask,
+                    rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -606,10 +604,10 @@ def _greedy_by_teacher_forcing(model, enc, max_new_tokens):
 
 
 class TestKvLayoutMapping:
-    """A format-4 model with nonzero biases maps into the one bias-free
-    ``wkv`` layout with its function kept, up to float rounding: the
-    encoder states, teacher-forced logits and reranker logits, with images
-    in the vision encoder, and the greedy ids of the cached decoder."""
+    """A format-4 model with nonzero biases maps into the one-``wkv``
+    layout with its function kept, up to float rounding: the encoder
+    states, teacher-forced logits and reranker logits, with images in the
+    vision encoder, and the greedy ids of the cached decoder."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)],
                              ids=["float64", "float32"])
@@ -648,6 +646,31 @@ class TestKvLayoutMapping:
         assert len(set(want_ids)) > 1  # not one token repeated
         assert got_ids == want_ids
 
+    def test_mapping_holds_under_attention_dropout(self, tiny_vocab, monkeypatch):
+        # the key bias cancels before the weights take dropout and the value
+        # bias stays on the values, so a training pass makes the same states
+        config = make_tiny_config(tiny_vocab.size, layers=2, dropout=0.1)
+        old = MultimodalTransformer(config, _old_layout_params(config, np.float64))
+        new = MultimodalTransformer(config, _to_fused_layout(config, old.params, np.float64))
+        batch = pad_sequences([TokenSequence([5, 9, 6, EOS_ID]), TokenSequence([7, 8, EOS_ID])])
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "multi_head_attention", _old_layout_attention)
+            want = encode_multimodal(old, batch, rng=Rng(5)).states.data
+        got = encode_multimodal(new, batch, rng=Rng(5)).states.data
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(got - encode_multimodal(new, batch).states.data).max() > 1e-3
+
+    def test_wkv_draws_are_the_separate_projections(self):
+        # a random-init model keeps format 4's wk and wv draws side by side
+        config = make_tiny_config(50)
+        model = MultimodalTransformer.build(config, Rng(9))
+        d = config.lm.hidden_size
+        for name in ("vision.layer0.attn.wkv", "lm.decoder.layer0.cross_attn.wkv"):
+            halves = [Rng(9).child(f"init/{name[:-2]}{w}").truncated_normal((d, d), std=0.02)
+                      for w in "kv"]
+            want = np.concatenate(halves, axis=1).astype(np.float32)
+            assert model.params[name].data.tobytes() == want.tobytes()
+
 
 class TestProfiles:
     @pytest.mark.parametrize("name,d,enc,dec,heads", [
@@ -666,8 +689,9 @@ class TestProfiles:
         assert shapes[f"lm.encoder.layer{enc - 1}.attn.wq"] == (d, d)
         assert shapes[f"lm.decoder.layer{dec - 1}.cross_attn.wkv"] == (d, 2 * d)
         assert shapes["vision.layer0.attn.wkv"] == (d, 2 * d)
-        # one bias-free K/V projection: no key or value weight or bias of its own
-        assert not [n for n in shapes if n.rsplit(".", 1)[-1] in ("wk", "wv", "bk", "bv")]
+        assert shapes["vision.layer0.attn.bv"] == (d,)
+        # one K/V projection and no key bias
+        assert not [n for n in shapes if n.rsplit(".", 1)[-1] in ("wk", "wv", "bk")]
         assert shapes["lm.head.w_o"] == (100, d)
         assert shapes["cls_head.w2"] == (1, d)
         assert f"lm.encoder.layer{enc}.attn.wq" not in shapes
@@ -678,9 +702,9 @@ class TestProfiles:
         import hashlib
 
         names = [name for name, _ in parameter_shapes(model_profile("desk"))]
-        assert len(names) == 110
+        assert len(names) == 118
         assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
-            "066efaa900b9543e9fc4cd8e94fe190570b1082e1394bccaa952d0f13a8ce331"
+            "de9cdd050c3c652979a37c4c65c2ff46e782ff4a6eb73d585cf7c2966a3162b3"
 
     def test_vision_heads_must_divide_width(self):
         # the vision encoder runs at the language model's width

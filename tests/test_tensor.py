@@ -42,7 +42,7 @@ class TestForward:
     def test_softmax_symmetry(self):
         # identity values: the output rows are the attention weights
         kv = Tensor(np.concatenate([np.ones((2, 2)), np.eye(2)], axis=-1))
-        out = attention(Tensor(np.zeros((1, 2))), kv, 1, 1.0)
+        out = attention(Tensor(np.zeros((1, 2))), kv, Tensor(np.zeros(2)), 1, 1.0)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_matmul_identity(self):
@@ -232,9 +232,9 @@ class TestGradCheck:
             params = [t64(rng.normal((6,)))]
             fn = lambda ps: tsum(gelu(ps[0]))
         elif name == "softmax":
-            params = [t64(rng.normal((2, 4))), t64(rng.normal((5, 8)))]
-            fn = lambda ps: tsum(mul(attention(ps[0], ps[1], 2, 0.7),
-                                     attention(ps[0], ps[1], 2, 0.7)))
+            params = [t64(rng.normal((2, 4))), t64(rng.normal((5, 8))), t64(rng.normal((4,)))]
+            fn = lambda ps: tsum(mul(attention(ps[0], ps[1], ps[2], 2, 0.7),
+                                     attention(ps[0], ps[1], ps[2], 2, 0.7)))
         elif name == "layer_norm":
             x, g, b = t64(rng.normal((3, 7))), t64(rng.normal((7,))), t64(rng.normal((7,)))
             fn = lambda ps: tsum(tanh(layer_norm(ps[0], ps[1], ps[2])))
@@ -304,23 +304,24 @@ def _softmax_reference(a):
 def _attention_reference(q, k, c, mask):
     """The attention weights softmax(q @ kᵀ * c + mask) composed of separate
     ops, as the model ran them before they were fused."""
-    n = k.data.ndim
-    scores = _scale_reference(matmul(q, transpose(k, tuple(range(n - 2)) + (n - 1, n - 2))), c)
+    lead = tuple(range(k.ndim - 2))
+    scores = _scale_reference(matmul(q, transpose(k, lead + (k.ndim - 1, k.ndim - 2))), c)
     if mask is not None:
-        if mask.data.ndim == scores.data.ndim:
+        if mask.ndim == scores.ndim:
             mask = Tensor._wrap(np.broadcast_to(mask.data, scores.shape))
         scores = add(scores, mask)
     return _softmax_reference(scores)
 
 
-def _composed_attention(q, kv, n_heads, c, mask, rate=0.0, rng=None):
+def _composed_attention(q, kv, bv, n_heads, c, mask, rate=0.0, rng=None):
     """``attention`` as separate ops: keys and values sliced from ``kv``,
-    heads split by reshape and transpose, the weights, dropout, the weighted
-    sum of values and the merge."""
-    n = q.data.ndim - 2
+    the value bias added, heads split by reshape and transpose, the weights,
+    dropout, the weighted sum of values and the merge."""
+    n = q.ndim - 2
     d = q.shape[-1]
     lead = (slice(None),) * (n + 1)
-    k, v = slice_(kv, lead + (slice(0, d),)), slice_(kv, lead + (slice(d, 2 * d),))
+    k = slice_(kv, lead + (slice(0, d),))
+    v = add(slice_(kv, lead + (slice(d, 2 * d),)), bv)
     swap = tuple(range(n)) + (n + 1, n, n + 2)  # (..., L, h, dh) <-> (..., h, L, dh)
     dh = q.shape[-1] // n_heads
 
@@ -358,10 +359,11 @@ ATTENTION_CASES = [
 
 
 def _attention_inputs(q_shape, k_shape, kind, dtype, seed=0):
-    """q, the (..., Lk, 2d) keys and values, and the mask of one case."""
+    """q, the (..., Lk, 2d) keys and values, the (d,) value bias and the
+    mask of one case."""
     rng = Rng(seed)
-    q, kv = (Tensor(rng.normal(s), requires_grad=True, dtype=dtype)
-             for s in (q_shape, k_shape[:-1] + (2 * k_shape[-1],)))
+    q, kv, bv = (Tensor(rng.normal(s), requires_grad=True, dtype=dtype)
+                 for s in (q_shape, k_shape[:-1] + (2 * k_shape[-1],), k_shape[-1:]))
     lq, lk = q_shape[-2], k_shape[-2]
     mask = None
     if kind == "causal":
@@ -371,7 +373,7 @@ def _attention_inputs(q_shape, k_shape, kind, dtype, seed=0):
         # one row per leading index: (B, 1, 1, Lk), or (B, C, 1, 1, Lk) for 4-D operands
         rows = _key_mask(int(np.prod(q_shape[:-2])), lk, rng)
         mask = Tensor(rows.reshape(q_shape[:-2] + (1, 1, lk)), dtype=dtype)
-    return q, kv, mask
+    return q, kv, bv, mask
 
 
 def _grads(out_fn, params, upstream):
@@ -419,14 +421,14 @@ class TestFusedOps:
     def test_attention_probs_matches_composed_ops(self, q_shape, k_shape, heads, kind, rate):
         # the weights, their dropout and the context they make, bit for bit;
         # the key and value gradients share one array
-        q, kv, mask = _attention_inputs(q_shape, k_shape, kind, np.float32)
+        q, kv, bv, mask = _attention_inputs(q_shape, k_shape, kind, np.float32)
         upstream = Rng(1).normal(q_shape)
         c = 1.0 / math.sqrt(q_shape[-1] // heads)
-        fused = _grads(lambda: attention(q, kv, heads, c, mask, rate=rate, rng=Rng(4)),
-                       [q, kv], upstream)
-        composed = _grads(lambda: _composed_attention(q, kv, heads, c, mask, rate=rate,
+        fused = _grads(lambda: attention(q, kv, bv, heads, c, mask, rate=rate, rng=Rng(4)),
+                       [q, kv, bv], upstream)
+        composed = _grads(lambda: _composed_attention(q, kv, bv, heads, c, mask, rate=rate,
                                                       rng=Rng(4)),
-                          [q, kv], upstream)
+                          [q, kv, bv], upstream)
         assert fused[0].dtype == np.float32 and fused[0].shape == q_shape
         assert np.array_equal(fused[0], composed[0])
         for got, want in zip(fused[1], composed[1]):
@@ -435,23 +437,23 @@ class TestFusedOps:
     @pytest.mark.parametrize("q_shape, k_shape, heads, kind, rate", ATTENTION_CASES)
     def test_attention_probs_grad_check(self, q_shape, k_shape, heads, kind, rate):
         # a fresh Rng per call keeps the dropout keep mask fixed across probes
-        q, kv, mask = _attention_inputs(q_shape, k_shape, kind, np.float64, seed=2)
+        q, kv, bv, mask = _attention_inputs(q_shape, k_shape, kind, np.float64, seed=2)
         weights = Tensor(Rng(3).normal(q_shape), dtype=np.float64)
-        fn = lambda ps: tsum(mul(attention(ps[0], ps[1], heads, 0.6, mask, rate=rate,
+        fn = lambda ps: tsum(mul(attention(ps[0], ps[1], ps[2], heads, 0.6, mask, rate=rate,
                                            rng=Rng(5)), weights))
-        assert grad_check(fn, [q, kv], eps=1e-5) < 1e-7
+        assert grad_check(fn, [q, kv, bv], eps=1e-5) < 1e-7
 
     def test_attention_dropout_draws_the_weights_shape(self):
         # one uniform draw of (..., h, Lq, Lk) from the stream, as the
         # separate dropout op drew it; without an Rng the rate drops nothing
-        q, kv, _ = _attention_inputs((2, 4, 6), (2, 5, 6), None, np.float32)
+        q, kv, bv, _ = _attention_inputs((2, 4, 6), (2, 5, 6), None, np.float32)
         rng = Rng(8)
-        attention(q, kv, 3, 0.5, rate=0.1, rng=rng)
+        attention(q, kv, bv, 3, 0.5, rate=0.1, rng=rng)
         want = Rng(8)
         want.uniform((2, 3, 4, 5))
         assert rng.uniform() == want.uniform()
-        assert np.array_equal(attention(q, kv, 3, 0.5, rate=0.1).data,
-                              attention(q, kv, 3, 0.5).data)
+        assert np.array_equal(attention(q, kv, bv, 3, 0.5, rate=0.1).data,
+                              attention(q, kv, bv, 3, 0.5).data)
 
     def test_linear_grad_check(self):
         rng = Rng(6)
@@ -484,14 +486,16 @@ class TestFusedOps:
         with pytest.raises(ShapeError, match="linear"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
         ones = lambda *shape: Tensor(np.ones(shape))
-        with pytest.raises(ShapeError, match=r"attention: .* got \(2, 3\) and \(4, 3\)"):
-            attention(ones(2, 3), ones(4, 3), 1, 1.0)  # keys without values
+        with pytest.raises(ShapeError, match=r"attention: .* got \(2, 3\), \(4, 3\) and"):
+            attention(ones(2, 3), ones(4, 3), ones(3), 1, 1.0)  # keys without values
         with pytest.raises(ShapeError, match="attention"):
-            attention(ones(2, 2, 3), ones(3, 4, 6), 1, 1.0)  # leading axes differ
+            attention(ones(2, 2, 3), ones(3, 4, 6), ones(3), 1, 1.0)  # leading axes differ
+        with pytest.raises(ShapeError, match=r"attention: .* \(4, 6\) and \(6,\)"):
+            attention(ones(2, 3), ones(4, 6), ones(6), 1, 1.0)  # a bias over keys and values
         with pytest.raises(ShapeError, match="divisible by 2 heads"):
-            attention(ones(2, 3), ones(4, 6), 2, 1.0)
+            attention(ones(2, 3), ones(4, 6), ones(3), 2, 1.0)
         with pytest.raises(ShapeError, match=r"attention: mask \(3,\)"):
-            attention(ones(2, 3), ones(4, 6), 1, 1.0, Tensor(np.zeros(3)))
+            attention(ones(2, 3), ones(4, 6), ones(3), 1, 1.0, Tensor(np.zeros(3)))
         with pytest.raises(ShapeError, match=r"linear: .* \+ \(5,\)"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
@@ -508,10 +512,10 @@ class TestProperties:
         keys = np.zeros((n, n))
         keys[:, 0] = row
         kv = Tensor(np.concatenate([keys, np.eye(n)], axis=-1), dtype=np.float64)
-        s = attention(one, kv, 1, 1.0).data
+        s = attention(one, kv, Tensor(np.zeros(n)), 1, 1.0).data
         assert abs(s.sum() - 1.0) < 1e-6
         shift = Tensor(np.full((1, n), c), dtype=np.float64)
-        shifted = attention(one, kv, 1, 1.0, shift).data
+        shifted = attention(one, kv, Tensor(np.zeros(n)), 1, 1.0, shift).data
         assert np.max(np.abs(s - shifted)) < 1e-6
 
     @given(st.integers(0, 2**63 - 1))

@@ -657,7 +657,7 @@ class TestStackedVisionPass:
         per_image_loss, per_image = step()
         assert loss == per_image_loss
         assert sorted(grads) == sorted(per_image)
-        assert sum(map(_is_vision_bias_or_norm, grads)) == 19
+        assert sum(map(_is_vision_bias_or_norm, grads)) == 21
         for name, want in per_image.items():
             if _is_vision_bias_or_norm(name):
                 assert np.abs(grads[name] - want).max() <= tol * np.abs(want).max(), name
