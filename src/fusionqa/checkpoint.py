@@ -1,14 +1,14 @@
 """Binary model checkpoints: named float32 tensors plus a config snapshot.
 
-Layout (format 5): magic 'FQCK' | u32 format version | u64 header length |
+Layout (format 6): magic 'FQCK' | u32 format version | u64 header length |
 u32 CRC-32 of the header bytes | header JSON (sorted keys; the config
 snapshot and a name -> crc32 table, crc32 the zlib CRC-32 of the tensor's
 bytes) | payload of little-endian IEEE-754 float32 values.
 
 The payload holds the tensors in sorted-name order, each shaped as
 ``parameter_shapes(config)`` gives it, so the config and the names fix
-every tensor's shape and place. Only format 5 (one ``wkv`` per attention,
-where format 4 had ``wk``, ``wv`` and a key bias ``bk``) is read or written.
+every tensor's shape and place. Only format 6 (one depth and head count for
+all three stacks; format 5 stated them per stack) is read or written.
 
 Round trips are bit-exact and save(load(save(m))) is byte-identical.
 """
@@ -28,7 +28,7 @@ from fusionqa.model import MultimodalTransformer, parameter_shapes
 from fusionqa.tensor import Tensor
 
 MAGIC = b"FQCK"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # magic, u32 version, u64 header length, u32 header CRC-32
 _PREAMBLE = 20
 

@@ -48,6 +48,13 @@ def _load_model_and_vocab(model_path, vocab_path):
     return model, vocab
 
 
+def _check_outputs(*paths):
+    """Before any work: no given output may be a directory or lie in a missing one."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"output {path}: not a file in an existing directory")
+
+
 def _cmd_gen_synthetic(args):
     manifest = generate_corpora(
         args.out, seed=args.seed, n_entities=args.entities,
@@ -77,6 +84,7 @@ def _cmd_pretrain(args):
     stage = desk_stage_config(args.stage) if args.profile == "desk" \
         else pretrain_stage_defaults(args.stage)
     stage = _with_overrides(stage, epochs=args.epochs, global_batch=args.batch)
+    _check_outputs(args.out, args.trace)
     vocab = Vocab.load(args.vocab)
     corpus = load_pretrain_corpus(args.data)
     if args.init:
@@ -93,6 +101,7 @@ def _cmd_finetune(args, task):
     cfg = _with_overrides(cfg, epochs=args.epochs, global_batch=args.batch, lr=args.lr)
     if task == "qa" and args.extra_distractors < 0:
         raise ValueError(f"--extra-distractors must be >= 0, got {args.extra_distractors}")
+    _check_outputs(args.out, args.trace)
     model, vocab = _load_model_and_vocab(args.init, args.vocab)
     dataset = load_dataset(args.data)
     loader = make_image_loader()
@@ -108,6 +117,7 @@ def _cmd_finetune(args, task):
 
 def _cmd_rerank(args):
     sel = SelectionConfig(tau=args.tau, k=args.top_k)
+    _check_outputs(args.output)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     dataset = load_dataset(args.input)
     loader = make_image_loader()
@@ -124,6 +134,7 @@ def _cmd_rerank(args):
 
 def _cmd_answer(args):
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
+    _check_outputs(args.output)
     model, vocab = _load_model_and_vocab(args.model, args.vocab)
     check_max_new_tokens(model, gen)  # the bound is the checkpoint's: before any output
     loader = make_image_loader()
@@ -148,6 +159,7 @@ def _cmd_answer(args):
 def _cmd_eval(args):
     sel = SelectionConfig(tau=args.tau, k=args.top_k)
     gen = GenerationConfig(max_new_tokens=args.max_new_tokens)
+    _check_outputs(args.output)
     reranker_model, vocab = _load_model_and_vocab(args.reranker, args.vocab)
     qa_model = load_checkpoint(args.qa)
     check_max_new_tokens(qa_model, gen)

@@ -1,8 +1,8 @@
 """Dataclass configs for model construction, selection, generation, training.
 
 Named profiles: ``base`` and ``large`` mirror the published component table
-(hidden 768, 12/12 layers, 12 heads; hidden 1024, 24/24 layers, 16 heads)
-and are constructible for shape checks; ``desk`` is the small configuration
+(hidden 768, 12 layers, 12 heads; hidden 1024, 24 layers, 16 heads) and are
+constructible for shape checks; ``desk`` is the small configuration
 everything in this repo actually trains.
 """
 
@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 @dataclass
 class VisionConfig:
-    """The vision encoder; its width is the language model's
-    ``lm.hidden_size``, and its dropout rate ``lm.dropout_rate``."""
+    """The vision encoder's image geometry; its width, depth, head count
+    and dropout rate are the language model's ``lm`` values."""
 
     patch_size: int = 8
-    n_layers: int = 2
-    n_heads: int = 4
     image_size: int = 32
 
     def __post_init__(self):
@@ -39,8 +37,7 @@ class VisionConfig:
 @dataclass
 class LmConfig:
     hidden_size: int = 64
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
+    n_layers: int = 2
     n_heads: int = 4
     vocab_size: int = 512
     max_len: int = 256
@@ -61,13 +58,6 @@ class LmConfig:
 class ModelConfig:
     vision: VisionConfig = field(default_factory=VisionConfig)
     lm: LmConfig = field(default_factory=LmConfig)
-
-    def __post_init__(self):
-        if self.lm.hidden_size % self.vision.n_heads:
-            raise ValueError(
-                f"lm hidden_size {self.lm.hidden_size} not divisible by "
-                f"vision n_heads {self.vision.n_heads}"
-            )
 
     @property
     def n_img_tokens(self) -> int:
@@ -195,15 +185,15 @@ def model_profile(name: str, vocab_size: int = 512) -> ModelConfig:
     component table, 'desk' is the trainable small configuration."""
     if name == "base":
         return ModelConfig(
-            vision=VisionConfig(patch_size=16, n_layers=12, n_heads=12, image_size=224),
-            lm=LmConfig(hidden_size=768, n_enc_layers=12, n_dec_layers=12, n_heads=12,
-                        vocab_size=vocab_size, max_len=512, dropout_rate=0.05),
+            vision=VisionConfig(patch_size=16, image_size=224),
+            lm=LmConfig(hidden_size=768, n_layers=12, n_heads=12, vocab_size=vocab_size,
+                        max_len=512, dropout_rate=0.05),
         )
     if name == "large":
         return ModelConfig(
-            vision=VisionConfig(patch_size=16, n_layers=24, n_heads=16, image_size=224),
-            lm=LmConfig(hidden_size=1024, n_enc_layers=24, n_dec_layers=24, n_heads=16,
-                        vocab_size=vocab_size, max_len=512, dropout_rate=0.1),
+            vision=VisionConfig(patch_size=16, image_size=224),
+            lm=LmConfig(hidden_size=1024, n_layers=24, n_heads=16, vocab_size=vocab_size,
+                        max_len=512, dropout_rate=0.1),
         )
     if name == "desk":
         return ModelConfig(vision=VisionConfig(), lm=LmConfig(vocab_size=vocab_size))

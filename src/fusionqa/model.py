@@ -84,9 +84,9 @@ def parameter_shapes(config: ModelConfig):
     v = config.vision
     lm = config.lm
 
-    def stack(prefix, n_positions, n_layers, attns):
+    def stack(prefix, n_positions, attns):
         yield f"{prefix}.pos_emb", (n_positions, d)
-        for i in range(n_layers):
+        for i in range(lm.n_layers):
             layer = f"{prefix}.layer{i}"
             for attn in attns:
                 for w, width in (("wq", d), ("wkv", 2 * d), ("wo", d)):
@@ -105,10 +105,10 @@ def parameter_shapes(config: ModelConfig):
 
     yield "vision.patch_proj.weight", (v.patch_size * v.patch_size * 3, d)
     yield "vision.patch_proj.bias", (d,)
-    yield from stack("vision", v.n_patches, v.n_layers, ENCODER_ATTNS)
+    yield from stack("vision", v.n_patches, ENCODER_ATTNS)
     yield "lm.embed", (lm.vocab_size, d)
-    yield from stack("lm.encoder", lm.max_len, lm.n_enc_layers, ENCODER_ATTNS)
-    yield from stack("lm.decoder", lm.max_len, lm.n_dec_layers, DECODER_ATTNS)
+    yield from stack("lm.encoder", lm.max_len, ENCODER_ATTNS)
+    yield from stack("lm.decoder", lm.max_len, DECODER_ATTNS)
 
     yield "lm.head.w_o", (lm.vocab_size, d)
     yield "lm.head.b_o", (lm.vocab_size,)
@@ -157,10 +157,9 @@ def _layer_norm_named(model, prefix, x):
     return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
 
 
-def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None,
-                         cache=None):
-    """Scaled dot-product attention over h heads from ``x`` to ``kv`` (to
-    ``x`` itself, self-attention, when None); additive pre-softmax mask.
+def multi_head_attention(model, prefix, x, kv=None, mask=None, rng=None, cache=None):
+    """Scaled dot-product attention over h = ``lm.n_heads`` heads from ``x``
+    to ``kv`` (``x`` itself, self-attention, when None); additive pre-softmax mask.
 
     Inputs are (..., L, d); a mask is a suffix of the (..., h, Lq, Lk)
     scores, or a (B, 1, 1, Lk) per-row key mask. One (d, 2d) ``wkv``
@@ -181,9 +180,9 @@ def multi_head_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None
         kv = cache.kv[prefix] = linear(kv, w)
     else:
         kv = cache.kv[prefix]
-    dh = x.shape[-1] // n_heads
-    ctx = attention(q, kv, p[f"{prefix}.bv"], n_heads, 1.0 / math.sqrt(dh), mask,
-                    rate=model.config.lm.dropout_rate, rng=rng)
+    n_heads = model.config.lm.n_heads
+    ctx = attention(q, kv, p[f"{prefix}.bv"], n_heads, 1.0 / math.sqrt(x.shape[-1] // n_heads),
+                    mask, rate=model.config.lm.dropout_rate, rng=rng)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -194,28 +193,27 @@ def _mlp(model, prefix, x, rng):
     return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def transformer_block(model, prefix, x, n_heads, attns, rng=None, cache=None):
+def transformer_block(model, prefix, x, attns, rng=None, cache=None):
     """Pre-norm residual layer: each attention of ``attns``, ordered (name,
     kv, mask) triples, behind ``norm{i}`` (i from 1) and dropout, then the
     MLP behind ``norm{len(attns) + 1}`` and dropout."""
     rate = model.config.lm.dropout_rate
     for i, (name, kv, mask) in enumerate(attns, 1):
         normed = _layer_norm_named(model, f"{prefix}.norm{i}", x)
-        attn = multi_head_attention(model, f"{prefix}.{name}", normed, n_heads, kv=kv,
-                                    mask=mask, rng=rng, cache=cache)
+        attn = multi_head_attention(model, f"{prefix}.{name}", normed, kv=kv, mask=mask,
+                                    rng=rng, cache=cache)
         x = add(x, dropout(attn, rate, rng=rng))
     normed = _layer_norm_named(model, f"{prefix}.norm{len(attns) + 1}", x)
     return add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
 
 
-def run_stack(model, prefix, x, pos, n_layers, n_heads, attns, rng=None, cache=None):
+def run_stack(model, prefix, x, pos, attns, rng=None, cache=None):
     """The vision encoder, LM encoder or LM decoder under ``prefix``: inputs
-    ``x`` plus their position rows ``pos``, dropout, the ``n_layers``
+    ``x`` plus their position rows ``pos``, dropout, the ``lm.n_layers``
     ``transformer_block``s over ``attns``, then ``{prefix}.final_norm``."""
     x = dropout(add(x, pos), model.config.lm.dropout_rate, rng=rng)
-    for i in range(n_layers):
-        x = transformer_block(model, f"{prefix}.layer{i}", x, n_heads, attns, rng=rng,
-                              cache=cache)
+    for i in range(model.config.lm.n_layers):
+        x = transformer_block(model, f"{prefix}.layer{i}", x, attns, rng=rng, cache=cache)
     return _layer_norm_named(model, f"{prefix}.final_norm", x)
 
 
@@ -297,8 +295,7 @@ def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
                image_rows(model, images, rng=rng), seq.ids == IMG_ID)
     x = run_stack(model, "lm.encoder", x,
                   slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)),
-                  cfg.n_enc_layers, cfg.n_heads, [(name, None, mask) for name in ENCODER_ATTNS],
-                  rng=rng)
+                  [(name, None, mask) for name in ENCODER_ATTNS], rng=rng)
     return EncoderStates(x, np.asarray(seq.attention_mask))
 
 
@@ -334,7 +331,7 @@ def decoder_hidden(model, enc: EncoderStates, dec_input_ids, rng=None,
                       key_padding_mask(enc.attention_mask, model.dtype)]))
     hidden = run_stack(model, "lm.decoder", embedding_lookup(model.params["lm.embed"], ids),
                        slice_(model.params["lm.decoder.pos_emb"], (slice(start, start + t_len),)),
-                       cfg.n_dec_layers, cfg.n_heads, attns, rng=rng, cache=cache)
+                       attns, rng=rng, cache=cache)
     if cache is not None:
         cache.length = start + t_len
     return hidden

@@ -328,16 +328,21 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
                      answer_style: str = "short") -> dict:
     """Write scene images, pretraining corpora, QA splits, and the vocab file.
 
-    Everything is a pure function of the seed; rerunning overwrites with
-    byte-identical content.
+    Everything is a pure function of the seed; reruns overwrite byte-identically,
+    and asking for more questions than the world has facts writes nothing.
     """
     rng = Rng(seed)
+    world = generate_world(rng.child("world"), n_entities=n_entities)
+    keys = question_keys(world)
+    n_total = n_train + n_heldout
+    if n_total > len(keys):
+        raise ValueError(
+            f"asked for {n_total} questions but the world only has {len(keys)} facts"
+        )
     os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
 
     for idx, spec in enumerate(SCENE_SPECS):
         save_image_ppm(render_scene(spec), os.path.join(outdir, _scene_path(idx)))
-
-    world = generate_world(rng.child("world"), n_entities=n_entities)
 
     def write_pretrain(name, samples, kind):
         with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
@@ -353,13 +358,7 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     write_pretrain("pretrain_stage3.jsonl",
                    vqa_samples(n_vqa, rng.child("vqa")), "vqa")
 
-    keys = question_keys(world)
     order = rng.child("split").permutation(len(keys))
-    n_total = n_train + n_heldout
-    if n_total > len(keys):
-        raise ValueError(
-            f"asked for {n_total} questions but the world only has {len(keys)} facts"
-        )
     chosen = [keys[int(i)] for i in order[:n_total]]
 
     # the "v0" id suffix and the "/0" rng tag are part of every corpus written

@@ -413,6 +413,7 @@ def concat(tensors, axis=0) -> Tensor:
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
     ref = tensors[0].data.shape
+    axis = axis + len(ref) if axis < 0 else axis
     for t in tensors[1:]:
         s = t.data.shape
         if len(s) != len(ref) or s[:axis] + s[axis + 1:] != ref[:axis] + ref[axis + 1:]:

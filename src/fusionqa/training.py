@@ -64,7 +64,7 @@ def param_lrs(model, rates: dict[str, float | None]) -> dict[str, float]:
     one that is absent or None stays frozen. The vision encoder's rate
     decays by ``VISION_LLRD_FACTOR`` per layer below the top: the patch
     projection and ``pos_emb`` sit at depth 0, the final norm at the top."""
-    top = model.config.vision.n_layers - 1
+    top = model.config.lm.n_layers - 1
     lrs = {}
     for name in model.params:
         component, _, rest = name.partition(".")

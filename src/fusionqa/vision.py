@@ -51,7 +51,7 @@ def encode_images(model, images, rng=None) -> Tensor:
     p = model.params
     x = linear(Tensor(np.stack(patches), dtype=model.dtype), p["vision.patch_proj.weight"],
                p["vision.patch_proj.bias"])
-    out = run_stack(model, "vision", x, p["vision.pos_emb"], cfg.n_layers, cfg.n_heads,
+    out = run_stack(model, "vision", x, p["vision.pos_emb"],
                     [(name, None, None) for name in ENCODER_ATTNS], rng=rng)
     return reshape(out, (len(patches) * cfg.n_patches, out.shape[-1]))
 
@@ -62,12 +62,13 @@ def encode_image(model, img: Image, rng=None) -> Tensor:
 
 
 def _vision_key(model, weights) -> bytes:
-    """Digest of the vision config, dtype and ``weights``, the model's
-    (name, bytes) list of vision.* tensors. The digest is kept on the model
-    beside the bytes it was taken from; a call that finds the weights
+    """Digest of the vision config, head count, dtype and ``weights``, the
+    model's (name, bytes) list of vision.* tensors. The digest is kept on the
+    model beside the bytes it was taken from; a call that finds the weights
     bit-identical to them reuses it, so hashing reruns only after a change."""
     if model._vision_key is None or model._vision_key[1] != weights:
-        h = hashlib.blake2b(repr((model.config.vision, model.dtype)).encode(), digest_size=16)
+        tag = (model.config.vision, model.config.lm.n_heads, model.dtype)
+        h = hashlib.blake2b(repr(tag).encode(), digest_size=16)
         for name, bits in sorted(weights):
             h.update(name.encode())
             h.update(bits)

@@ -65,11 +65,9 @@ def tiny_vocab():
 def make_tiny_config(vocab_size, d=32, heads=2, layers=1, image_size=16, patch=8,
                      max_len=128, dropout=0.0):
     return ModelConfig(
-        vision=VisionConfig(patch_size=patch, n_layers=layers, n_heads=heads,
-                            image_size=image_size),
-        lm=LmConfig(hidden_size=d, n_enc_layers=layers, n_dec_layers=layers,
-                    n_heads=heads, vocab_size=vocab_size, max_len=max_len,
-                    dropout_rate=dropout),
+        vision=VisionConfig(patch_size=patch, image_size=image_size),
+        lm=LmConfig(hidden_size=d, n_layers=layers, n_heads=heads, vocab_size=vocab_size,
+                    max_len=max_len, dropout_rate=dropout),
     )
 
 

@@ -27,7 +27,7 @@ from conftest import make_tiny_config
 
 
 def _header(raw):
-    """(header, header end) of format-5 checkpoint bytes (20-byte preamble)."""
+    """(header, header end) of format-6 checkpoint bytes (20-byte preamble)."""
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     return json.loads(raw[20:20 + header_len].decode()), 20 + header_len
 
@@ -332,7 +332,7 @@ class TestCheckpoint:
 
     def test_short_file_names_size(self, tmp_path):
         p = tmp_path / "short.ckpt"
-        p.write_bytes(b"FQCK" + struct.pack("<I", 5) + b"\x00\x00")
+        p.write_bytes(b"FQCK" + struct.pack("<I", 6) + b"\x00\x00")
         with pytest.raises(ValueError, match=r"short.ckpt: file is 10 bytes, shorter than the 20-byte"):
             load_checkpoint(p)
 
@@ -376,11 +376,8 @@ class TestCheckpoint:
         (lambda c: c.update(dropout_rate=0.1), r"unknown config fields \['dropout_rate'\]"),
         (lambda c: c["vision"].update(image_size=33),
          r"vision image_size 33 is not a multiple of patch_size 8"),
-        (lambda c: c["vision"].update(n_heads=3),
-         r"lm hidden_size 32 not divisible by vision n_heads 3"),
     ], ids=["unknown", "zero_heads", "string_size", "null_rate", "rate_above_one",
-            "rate_one", "huge_int_rate", "unknown_top_level", "image_not_patch_multiple",
-            "vision_heads"])
+            "rate_one", "huge_int_rate", "unknown_top_level", "image_not_patch_multiple"])
     def test_malformed_config_field(self, tmp_path, tiny_vocab, edit, message):
         path = self._saved(tmp_path, tiny_vocab)
         self._edit_header(path, lambda h: edit(h["config"]))
@@ -414,13 +411,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path, tiny_vocab):
-        # the formats 1 to 4 of earlier releases are rejected like any other
+        # the formats 1 to 5 of earlier releases are rejected like any other
         path = self._saved(tmp_path, tiny_vocab)
         raw = path.read_bytes()
-        for version in (1, 2, 3, 4, 6):
+        for version in (1, 2, 3, 4, 5, 7):
             path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
             with pytest.raises(ValueError, match=rf"m.ckpt: format version {version} "
-                                                 r"unsupported \(expected 5\)"):
+                                                 r"unsupported \(expected 6\)"):
                 load_checkpoint(path)
 
     def test_header_edit_fails_its_crc(self, tmp_path, tiny_vocab):
@@ -446,7 +443,7 @@ class TestCheckpoint:
 
     def test_huge_layer_count_rejected_within_the_header_table(self, tmp_path, tiny_vocab,
                                                               capsys, monkeypatch):
-        # a config implying 10**7 encoder layers behind a recomputed header CRC:
+        # a config implying 10**7 layers per stack behind a recomputed header CRC:
         # the loader walks at most one shape past the header's tensor table
         import fusionqa.checkpoint as checkpoint_module
         from fusionqa.cli import main
@@ -461,10 +458,10 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint_module, "parameter_shapes", counting)
         path = self._saved(tmp_path, tiny_vocab)
-        self._edit_header(path, lambda h: h["config"]["lm"].update(n_enc_layers=10**7))
+        self._edit_header(path, lambda h: h["config"]["lm"].update(n_layers=10**7))
         n_tensors = len(_header(path.read_bytes())[0]["tensors"])
         message = (f"checkpoint {path}: the config implies more than the {n_tensors} tensors "
-                   "the header names; the first missing is lm.encoder.layer1.attn.wq")
+                   "the header names; the first missing is vision.layer1.attn.wq")
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == message
@@ -483,7 +480,7 @@ class TestCheckpoint:
         restored = config_from_dict(config_to_dict(cfg))
         assert restored == cfg
         assert restored.lm.hidden_size == 768
-        assert restored.lm.n_enc_layers == restored.lm.n_dec_layers == 12
+        assert restored.lm.n_layers == restored.lm.n_heads == 12
 
 
 # JSON values of every kind, with integers past float range and small sizes
@@ -538,7 +535,6 @@ class TestConfigFuzz:
         # what loads describes a model that can be built
         assert cfg.vision.image_size % cfg.vision.patch_size == 0
         assert cfg.lm.hidden_size % cfg.lm.n_heads == 0
-        assert cfg.lm.hidden_size % cfg.vision.n_heads == 0
         assert 0.0 <= cfg.lm.dropout_rate < 1.0
 
 

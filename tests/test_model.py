@@ -469,12 +469,12 @@ def _norm(model, prefix, x):
     return layer_norm(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"])
 
 
-def _encoder_layer(model, prefix, x, n_heads, mask, rng):
+def _encoder_layer(model, prefix, x, mask, rng):
     """An encoder layer written out: norm1, self-attention, dropout, add;
     norm2, MLP, dropout, add."""
     rate = model.config.lm.dropout_rate
     h = _norm(model, f"{prefix}.norm1", x)
-    attn = multi_head_attention(model, f"{prefix}.attn", h, n_heads, mask=mask, rng=rng)
+    attn = multi_head_attention(model, f"{prefix}.attn", h, mask=mask, rng=rng)
     x = add(x, dropout(attn, rate, rng=rng))
     h = _norm(model, f"{prefix}.norm2", x)
     return add(x, dropout(_mlp(model, f"{prefix}.mlp", h, rng), rate, rng=rng))
@@ -493,7 +493,7 @@ class TestLayerWiring:
                           dtype=model.dtype),
                    p["vision.patch_proj.weight"], p["vision.patch_proj.bias"])
         x = dropout(add(x, p["vision.pos_emb"]), rate, rng=rng)
-        x = _encoder_layer(model, "vision.layer0", x, model.config.vision.n_heads, None, rng)
+        x = _encoder_layer(model, "vision.layer0", x, None, rng)
         want = _norm(model, "vision.final_norm", x)
         got = encode_image(model, scene_image_16, rng=Rng(5))
         np.testing.assert_array_equal(got.data, want.data)
@@ -505,7 +505,7 @@ class TestLayerWiring:
         rng = Rng(6)
         x = embedding_lookup(p["lm.embed"], seq.ids)
         x = dropout(add(x, slice_(p["lm.encoder.pos_emb"], (slice(0, 4),))), rate, rng=rng)
-        x = _encoder_layer(model, "lm.encoder.layer0", x, model.config.lm.n_heads,
+        x = _encoder_layer(model, "lm.encoder.layer0", x,
                            key_padding_mask(seq.attention_mask, model.dtype), rng)
         want = _norm(model, "lm.encoder.final_norm", x)
         got = encode_multimodal(model, seq, rng=Rng(6)).states
@@ -513,7 +513,7 @@ class TestLayerWiring:
 
     def test_decoder_layer(self, tiny_vocab):
         model = _wiring_model(tiny_vocab.size)
-        p, rate, heads = model.params, model.config.lm.dropout_rate, model.config.lm.n_heads
+        p, rate = model.params, model.config.lm.dropout_rate
         enc = encode_multimodal(model, pad_sequences([TokenSequence([5, 9, 6, EOS_ID]),
                                                       TokenSequence([7, EOS_ID])]))
         ids = np.array([[3, 5, 6], [7, 8, PAD_ID]])
@@ -522,11 +522,11 @@ class TestLayerWiring:
         x = embedding_lookup(p["lm.embed"], ids)
         x = dropout(add(x, slice_(p["lm.decoder.pos_emb"], (slice(0, 3),))), rate, rng=rng)
         h = _norm(model, f"{pre}.norm1", x)
-        attn = multi_head_attention(model, f"{pre}.self_attn", h, heads,
+        attn = multi_head_attention(model, f"{pre}.self_attn", h,
                                     mask=causal_mask(3, model.dtype), rng=rng)
         x = add(x, dropout(attn, rate, rng=rng))
         h = _norm(model, f"{pre}.norm2", x)
-        attn = multi_head_attention(model, f"{pre}.cross_attn", h, heads, kv=enc.states,
+        attn = multi_head_attention(model, f"{pre}.cross_attn", h, kv=enc.states,
                                     mask=key_padding_mask(enc.attention_mask, model.dtype),
                                     rng=rng)
         x = add(x, dropout(attn, rate, rng=rng))
@@ -575,12 +575,11 @@ def _to_fused_layout(config, old, dtype):
     return new
 
 
-def _old_layout_attention(model, prefix, x, n_heads, kv=None, mask=None, rng=None,
-                          cache=None):
+def _old_layout_attention(model, prefix, x, kv=None, mask=None, rng=None, cache=None):
     """Format 4's attention without a cache: keys and values from the
     separate ``wk``/``bk`` and ``wv``/``bv`` projections."""
     assert cache is None
-    p = model.params
+    p, n_heads = model.params, model.config.lm.n_heads
     src = x if kv is None else kv
     q = linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     k = linear(src, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
@@ -673,28 +672,26 @@ class TestKvLayoutMapping:
 
 
 class TestProfiles:
-    @pytest.mark.parametrize("name,d,enc,dec,heads", [
-        ("base", 768, 12, 12, 12),
-        ("large", 1024, 24, 24, 16),
+    @pytest.mark.parametrize("name,d,layers,heads", [
+        ("base", 768, 12, 12),
+        ("large", 1024, 24, 16),
     ])
-    def test_published_profile_shapes(self, name, d, enc, dec, heads):
+    def test_published_profile_shapes(self, name, d, layers, heads):
         cfg = model_profile(name, vocab_size=100)
         assert cfg.lm.hidden_size == d
-        assert cfg.lm.n_enc_layers == enc
-        assert cfg.lm.n_dec_layers == dec
-        assert cfg.lm.n_heads == heads == cfg.vision.n_heads
-        assert cfg.vision.n_layers == enc
+        assert cfg.lm.n_layers == layers
+        assert cfg.lm.n_heads == heads
         shapes = dict(parameter_shapes(cfg))
         assert shapes["lm.embed"] == (100, d)
-        assert shapes[f"lm.encoder.layer{enc - 1}.attn.wq"] == (d, d)
-        assert shapes[f"lm.decoder.layer{dec - 1}.cross_attn.wkv"] == (d, 2 * d)
+        assert shapes[f"lm.encoder.layer{layers - 1}.attn.wq"] == (d, d)
+        assert shapes[f"lm.decoder.layer{layers - 1}.cross_attn.wkv"] == (d, 2 * d)
         assert shapes["vision.layer0.attn.wkv"] == (d, 2 * d)
         assert shapes["vision.layer0.attn.bv"] == (d,)
         # one K/V projection and no key bias
         assert not [n for n in shapes if n.rsplit(".", 1)[-1] in ("wk", "wv", "bk")]
         assert shapes["lm.head.w_o"] == (100, d)
         assert shapes["cls_head.w2"] == (1, d)
-        assert f"lm.encoder.layer{enc}.attn.wq" not in shapes
+        assert f"lm.encoder.layer{layers}.attn.wq" not in shapes
 
     def test_desk_parameter_order_pinned(self):
         # gradient clipping sums squares in this order, so moving a name
@@ -706,12 +703,22 @@ class TestProfiles:
         assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
             "de9cdd050c3c652979a37c4c65c2ff46e782ff4a6eb73d585cf7c2966a3162b3"
 
-    def test_vision_heads_must_divide_width(self):
-        # the vision encoder runs at the language model's width
-        from fusionqa.config import LmConfig, ModelConfig, VisionConfig
+    @pytest.mark.parametrize("name", ["desk", "base", "large"])
+    def test_one_depth_and_head_count_for_every_stack(self, name):
+        # format 5's config stated them per stack; one lm value now serves all three
+        from fusionqa.config import config_from_dict, config_to_dict
 
-        with pytest.raises(ValueError, match="lm hidden_size 32 not divisible by vision n_heads 3"):
-            ModelConfig(vision=VisionConfig(n_heads=3), lm=LmConfig(hidden_size=32, n_heads=4))
+        cfg = model_profile(name, vocab_size=100)
+        for stack in ("vision", "lm.encoder", "lm.decoder"):
+            layers = {n[len(stack) + 1:].split(".", 1)[0] for n, _ in parameter_shapes(cfg)
+                      if n.startswith(f"{stack}.layer")}
+            assert layers == {f"layer{i}" for i in range(cfg.lm.n_layers)}, stack
+        for section, key in (("vision", "n_heads"), ("vision", "n_layers"),
+                             ("lm", "n_enc_layers")):
+            d = config_to_dict(cfg)
+            d[section][key] = 2
+            with pytest.raises(ValueError, match=rf"unknown {section} config fields \['{key}'\]"):
+                config_from_dict(d)
 
     @pytest.mark.parametrize("image_size,patch_size", [(32, 64), (33, 8), (20, 8)])
     def test_image_size_must_be_patch_multiple(self, image_size, patch_size):

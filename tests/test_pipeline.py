@@ -451,6 +451,58 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("pretrain", "--out"), ("pretrain", "--trace"), ("finetune-reranker", "--out"),
+        ("finetune-qa", "--trace"), ("rerank", "--output"), ("answer", "--output"),
+        ("eval", "--output"),
+    ])
+    @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+    def test_unwritable_output_reported_before_any_work(self, tmp_path, corpora_dir, qa_ckpt,
+                                                        capsys, monkeypatch, command, flag,
+                                                        where):
+        # the inputs are valid, so only the output check can stop the command
+        # before it reads a file or trains
+        import fusionqa.cli as cli
+
+        ran = []
+        for name in ("load_checkpoint", "load_pretrain_corpus", "load_dataset", "read_jsonl",
+                     "run_pretrain_stage", "finetune_reranker", "finetune_qa", "rerank",
+                     "generate", "evaluate_dataset"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
+        monkeypatch.setattr(cli.Vocab, "load", lambda *a, **k: ran.append("Vocab.load"))
+        bad = tmp_path / "nodir" / "x" if where == "missing_dir" else tmp_path / "a_dir"
+        if where == "is_dir":
+            bad.mkdir()
+        outs = {"--out": tmp_path / "m.ckpt", "--trace": tmp_path / "t.csv",
+                "--output": tmp_path / "o.jsonl"}
+        ckpt, data = str(qa_ckpt), str(corpora_dir / "qa_heldout.jsonl")
+        argv = {
+            "pretrain": ["--stage", "2", "--data", str(corpora_dir / "pretrain_stage2.jsonl")],
+            "finetune-reranker": ["--init", ckpt, "--data", data],
+            "finetune-qa": ["--init", ckpt, "--data", data],
+            "rerank": ["--model", ckpt, "--input", data],
+            "answer": ["--model", ckpt, "--input", data],
+            "eval": ["--reranker", ckpt, "--qa", ckpt, "--data", data],
+        }[command]
+        for opt in (["--output"] if command in ("rerank", "answer", "eval")
+                    else ["--out", "--trace"]):
+            argv += [opt, str(bad if opt == flag else outs[opt])]
+        vocab = str(corpora_dir / "vocab.txt")
+        assert main([command, "--vocab", vocab] + argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: output {bad}: not a file in an existing directory" in err
+        assert ran == []
+        assert not any(out.exists() for out in outs.values())
+        assert where == "is_dir" or not bad.parent.exists()
+
+    def test_gen_synthetic_question_count_checked_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "corpora"
+        assert main(["gen-synthetic", "--out", str(out), "--entities", "20",
+                     "--train-questions", "1000", "--heldout-questions", "4"]) == 1
+        assert ("error: asked for 1004 questions but the world only has 100 facts"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")
         model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))

@@ -499,6 +499,19 @@ class TestFusedOps:
         with pytest.raises(ShapeError, match=r"linear: .* \+ \(5,\)"):
             linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
+    def test_concat_negative_axis_is_counted_from_the_end(self):
+        rng = Rng(3)
+        x, y = t64(rng.normal((2, 3))), t64(rng.normal((2, 4)))
+        upstream = rng.normal((2, 7))
+        want_out, want_grads = _grads(lambda: concat([x, y], axis=1), [x, y], upstream)
+        got_out, got_grads = _grads(lambda: concat([x, y], axis=-1), [x, y], upstream)
+        assert got_out.shape == (2, 7)
+        assert np.array_equal(got_out, want_out)
+        for got, want in zip(got_grads, want_grads):
+            assert np.array_equal(got, want)
+        with pytest.raises(ShapeError, match=r"concat: shapes \(2, 3\) and \(3, 4\) differ off"):
+            concat([x, t64(rng.normal((3, 4)))], axis=-1)
+
 
 class TestProperties:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12), st.floats(-30, 30))

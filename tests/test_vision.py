@@ -196,6 +196,18 @@ class TestImageRows:
             image_rows(other, [img])
         assert encoded == [img, img]
 
+    def test_identical_vision_weights_under_another_head_count_get_fresh_rows(
+            self, tiny_vocab, scene_image_16):
+        # the head count lives in the lm config, not in the vision weights
+        two = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, heads=2), Rng(7))
+        four = MultimodalTransformer(make_tiny_config(tiny_vocab.size, heads=4), two.params)
+        img = Image(scene_image_16.pixels.copy())
+        with no_grad():
+            served = image_rows(two, [img])[0]
+            rows = image_rows(four, [img])[0]
+            np.testing.assert_array_equal(rows.data, encode_image(four, img).data)
+        assert not np.array_equal(rows.data, served.data)
+
     def test_trainable_encoder_gets_taped_rows(self, fresh_tiny_model, scene_image_16,
                                                monkeypatch):
         model, img = fresh_tiny_model, Image(scene_image_16.pixels.copy())
