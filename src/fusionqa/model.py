@@ -193,13 +193,23 @@ def _mlp(model, prefix, x, rng):
     return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def transformer_block(model, prefix, x, attns, rng=None, cache=None):
+def transformer_block(model, prefix, x, attns, rng=None, cache=None, positions=None):
     """Pre-norm residual layer: each attention of ``attns``, ordered (name,
     kv, mask) triples, behind ``norm{i}`` (i from 1) and dropout, then the
-    MLP behind ``norm{len(attns) + 1}`` and dropout."""
+    MLP behind ``norm{len(attns) + 1}`` and dropout.
+
+    ``positions``, a slice of the sequence axis, keeps only those rows: the
+    first attention, a self-attention, still takes its keys and values from
+    every normed row, but its queries, the residual stream and all after
+    them run at the kept rows. No row reads another row's query, so these
+    are the full layer's rows for less work (under dropout the masks drawn
+    are the kept rows' shape)."""
     rate = model.config.lm.dropout_rate
     for i, (name, kv, mask) in enumerate(attns, 1):
         normed = _layer_norm_named(model, f"{prefix}.norm{i}", x)
+        if positions is not None and i == 1:
+            rows = (slice(None), positions)
+            kv, normed, x = normed, slice_(normed, rows), slice_(x, rows)
         attn = multi_head_attention(model, f"{prefix}.{name}", normed, kv=kv, mask=mask,
                                     rng=rng, cache=cache)
         x = add(x, dropout(attn, rate, rng=rng))
@@ -207,13 +217,17 @@ def transformer_block(model, prefix, x, attns, rng=None, cache=None):
     return add(x, dropout(_mlp(model, f"{prefix}.mlp", normed, rng), rate, rng=rng))
 
 
-def run_stack(model, prefix, x, pos, attns, rng=None, cache=None):
+def run_stack(model, prefix, x, pos, attns, rng=None, cache=None, positions=None):
     """The vision encoder, LM encoder or LM decoder under ``prefix``: inputs
     ``x`` plus their position rows ``pos``, dropout, the ``lm.n_layers``
-    ``transformer_block``s over ``attns``, then ``{prefix}.final_norm``."""
+    ``transformer_block``s over ``attns``, then ``{prefix}.final_norm``.
+    ``positions`` go to the last layer only, so it and the final norm run
+    at those rows alone and only they are returned."""
     x = dropout(add(x, pos), model.config.lm.dropout_rate, rng=rng)
-    for i in range(model.config.lm.n_layers):
-        x = transformer_block(model, f"{prefix}.layer{i}", x, attns, rng=rng, cache=cache)
+    last = model.config.lm.n_layers - 1
+    for i in range(last + 1):
+        x = transformer_block(model, f"{prefix}.layer{i}", x, attns, rng=rng, cache=cache,
+                              positions=positions if i == last else None)
     return _layer_norm_named(model, f"{prefix}.final_norm", x)
 
 
@@ -264,11 +278,17 @@ def inject(text_emb: Tensor, image_embs, slots) -> Tensor:
                      index.reshape(text_emb.shape[:-1]))
 
 
-def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
+def encode_multimodal(model, seq, images=(), rng=None, positions=None) -> EncoderStates:
     """Embed a padded TokenBatch in one pass, encode its images and inject
     them into its ``<img>`` runs (one image per run, row by row), and run
     the language-model encoder over the fused (B, L, d) sequence. A lone
     TokenSequence runs as a batch of one.
+
+    ``positions``, a slice of the sequence axis, returns only those states
+    and mask columns. The encoder's last layer then takes keys and values
+    from every row but runs its queries, MLP and final norm at those rows
+    alone (``transformer_block``): a caller that reads one row, as the
+    reranker reads ``<cls>``, gets that row of the full pass for less work.
     """
     # vision imports this module, so the name is looked up at call time
     from fusionqa.vision import image_rows
@@ -295,8 +315,9 @@ def encode_multimodal(model, seq, images=(), rng=None) -> EncoderStates:
                image_rows(model, images, rng=rng), seq.ids == IMG_ID)
     x = run_stack(model, "lm.encoder", x,
                   slice_(model.params["lm.encoder.pos_emb"], (slice(0, length),)),
-                  [(name, None, mask) for name in ENCODER_ATTNS], rng=rng)
-    return EncoderStates(x, np.asarray(seq.attention_mask))
+                  [(name, None, mask) for name in ENCODER_ATTNS], rng=rng, positions=positions)
+    attention_mask = np.asarray(seq.attention_mask)
+    return EncoderStates(x, attention_mask if positions is None else attention_mask[:, positions])
 
 
 def decoder_hidden(model, enc: EncoderStates, dec_input_ids, rng=None,

@@ -3,7 +3,10 @@
 Each (question, document) pair is one cross-encoder input; a candidate pool
 is padded into one batch and runs through the backbone encoder in one pass.
 The hidden state at each pair's prepended <cls> position feeds a two-layer
-scoring head. Raw logits are sigmoid-normalized, candidates below tau times
+scoring head. That is the only encoder row read, so the encoder's last
+layer runs its queries, MLP and final norm at <cls> alone; its keys and
+values still come from every position of the pair, so the state is the
+full pass's. Raw logits are sigmoid-normalized, candidates below tau times
 the best score are dropped, and at most k survivors are kept (ties to the
 lower index).
 """
@@ -69,7 +72,8 @@ def score(model, vocab, question: str, docs: list[Document], image_loader=None,
             if image_loader is None:
                 raise ValueError(f"document {doc.id} is an image but no image loader given")
             images.append(image_loader(doc))
-    enc = encode_multimodal(model, batch, images, rng=rng)
+    # <cls> is each pair's first token, and the only row the head reads
+    enc = encode_multimodal(model, batch, images, rng=rng, positions=slice(0, 1))
     h = slice_(enc.states, (slice(None), 0))
     return classifier_head(model, h, rng=rng)
 

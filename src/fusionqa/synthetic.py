@@ -329,7 +329,8 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     """Write scene images, pretraining corpora, QA splits, and the vocab file.
 
     Everything is a pure function of the seed; reruns overwrite byte-identically,
-    and asking for more questions than the world has facts writes nothing.
+    and asking for more questions than the world has facts, or for a
+    vocabulary too small to hold, writes nothing.
     """
     rng = Rng(seed)
     world = generate_world(rng.child("world"), n_entities=n_entities)
@@ -339,6 +340,7 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
         raise ValueError(
             f"asked for {n_total} questions but the world only has {len(keys)} facts"
         )
+    vocab = Vocab.build(corpus_text_lines(world), vocab_size)
     os.makedirs(os.path.join(outdir, "images"), exist_ok=True)
 
     for idx, spec in enumerate(SCENE_SPECS):
@@ -377,7 +379,6 @@ def generate_corpora(outdir, seed: int, n_entities: int = 100,
     write_instances("qa_train.jsonl", chosen[:n_train], 0)
     write_instances("qa_heldout.jsonl", chosen[n_train:], n_train)
 
-    vocab = Vocab.build(corpus_text_lines(world), vocab_size)
     vocab.save(os.path.join(outdir, "vocab.txt"))
 
     return {

@@ -205,6 +205,28 @@ class TestEncoder:
         perturbed = encode_multimodal(model, seq).states.data[:, :3]
         np.testing.assert_allclose(base, perturbed, atol=1e-6)
 
+    def test_cls_positions_keep_padded_keys_out(self, tiny_vocab):
+        # given positions the encoder returns those rows of each sequence,
+        # (B, 1, d) for <cls> with its mask column, as the full pass computes
+        # them; the cut last layer still reads every real key and no padded one
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, layers=2),
+                                            Rng(11), dtype=np.float64)
+        cls = slice(0, 1)
+        ids = np.array([[3, 5, 6, 7, EOS_ID], [3, 8, EOS_ID, PAD_ID, PAD_ID]])
+        mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
+        enc = encode_multimodal(model, TokenBatch(ids, mask), positions=cls)
+        assert enc.states.shape == (2, 1, model.config.lm.hidden_size)
+        np.testing.assert_array_equal(enc.attention_mask, [[1], [1]])
+        full = encode_multimodal(model, TokenBatch(ids, mask)).states.data[:, cls]
+        np.testing.assert_allclose(enc.states.data, full, rtol=0, atol=1e-10)
+        other_pads = ids.copy()
+        other_pads[1, 3:] = [9, 10]
+        same = encode_multimodal(model, TokenBatch(other_pads, mask), positions=cls)
+        np.testing.assert_array_equal(same.states.data, enc.states.data)
+        unmasked = encode_multimodal(model, TokenBatch(other_pads, np.ones_like(mask)),
+                                     positions=cls)
+        assert np.abs(unmasked.states.data[1] - enc.states.data[1]).max() > 1e-3
+
     def test_gradients_reach_embeddings_and_vision(self, fresh_tiny_model, scene_image_16, tiny_vocab):
         model = fresh_tiny_model
         AdamW(model, param_lrs(model, {"lm": 1e-3, "vision": 1e-3}))

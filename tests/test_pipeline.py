@@ -503,6 +503,14 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_gen_synthetic_vocab_size_checked_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "corpora"
+        assert main(["gen-synthetic", "--out", str(out), "--entities", "8", "--captions", "4",
+                     "--vqa", "4", "--train-questions", "4", "--heldout-questions", "2",
+                     "--vocab-size", "10"]) == 1
+        assert "error: target_size 10 below reserved + alphabet size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_scores_exit_one(self, tmp_path, corpora_dir, capsys):
         vocab = Vocab.load(corpora_dir / "vocab.txt")
         model = MultimodalTransformer.build(model_profile("desk", vocab_size=vocab.size), Rng(0))

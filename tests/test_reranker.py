@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionqa import reranker as reranker_module
 from fusionqa.config import SelectionConfig
 from fusionqa.documents import Document
 from fusionqa.images import Image
-from fusionqa.model import MultimodalTransformer
+from fusionqa.model import MultimodalTransformer, encode_multimodal
 from fusionqa.reranker import (
     RetrievedSet,
     build_training_batch,
@@ -16,7 +17,7 @@ from fusionqa.reranker import (
     score,
     select_contexts,
 )
-from fusionqa.tensor import Rng, Tensor, sigmoid_np
+from fusionqa.tensor import Rng, Tensor, backward, sigmoid_np
 
 from conftest import make_tiny_config
 from tensor_reference import grad_check
@@ -165,20 +166,23 @@ class TestScore:
         np.testing.assert_array_equal(s1, s2)
 
     def test_full_loss_gradient_check_two_docs(self, tiny_vocab):
-        cfg = make_tiny_config(tiny_vocab.size, d=16, heads=2, layers=1)
-        model = MultimodalTransformer.build(cfg, Rng(8), dtype=np.float64)
         doc_pos = Document(id="p", modality="text", text="the capital of balor is venta")
         doc_neg = Document(id="n", modality="text", text="red square")
+        # at one layer the only encoder layer is the one cut to the <cls> row;
+        # at two the cut layer's keys come from a full one
+        for layers in (1, 2):
+            cfg = make_tiny_config(tiny_vocab.size, d=16, heads=2, layers=layers)
+            model = MultimodalTransformer.build(cfg, Rng(8), dtype=np.float64)
 
-        def f(params):
-            # the two pairs differ in length, so the batch pads the shorter one
-            logits = score(model, tiny_vocab, "what is the capital of balor?",
-                           [doc_pos, doc_neg])
-            return reranker_loss(logits, [1.0, 0.0])
+            def f(params):
+                # the two pairs differ in length, so the batch pads the shorter one
+                logits = score(model, tiny_vocab, "what is the capital of balor?",
+                               [doc_pos, doc_neg])
+                return reranker_loss(logits, [1.0, 0.0])
 
-        params = [p for _, p in sorted(model.params.items())]
-        err = grad_check(f, params, eps=1e-4, max_coords_per_param=3, rng=Rng(1))
-        assert err < 1e-4
+            params = [p for _, p in sorted(model.params.items())]
+            err = grad_check(f, params, eps=1e-4, max_coords_per_param=3, rng=Rng(1))
+            assert err < 1e-4, layers
 
     def test_empty_pool_rejected(self, tiny_vocab):
         model = self._head_fixed_model(tiny_vocab)
@@ -238,6 +242,76 @@ class TestScore:
         assert batched.dtype == np.float32
         assert np.ptp(alone) > 0.5
         np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-5)
+
+
+class TestClsRowEncoder:
+    """``score`` runs the encoder's last layer at the <cls> row only; the
+    reference runs the full (B, L, d) encoder and reads row 0 of it."""
+
+    QUESTION = "what is the capital of balor?"
+
+    @staticmethod
+    def _pool(n):
+        # text documents of many lengths with an image document every third
+        words = "the capital of balor is venta and the animal of rimek is fox".split()
+        return [Document(id=f"i{i}", modality="image", image_path=f"{i}.ppm",
+                         snippet=" ".join(words[: i % 4])) if i % 3 == 1 else
+                Document(id=f"t{i}", modality="text",
+                         text=" ".join(words[: 1 + (5 * i) % len(words)]))
+                for i in range(n)]
+
+    @staticmethod
+    def _loader(scene_image_16):
+        noise = Image(np.random.default_rng(1).random(scene_image_16.pixels.shape))
+        return lambda doc: scene_image_16 if doc.id == "i1" else noise
+
+    def _logits_and_grads(self, model, vocab, pool, loader, labels):
+        model.zero_grads()
+        logits = score(model, vocab, self.QUESTION, pool, image_loader=loader)
+        backward(reranker_loss(logits, labels))
+        grads = {n: None if p.grad is None else p.grad.copy() for n, p in model.params.items()}
+        return logits.data.copy(), grads
+
+    @staticmethod
+    def _full_encoder(monkeypatch):
+        monkeypatch.setattr(reranker_module, "encode_multimodal",
+                            lambda model, batch, images, rng=None, positions=None:
+                            encode_multimodal(model, batch, images, rng=rng))
+
+    def test_float64_logits_and_gradients_match_full_pass(self, tiny_vocab, scene_image_16,
+                                                          monkeypatch):
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, layers=2), Rng(3),
+                                            dtype=np.float64)
+        pool, loader = self._pool(7), self._loader(scene_image_16)
+        labels = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        got, got_grads = self._logits_and_grads(model, tiny_vocab, pool, loader, labels)
+        with monkeypatch.context() as m:
+            self._full_encoder(m)
+            want, want_grads = self._logits_and_grads(model, tiny_vocab, pool, loader, labels)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        assert got_grads["lm.encoder.layer1.attn.wq"] is not None
+        assert got_grads["vision.layer0.mlp.w1"] is not None
+        for name, want_g in want_grads.items():
+            got_g = got_grads[name]
+            assert (got_g is None) == (want_g is None), name
+            if want_g is not None:
+                assert np.abs(got_g - want_g).max() <= 1e-10 * np.abs(want_g).max(), name
+
+    def test_float32_logits_and_selection_match_full_pass(self, tiny_vocab, scene_image_16,
+                                                          monkeypatch):
+        # a scaled-up head spreads the logits so the selection is not a tie
+        model = MultimodalTransformer.build(make_tiny_config(tiny_vocab.size, layers=2), Rng(5))
+        model.params["cls_head.w1"].data *= 50
+        model.params["cls_head.w2"].data *= 50
+        pool, loader = self._pool(20), self._loader(scene_image_16)
+        got = score(model, tiny_vocab, self.QUESTION, pool, image_loader=loader).data
+        with monkeypatch.context() as m:
+            self._full_encoder(m)
+            want = score(model, tiny_vocab, self.QUESTION, pool, image_loader=loader).data
+        assert got.dtype == np.float32 and np.ptp(want) > 0.5
+        assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
+        cfg = SelectionConfig(tau=0.5, k=5)
+        assert select_contexts(got, cfg).selected == select_contexts(want, cfg).selected
 
 
 class TestBuildTrainingBatch:
